@@ -1,16 +1,17 @@
 """Batch experiment harness.
 
     gsmspdc run <experiment> --config <path> [--out <dir>] [--seed <u64>]
-                [--threads <n>]
 
 Experiments: pump-visibility, pump-invariance, fringes, visibility-curve,
 profile, conditional, frames-synth, coincidence.  Each run writes CSV data
 and/or 16-bit PGM images plus run_manifest.json with the resolved parameters,
 seed, and SHA-256 hashes of every output.  Reruns with the same config and
-seed are byte-identical.
+seed are byte-identical.  Profile sidecars record the inner rule, the order
+its doubling gate accepted and the change reached; [grid] order is the
+fringe aperture order only.
 
 Exit codes: 0 success, 2 configuration error, 3 convergence failure,
-4 I/O failure.
+4 I/O failure (a malformed frames file included).
 """
 
 import argparse
@@ -25,7 +26,8 @@ from .config import Resolver, crystal_from, load_config, pumps_from
 from .errors import ConfigError, ConvergenceError, FitError
 from .iofmt import write_csv, write_json, write_manifest, write_pgm16
 from .pump import (CharacterizationSetup, coherence_from, correlation_length,
-                   propagate_to_crystal, pump_visibility)
+                   csd_coefficients, propagate_to_crystal, pump_visibility)
+from .spdc import joint_momentum_rate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -41,10 +43,15 @@ def _slits_values(res: Resolver):
     d_values = res.get_list("slits", "d_values", [0.25e-3, 0.5e-3, 0.75e-3])
     z = res.get("slits", "z", 0.10)
     z1 = res.get("slits", "z1", 0.20)
+    try:
+        for d in d_values:
+            interference.SlitGeometry(a=a, d=d, z=z, z1=z1)
+    except ValueError as exc:
+        raise ConfigError(f"[slits] {exc}") from exc
     return a, d_values, z, z1
 
 
-def run_pump_visibility(res: Resolver, out: Path, threads: int):
+def run_pump_visibility(res: Resolver, out: Path):
     res.require_section("pump")
     lambda_p = res.get("pump", "lambda_p", 405e-9)
     f_char = res.get("pump", "f_char", 0.150)
@@ -61,7 +68,7 @@ def run_pump_visibility(res: Resolver, out: Path, threads: int):
     return [path]
 
 
-def run_pump_invariance(res: Resolver, out: Path, threads: int):
+def run_pump_invariance(res: Resolver, out: Path):
     res.require_section("pump")
     lambda_p = res.get("pump", "lambda_p", 405e-9)
     w0 = res.get("pump", "w0", 0.5e-3)
@@ -80,7 +87,7 @@ def run_pump_invariance(res: Resolver, out: Path, threads: int):
     return [path]
 
 
-def run_fringes(res: Resolver, out: Path, threads: int):
+def run_fringes(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     a, d_values, z, z1 = _slits_values(res)
@@ -100,7 +107,7 @@ def run_fringes(res: Resolver, out: Path, threads: int):
     return [path]
 
 
-def run_visibility_curve(res: Resolver, out: Path, threads: int):
+def run_visibility_curve(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     a, d_values, z, z1 = _slits_values(res)
@@ -116,17 +123,16 @@ def run_visibility_curve(res: Resolver, out: Path, threads: int):
     return [path]
 
 
-def run_profile(res: Resolver, out: Path, threads: int):
+def run_profile(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     res.require_section("grid")
     samples = int(res.get("grid", "samples", 256))
     extent = res.get("grid", "extent", 0.0)
-    order = int(res.get("grid", "order", 32))
     computed = [profiles.singles_profile(
         pump, crystal, which="both",
         extent=None if extent <= 0 else extent,
-        samples=samples, order=order, threads=threads) for pump in pumps]
+        samples=samples) for pump in pumps]
     paths = []
     for prof in computed:
         stem = f"profile_A{prof.meta['A']:.4g}"
@@ -138,7 +144,7 @@ def run_profile(res: Resolver, out: Path, threads: int):
     return paths
 
 
-def run_conditional(res: Resolver, out: Path, threads: int):
+def run_conditional(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     samples = int(res.get("grid", "detector_samples", 801))
@@ -156,7 +162,7 @@ def run_conditional(res: Resolver, out: Path, threads: int):
 
 def _counting_params(res: Resolver):
     res.require_section("counting")
-    return {
+    params = {
         "n_frames": int(res.get("counting", "n_frames", 2000)),
         "pairs_per_frame": res.get("counting", "pairs_per_frame", 20.0),
         "noise": res.get("counting", "noise", 1e-3),
@@ -164,16 +170,15 @@ def _counting_params(res: Resolver):
         "n_px": int(res.get("counting", "n_px", 48)),
         "f_collim": res.get("counting", "f_collim", 0.200),
     }
+    if params["n_px"] < 2:
+        raise ConfigError(f"[counting] n_px must be >= 2, got {params['n_px']}")
+    return params
 
 
 def _synthesis_joint(pump, crystal, n_px):
     """Joint pixel distribution over (signal x, idler x) at the overlap point."""
-    from .pump import csd_coefficients
-    from .spdc import joint_momentum_rate
-
     q_s0, _ = profiles.overlap_point(crystal, pump.k_p)
-    coeffs = csd_coefficients(pump)
-    sigma = 1.0 / (2.0 * np.sqrt(coeffs.b1 - coeffs.b2))
+    sigma = csd_coefficients(pump).sum_sigma
     qs = np.linspace(q_s0 - 5 * sigma, q_s0 + 5 * sigma, n_px)
     qi = np.linspace(-q_s0 - 5 * sigma, -q_s0 + 5 * sigma, n_px)
     joint = joint_momentum_rate((qs[:, None], 0.0), (qi[None, :], 0.0),
@@ -181,7 +186,7 @@ def _synthesis_joint(pump, crystal, n_px):
     return joint, qs, qi
 
 
-def run_frames_synth(res: Resolver, out: Path, threads: int):
+def run_frames_synth(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     params = _counting_params(res)
@@ -190,9 +195,12 @@ def run_frames_synth(res: Resolver, out: Path, threads: int):
     lambda_s = 2.0 * pump.lambda_p
     pitch = float(profiles.momentum_to_position(qi[1] - qi[0],
                                                 params["f_collim"], lambda_s))
-    stack = counting.synth_frames(joint, params["pairs_per_frame"],
-                                  params["noise"], params["n_frames"],
-                                  params["seed"], pixel_pitch=pitch)
+    try:
+        stack = counting.synth_frames(joint, params["pairs_per_frame"],
+                                      params["noise"], params["n_frames"],
+                                      params["seed"], pixel_pitch=pitch)
+    except ValueError as exc:  # every argument comes from [counting]
+        raise ConfigError(f"[counting] {exc}") from exc
     path = out / "frames.bin"
     counting.save_frames(stack, path)
     grid = out / "frames_grid.csv"
@@ -201,11 +209,14 @@ def run_frames_synth(res: Resolver, out: Path, threads: int):
     return [path, grid]
 
 
-def run_coincidence(res: Resolver, out: Path, threads: int):
+def run_coincidence(res: Resolver, out: Path):
     params = _counting_params(res)
     frames_file = res.get("counting", "frames_file", str(out / "frames.bin"),
                           cast=str)
-    stack = counting.load_frames(frames_file)
+    try:
+        stack = counting.load_frames(frames_file)
+    except ValueError as exc:
+        raise OSError(f"malformed frames file {frames_file}: {exc}") from exc
     signal_px = int(res.get("counting", "signal_px", -1))
     if signal_px < 0:
         totals = stack.frames[:, 0, :].sum(axis=0)
@@ -255,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                           f"${OUTPUT_DIR_ENV}, then ./out)")
     run.add_argument("--seed", type=int, default=None,
                      help="override [counting] seed")
-    run.add_argument("--threads", type=int, default=1,
-                     help="worker threads for profile grids")
     return parser
 
 
@@ -277,7 +286,7 @@ def main(argv=None) -> int:
         res.resolved["output.directory"] = str(out_dir)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        written = EXPERIMENTS[args.experiment](res, out, max(1, args.threads))
+        written = EXPERIMENTS[args.experiment](res, out)
         write_manifest(out, args.experiment, res.resolved, written)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

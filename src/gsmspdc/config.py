@@ -87,14 +87,14 @@ def pumps_from(res: Resolver) -> list[PumpParams]:
     lambda_p = res.get("pump", "lambda_p", 405e-9)
     w0 = res.get("pump", "w0", 0.5e-3)
     block = res.raw.get("pump", {})
-    if "l_c" in block:
-        l_c = res.get("pump", "l_c")
-        return [PumpParams(lambda_p=lambda_p, w0=w0, l_c=l_c)]
-    a_values = res.get_list("pump", "a_values", [0.9, 0.6, 0.3])
-    for a in a_values:
-        if not 0.0 < a <= 1.0:
-            raise ConfigError(f"pump A values must lie in (0, 1], got {a}")
-    return [PumpParams.from_coherence(lambda_p, w0, a) for a in a_values]
+    try:
+        if "l_c" in block:
+            l_c = res.get("pump", "l_c")
+            return [PumpParams(lambda_p=lambda_p, w0=w0, l_c=l_c)]
+        a_values = res.get_list("pump", "a_values", [0.9, 0.6, 0.3])
+        return [PumpParams.from_coherence(lambda_p, w0, a) for a in a_values]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def crystal_from(res: Resolver) -> CrystalParams:

@@ -218,8 +218,10 @@ def load_frames(path) -> FrameStack:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"not a frame-stack file: bad magic {magic!r}")
-        n_frames, h, w, seed, pitch, exposure = _HEADER.unpack(
-            fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError("truncated frame-stack header")
+        n_frames, h, w, seed, pitch, exposure = _HEADER.unpack(header)
         data = np.frombuffer(fh.read(n_frames * h * w * 2), dtype="<u2")
     if data.size != n_frames * h * w:
         raise ValueError("truncated frame-stack file")

@@ -1,23 +1,26 @@
 """Far-field transverse profiles of the down-converted light.
 
 singles_profile integrates the joint momentum rate over the undetected
-photon.  The pump CSD diagonal confines the pair-sum momentum u = q_s + q_i
-to a Gaussian of 1/e half-width ~1/(2 sqrt(b1 - b2)), so the inner integral
-runs over a +-6 sigma box in u with tensor Gauss-Legendre quadrature (or
-importance-sampled Monte Carlo drawn exactly from that Gaussian).
+photon.  The pump CSD diagonal weights the pair-sum momentum u = q_s + q_i by
+the Gaussian A_c exp(-|u|^2 / (2 sigma^2)), with sigma from
+GsmCsdCoefficients.sum_sigma, leaving the bounded factor sinc^2(L dk_z / 2) to
+integrate against it: by a tensor Gauss-Hermite rule, exact for that weight,
+or by Monte Carlo drawn from it.  The two backends share the integrand and
+differ only in their nodes.  The Hermite order is measured, not configured: it
+starts at 4 and doubles until doubling moves no max-normalized sample by more
+than QUADRATURE_TOL.
 
 Momenta are in rad/m.  A camera at the focal plane of a collimating lens maps
 position X to transverse momentum q = k X / f (helpers below).
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .pump import PumpParams, coherence_from, csd_coefficients
 from .records import Profile2D, Scan1D
-from .spdc import CrystalParams, joint_momentum_rate
+from .spdc import (CrystalParams, _sinc, joint_momentum_rate,
+                   noncollinear_mismatch)
 
 __all__ = [
     "ring_radius",
@@ -30,8 +33,8 @@ __all__ = [
 ]
 
 QUADRATURE_TOL = 1e-4
-DEFAULT_INNER_ORDER = 32
-INNER_BOX_SIGMAS = 6.0
+INITIAL_INNER_ORDER = 4
+MAX_INNER_ORDER = 64    # highest Gauss-Hermite order the doubling gate accepts
 
 
 def ring_radius(crystal: CrystalParams, k_p: float) -> float:
@@ -64,57 +67,40 @@ def momentum_to_position(q, focal_length: float, wavelength: float):
     return np.asarray(q, dtype=float) * focal_length / (2.0 * np.pi / wavelength)
 
 
-def _sum_box(pump: PumpParams):
-    coeffs = csd_coefficients(pump)
-    sigma = 1.0 / (2.0 * np.sqrt(coeffs.b1 - coeffs.b2))
-    return sigma
+def _integrand_blocks(qx, qy, crystal, k_p, ux, uy, center_shift, idler_ring):
+    """Yield (block, sinc^2(L dk_z / 2)) over chunks of the flattened grid:
+    rows are detected momenta q, columns pair-sum nodes u (the other photon
+    carries u - q).  idler_ring makes the detected photon the idler.
+    """
+    qxf = qx.ravel() - center_shift[0]
+    qyf = qy.ravel() - center_shift[1]
+    # keep per-chunk temporaries around a few MB regardless of node count
+    chunk = max(64, 2_000_000 // ux.size)
+    for lo in range(0, qxf.size, chunk):
+        block = slice(lo, lo + chunk)
+        det = (qxf[block, None], qyf[block, None])
+        other = (ux - det[0], uy - det[1])
+        if idler_ring:
+            det, other = other, det
+        dkz = noncollinear_mismatch(det, other, crystal, k_p)
+        yield block, _sinc(crystal.L * dkz / 2.0) ** 2
 
 
 def _singles_quadrature(qx, qy, pump, crystal, order, center_shift=(0.0, 0.0),
-                        idler_ring=False, threads=1):
-    """Integrate the joint rate over the pair-sum momentum at each (qx, qy).
-
-    center_shift displaces the ring center; idler_ring applies the idler
-    walk-off to the detected photon instead of the undetected one.
-    """
-    sigma = _sum_box(pump)
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    u = INNER_BOX_SIGMAS * sigma * xg
-    wu = INNER_BOX_SIGMAS * sigma * wg
-    UX, UY = np.meshgrid(u, u, indexing="ij")
-    ux, uy = UX.ravel(), UY.ravel()
-    wts = np.outer(wu, wu).ravel()
-
-    cx, cy = center_shift
-    qxf = qx.ravel() - cx
-    qyf = qy.ravel() - cy
-    out = np.empty(qxf.size)
-
-    if idler_ring:
-        # detected photon plays the idler role: swap labels in the kernel
-        def rate(det_x, det_y, other_x, other_y):
-            return joint_momentum_rate((other_x, other_y), (det_x, det_y),
-                                       pump, crystal)
-    else:
-        def rate(det_x, det_y, other_x, other_y):
-            return joint_momentum_rate((det_x, det_y), (other_x, other_y),
-                                       pump, crystal)
-
-    def run(lo, hi):
-        block = slice(lo, hi)
-        r = rate(qxf[block, None], qyf[block, None],
-                 ux[None, :] - qxf[block, None], uy[None, :] - qyf[block, None])
-        out[block] = r @ wts
-
-    # keep per-chunk temporaries around a few MB regardless of inner order
-    chunk = max(64, 2_000_000 // ux.size)
-    spans = [(i, min(i + chunk, qxf.size)) for i in range(0, qxf.size, chunk)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: run(*s), spans))
-    else:
-        for s in spans:
-            run(*s)
+                        idler_ring=False):
+    """Tensor Gauss-Hermite rule of order^2 pair-sum nodes at each (qx, qy)."""
+    coeffs = csd_coefficients(pump)
+    sigma = coeffs.sum_sigma
+    x, w = np.polynomial.hermite.hermgauss(order)
+    # u = sqrt(2) sigma x turns exp(-|u|^2 / (2 sigma^2)) d^2u into
+    # 2 sigma^2 exp(-|x|^2) d^2x, the Hermite weight
+    u = np.sqrt(2.0) * sigma * x
+    ux, uy = (a.ravel() for a in np.meshgrid(u, u, indexing="ij"))
+    wts = coeffs.A_c * 2.0 * sigma**2 * np.outer(w, w).ravel()
+    out = np.empty(qx.size)
+    for block, f in _integrand_blocks(qx, qy, crystal, pump.k_p, ux, uy,
+                                      center_shift, idler_ring):
+        out[block] = f @ wts
     return out.reshape(qx.shape)
 
 
@@ -123,43 +109,47 @@ def _singles_montecarlo(qx, qy, pump, crystal, n_samples, seed,
     """Monte-Carlo estimate of the same integral with per-point standard errors.
 
     The pair-sum momentum is drawn exactly from the Gaussian CSD diagonal
-    (common draws across grid points), leaving the bounded phase-matching
-    factor as the integrand.
+    (common draws across grid points).
     """
     coeffs = csd_coefficients(pump)
-    sigma2 = 1.0 / (4.0 * (coeffs.b1 - coeffs.b2))
-    norm = coeffs.A_c * np.pi / (2.0 * (coeffs.b1 - coeffs.b2))
-    rng = np.random.default_rng(seed)
-    u = rng.normal(scale=np.sqrt(sigma2), size=(n_samples, 2))
-
-    cx, cy = center_shift
-    qxf = qx.ravel() - cx
-    qyf = qy.ravel() - cy
-    mean = np.empty(qxf.size)
-    stderr = np.empty(qxf.size)
-    chunk = 512
-    from .spdc import noncollinear_mismatch, _sinc
-
-    for i in range(0, qxf.size, chunk):
-        block = slice(i, min(i + chunk, qxf.size))
-        det = (qxf[block, None], qyf[block, None])
-        oth = (u[None, :, 0] - qxf[block, None], u[None, :, 1] - qyf[block, None])
-        if idler_ring:
-            dkz = noncollinear_mismatch(oth, det, crystal, pump.k_p)
-        else:
-            dkz = noncollinear_mismatch(det, oth, crystal, pump.k_p)
-        f = _sinc(crystal.L * dkz / 2.0) ** 2
+    sigma = coeffs.sum_sigma
+    norm = coeffs.A_c * 2.0 * np.pi * sigma**2
+    u = np.random.default_rng(seed).normal(scale=sigma, size=(n_samples, 2))
+    mean = np.empty(qx.size)
+    stderr = np.empty(qx.size)
+    for block, f in _integrand_blocks(qx, qy, crystal, pump.k_p, u[:, 0],
+                                      u[:, 1], center_shift, idler_ring):
         mean[block] = norm * f.mean(axis=1)
         stderr[block] = norm * f.std(axis=1, ddof=1) / np.sqrt(n_samples)
     return mean.reshape(qx.shape), stderr.reshape(qx.shape)
 
 
+def _doubling_gate(evaluate, order, check_convergence):
+    """(values, order, change) at the first of order, 2 order, ... up to
+    MAX_INNER_ORDER whose doubling moves no max-normalized sample of
+    evaluate(order) by more than QUADRATURE_TOL; change is None unchecked.
+    """
+    values = evaluate(order)
+    if not check_convergence:
+        return values, order, None
+    delta = np.inf
+    while order <= MAX_INNER_ORDER:
+        doubled = evaluate(2 * order)
+        delta = float(np.max(np.abs(values / values.max()
+                                    - doubled / doubled.max())))
+        if delta <= QUADRATURE_TOL:
+            return values, order, delta
+        values, order = doubled, 2 * order
+    raise ConvergenceError(
+        f"inner quadrature not converged by order {MAX_INNER_ORDER}: order "
+        f"doubling still moved a sample by {delta:.2e}")
+
+
 def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both",
                     extent: float | None = None, samples: int = 256,
-                    order: int = DEFAULT_INNER_ORDER, q_offset: float | None = None,
+                    order: int = INITIAL_INNER_ORDER, q_offset: float | None = None,
                     method: str = "quadrature", mc_samples: int = 4000,
-                    seed: int = 0, threads: int = 1,
-                    check_convergence: bool = True) -> Profile2D:
+                    seed: int = 0, check_convergence: bool = True) -> Profile2D:
     """Far-field intensity map of the down-converted photons, unit maximum.
 
     which : "signal", "idler", or "both".  For type-II crystals the signal
@@ -168,12 +158,16 @@ def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both
         axis) and the idler walk-off applies only to the idler ring.  Type-I
         has a single ring at the origin.
     extent : full grid span in rad/m; must cover the ring (>= 2 k_s theta_nc).
-    method : "quadrature" (tensor Gauss-Legendre, order^2 inner nodes) or
+    method : "quadrature" (tensor Gauss-Hermite, order^2 inner nodes) or
         "montecarlo" (mc_samples importance draws, deterministic seed).
+    order : Gauss-Hermite order to start from; with check_convergence the
+        order-doubling gate raises it until the profile has converged, and
+        meta records the accepted "order" and its "order_doubling_delta".
     """
     radius = ring_radius(crystal, pump.k_p)
     if extent is None:
-        extent = 3.2 * radius if radius > 0 else 12.0 * _sum_box(pump)
+        extent = (3.2 * radius if radius > 0
+                  else 12.0 * csd_coefficients(pump).sum_sigma)
     if radius > 0 and extent < 2.0 * radius:
         raise ValueError("grid extent must cover the ring (>= 2 k_s theta_nc)")
     axis = np.linspace(-extent / 2.0, extent / 2.0, samples)
@@ -196,31 +190,21 @@ def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both
 
     mc_err = None
     if method == "quadrature":
-        total = np.zeros_like(QX)
-        for shift, idler in selected:
-            total += _singles_quadrature(QX, QY, pump, crystal, order,
-                                         center_shift=shift, idler_ring=idler,
-                                         threads=threads)
-        if check_convergence:
-            ref = np.zeros_like(QX)
-            for shift, idler in selected:
-                ref += _singles_quadrature(QX, QY, pump, crystal, 2 * order,
-                                           center_shift=shift, idler_ring=idler,
-                                           threads=threads)
-            worst = float(np.max(np.abs(total / total.max() - ref / ref.max())))
-            if worst > QUADRATURE_TOL:
-                raise ConvergenceError(
-                    f"inner quadrature not converged: order doubling moved a "
-                    f"sample by {worst:.2e}")
+        def evaluate(n):
+            return sum(_singles_quadrature(QX, QY, pump, crystal, n,
+                                           center_shift=shift, idler_ring=idler)
+                       for shift, idler in selected)
+
+        total, order, delta = _doubling_gate(evaluate, order, check_convergence)
+        rule = {"rule": "gauss-hermite", "order": order,
+                "order_doubling_delta": delta}
     elif method == "montecarlo":
-        total = np.zeros_like(QX)
-        var = np.zeros_like(QX)
-        for shift, idler in selected:
-            m, se = _singles_montecarlo(QX, QY, pump, crystal, mc_samples, seed,
-                                        center_shift=shift, idler_ring=idler)
-            total += m
-            var += se**2
-        mc_err = np.sqrt(var)
+        parts = [_singles_montecarlo(QX, QY, pump, crystal, mc_samples, seed,
+                                     center_shift=shift, idler_ring=idler)
+                 for shift, idler in selected]
+        total = sum(m for m, _ in parts)
+        mc_err = np.sqrt(sum(se**2 for _, se in parts))
+        rule = {"mc_samples": mc_samples}
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -237,8 +221,7 @@ def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both
         "rho_p_rad": crystal.rho_p, "rho_i_rad": crystal.rho_i,
         "which": which, "q_offset_radpm": q_offset,
         "extent_radpm": extent, "samples": samples,
-        "method": method, "order": order, "seed": seed,
-        "mc_samples": mc_samples if method == "montecarlo" else 0,
+        "method": method, "seed": seed, **rule,
         "normalization": peak,
     }
     prof = Profile2D(grid=grid, pitch_x=pitch, pitch_y=pitch, meta=meta)
@@ -258,7 +241,7 @@ def conditional_scan(pump: PumpParams, crystal: CrystalParams, q_s,
     qsx, qsy = float(q_s[0]), float(q_s[1])
     if q_iy is None:
         q_iy = -qsy
-    sigma = _sum_box(pump)
+    sigma = csd_coefficients(pump).sum_sigma
     center = -qsx
     qix = np.linspace(center - span_sigmas * sigma, center + span_sigmas * sigma,
                       samples)
@@ -278,18 +261,21 @@ def conditional_scan(pump: PumpParams, crystal: CrystalParams, q_s,
 
 
 def ring_radial_profile(pump: PumpParams, crystal: CrystalParams,
-                        angles, radii, order: int = DEFAULT_INNER_ORDER) -> Scan1D:
+                        angles, radii, order: int = INITIAL_INNER_ORDER,
+                        check_convergence: bool = True) -> Scan1D:
     """Azimuthally averaged radial intensity over the given angles (type-I ring).
 
-    Evaluates the singles rate on a polar grid by direct quadrature; used to
-    measure ring width on a chosen side (e.g. angles around 0 for +x,
-    around pi for -x).
+    Evaluates the singles rate on a polar grid by the same Gauss-Hermite rule
+    and order-doubling gate as singles_profile; used to measure ring width on
+    a chosen side (e.g. angles around 0 for +x, around pi for -x).
     """
     angles = np.asarray(angles, dtype=float)
     radii = np.asarray(radii, dtype=float)
     QX = radii[:, None] * np.cos(angles)[None, :]
     QY = radii[:, None] * np.sin(angles)[None, :]
-    vals = _singles_quadrature(QX, QY, pump, crystal, order)
-    mean = vals.mean(axis=1)
-    meta = {"angles_rad": angles.tolist(), "A": coherence_from(pump).A}
-    return Scan1D(xs=radii, values=mean, meta=meta)
+    vals, order, delta = _doubling_gate(
+        lambda n: _singles_quadrature(QX, QY, pump, crystal, n),
+        order, check_convergence)
+    meta = {"angles_rad": angles.tolist(), "A": coherence_from(pump).A,
+            "order": order, "order_doubling_delta": delta}
+    return Scan1D(xs=radii, values=vals.mean(axis=1), meta=meta)

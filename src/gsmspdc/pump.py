@@ -113,9 +113,10 @@ class GsmCsdCoefficients:
     A_c: float
 
     @property
-    def diag_width(self) -> float:
-        """1/e half-width (rad/m) of the diagonal W(q, q) = A_c exp(-2(b1-b2)|q|^2)."""
-        return 1.0 / np.sqrt(2.0 * (self.b1 - self.b2))
+    def sum_sigma(self) -> float:
+        """Std. deviation (rad/m) of the pair-sum Gaussian on the diagonal,
+        W(u, u) = A_c exp(-2 (b1 - b2) |u|^2) = A_c exp(-|u|^2 / (2 sigma^2))."""
+        return 1.0 / (2.0 * np.sqrt(self.b1 - self.b2))
 
     def kernel(self, q, qp):
         """Evaluate W(q, q') for points with components stacked on the last axis."""

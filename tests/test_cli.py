@@ -5,7 +5,7 @@ import pytest
 
 from gsmspdc.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_IO, EXIT_OK,
                          OUTPUT_DIR_ENV, main)
-from gsmspdc.counting import load_frames
+from gsmspdc.counting import load_frames, save_frames, synth_frames
 from gsmspdc.iofmt import read_pgm16
 
 BASE_CONFIG = """
@@ -96,6 +96,9 @@ class TestRunProfile:
         sidecar = json.loads((out / "profile_A0.9.json").read_text())
         assert sidecar["kind"] == "II"
         assert sidecar["samples"] == 48
+        assert sidecar["rule"] == "gauss-hermite"
+        assert sidecar["order"] >= 4
+        assert 0.0 <= sidecar["order_doubling_delta"] <= 1e-4
 
 
 class TestCountingPipeline:
@@ -142,15 +145,77 @@ class TestErrorPaths:
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
     def test_convergence_failure_status(self, tmp_path):
+        # [grid] order is the aperture order of the fringe experiments only;
+        # the profile's inner order is set by its own order-doubling gate
         path = tmp_path / "weak.ini"
         path.write_text(BASE_CONFIG.replace("detector_samples = 601",
                                             "detector_samples = 601\norder = 2"))
         assert run("fringes", path, tmp_path / "o") == EXIT_CONVERGENCE
+        assert run("profile", path, tmp_path / "p") == EXIT_OK
 
     def test_io_failure_status(self, config_file, tmp_path):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("file in the way")
         assert run("pump-visibility", config_file, blocker) == EXIT_IO
+
+
+def _edited(old, new):
+    assert old in BASE_CONFIG
+    return lambda tmp_path: BASE_CONFIG.replace(old, new)
+
+
+def _frames_file(body):
+    def config(tmp_path):
+        path = tmp_path / "frames.bin"
+        path.write_bytes(body)
+        return f"{BASE_CONFIG}frames_file = {path}\n"
+    return config
+
+
+def _truncated_stack(tmp_path):
+    full = tmp_path / "full.bin"
+    save_frames(synth_frames(np.ones((4, 4)), 2.0, 0.0, 5, seed=1), full)
+    return _frames_file(full.read_bytes()[:-3])(tmp_path)
+
+
+# case: (experiment, config text from tmp_path, extra argv, exit code)
+MALFORMED = {
+    "w0-negative": ("fringes", _edited("w0 = 0.5e-3", "w0 = -0.5e-3"),
+                    [], EXIT_CONFIG),
+    "slit-a-exceeds-d-fringes": ("fringes", _edited("a = 0.15e-3", "a = 0.3e-3"),
+                                 [], EXIT_CONFIG),
+    "slit-a-exceeds-d-curve": ("visibility-curve",
+                               _edited("a = 0.15e-3", "a = 0.3e-3"),
+                               [], EXIT_CONFIG),
+    "n-px-one": ("frames-synth", _edited("n_px = 24", "n_px = 1"),
+                 [], EXIT_CONFIG),
+    "negative-pair-rate": ("frames-synth", _edited("pairs_per_frame = 10",
+                                                   "pairs_per_frame = -1"),
+                           [], EXIT_CONFIG),
+    "threads-flag-removed": ("profile", lambda tmp_path: BASE_CONFIG,
+                             ["--threads", "2"], EXIT_CONFIG),
+    "frames-short-header": ("coincidence",
+                            _frames_file(b"GSMFRAM1" + b"\x00" * 5), [], EXIT_IO),
+    "frames-bad-magic": ("coincidence",
+                         _frames_file(b"NOTAFRAME" + b"\x00" * 64), [], EXIT_IO),
+    "frames-truncated-body": ("coincidence", _truncated_stack, [], EXIT_IO),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exit_codes(case, tmp_path, capsys):
+    experiment, config_text, extra, expected = MALFORMED[case]
+    path = tmp_path / "bad.ini"
+    path.write_text(config_text(tmp_path))
+    out = tmp_path / "out"
+    code = main(["run", experiment, "--config", str(path), "--out", str(out),
+                 *extra])
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err
+    if not extra:
+        assert len(err.strip().splitlines()) == 1
+    assert not (out / "run_manifest.json").exists()
 
 
 class TestReproducibility:

@@ -95,13 +95,35 @@ class TestSinglesProfile:
             singles_profile(pump_for(0.5), crystal,
                             extent=ring_radius(crystal, K_P), samples=32)
 
-    def test_non_convergence_reported(self):
+    @pytest.mark.parametrize("integrate", [
+        lambda pump, crystal, radius: singles_profile(
+            pump, crystal, which="signal", samples=16),
+        lambda pump, crystal, radius: ring_radial_profile(
+            pump, crystal, [0.0, np.pi],
+            np.linspace(0.5 * radius, 1.6 * radius, 101)),
+    ], ids=["singles_profile", "ring_radial_profile"])
+    def test_non_convergence_reported(self, integrate, monkeypatch):
+        # this case needs order 16; with the cap at 4 the gate must give up
+        from gsmspdc import profiles
         from gsmspdc.errors import ConvergenceError
 
-        crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA)
+        monkeypatch.setattr(profiles, "MAX_INNER_ORDER", 4)
+        crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA, rho_p=0.07)
         with pytest.raises(ConvergenceError):
-            singles_profile(pump_for(0.5, w0=1e-4), crystal, which="signal",
-                            samples=16, order=2)
+            integrate(pump_for(0.2, w0=1e-4), crystal, ring_radius(crystal, K_P))
+
+    def test_order_doubling_gate_recorded(self):
+        crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA, rho_p=0.07)
+        prof = singles_profile(pump_for(0.2, w0=1e-4), crystal, which="signal",
+                               samples=16)
+        assert prof.meta["rule"] == "gauss-hermite"
+        assert prof.meta["order"] > 4
+        assert prof.meta["order_doubling_delta"] <= 1e-4
+        fixed = singles_profile(pump_for(0.2, w0=1e-4), crystal, which="signal",
+                                samples=16, order=prof.meta["order"],
+                                check_convergence=False)
+        assert np.array_equal(prof.grid, fixed.grid)
+        assert fixed.meta["order_doubling_delta"] is None
 
     def test_quadrature_vs_montecarlo(self):
         # the two integration backends agree within 3 MC standard errors at
@@ -127,15 +149,6 @@ class TestSinglesProfile:
                               method="montecarlo", mc_samples=2000, seed=7)
         assert one.meta["seed"] == 7
         assert np.array_equal(one.grid, two.grid)
-
-    def test_threads_do_not_change_result(self):
-        crystal = CrystalParams(L=2e-3, kind="I", theta_nc=THETA)
-        pump = pump_for(0.6)
-        serial = singles_profile(pump, crystal, which="signal", samples=48,
-                                 order=16, check_convergence=False, threads=1)
-        threaded = singles_profile(pump, crystal, which="signal", samples=48,
-                                   order=16, check_convergence=False, threads=4)
-        assert np.array_equal(serial.grid, threaded.grid)
 
 
 class TestConditionalScan:

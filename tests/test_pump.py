@@ -100,11 +100,11 @@ class TestCsdCoefficients:
         assert c.diagonal(q) == pytest.approx(c.kernel(q, q), rel=1e-12)
 
     def test_angular_width_narrows_with_coherence(self):
-        # diagonal 1/e half-width shrinks as l_c grows (more coherent pump ->
-        # narrower angular spectrum); monotone below A ~ 0.79, which covers
-        # the partially coherent regime of interest
+        # pair-sum width of the diagonal shrinks as l_c grows (more coherent
+        # pump -> narrower angular spectrum); monotone below A ~ 0.79, which
+        # covers the partially coherent regime of interest
         w0 = 1e-3
-        widths = [csd_coefficients(PumpParams(405e-9, w0, lc)).diag_width
+        widths = [csd_coefficients(PumpParams(405e-9, w0, lc)).sum_sigma
                   for lc in np.linspace(0.05 * w0, 2.0 * w0, 25)]
         assert np.all(np.diff(widths) < 0)
 
