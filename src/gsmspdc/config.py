@@ -94,7 +94,7 @@ def pumps_from(res: Resolver) -> list[PumpParams]:
         a_values = res.get_list("pump", "a_values", [0.9, 0.6, 0.3])
         return [PumpParams.from_coherence(lambda_p, w0, a) for a in a_values]
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"[pump] {exc}") from exc
 
 
 def crystal_from(res: Resolver) -> CrystalParams:

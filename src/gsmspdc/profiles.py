@@ -124,25 +124,27 @@ def _singles_montecarlo(qx, qy, pump, crystal, n_samples, seed,
     return mean.reshape(qx.shape), stderr.reshape(qx.shape)
 
 
-def _doubling_gate(evaluate, order, check_convergence):
+def _doubling_gate(evaluate, order, check_convergence=True):
     """(values, order, change) at the first of order, 2 order, ... up to
-    MAX_INNER_ORDER whose doubling moves no max-normalized sample of
-    evaluate(order) by more than QUADRATURE_TOL; change is None unchecked.
+    MAX_INNER_ORDER (or the starting order, if higher) whose doubling moves
+    no max-normalized sample of evaluate(order) by more than QUADRATURE_TOL;
+    change is None unchecked.
     """
     values = evaluate(order)
     if not check_convergence:
         return values, order, None
-    delta = np.inf
-    while order <= MAX_INNER_ORDER:
+    cap = max(MAX_INNER_ORDER, order)
+    while True:
         doubled = evaluate(2 * order)
         delta = float(np.max(np.abs(values / values.max()
                                     - doubled / doubled.max())))
         if delta <= QUADRATURE_TOL:
             return values, order, delta
+        if 2 * order > cap:
+            raise ConvergenceError(
+                f"inner quadrature not converged by order {order}: order "
+                f"doubling still moved a sample by {delta:.2e}")
         values, order = doubled, 2 * order
-    raise ConvergenceError(
-        f"inner quadrature not converged by order {MAX_INNER_ORDER}: order "
-        f"doubling still moved a sample by {delta:.2e}")
 
 
 def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both",
@@ -261,8 +263,7 @@ def conditional_scan(pump: PumpParams, crystal: CrystalParams, q_s,
 
 
 def ring_radial_profile(pump: PumpParams, crystal: CrystalParams,
-                        angles, radii, order: int = INITIAL_INNER_ORDER,
-                        check_convergence: bool = True) -> Scan1D:
+                        angles, radii) -> Scan1D:
     """Azimuthally averaged radial intensity over the given angles (type-I ring).
 
     Evaluates the singles rate on a polar grid by the same Gauss-Hermite rule
@@ -275,7 +276,7 @@ def ring_radial_profile(pump: PumpParams, crystal: CrystalParams,
     QY = radii[:, None] * np.sin(angles)[None, :]
     vals, order, delta = _doubling_gate(
         lambda n: _singles_quadrature(QX, QY, pump, crystal, n),
-        order, check_convergence)
+        INITIAL_INNER_ORDER)
     meta = {"angles_rad": angles.tolist(), "A": coherence_from(pump).A,
             "order": order, "order_doubling_delta": delta}
     return Scan1D(xs=radii, values=vals.mean(axis=1), meta=meta)

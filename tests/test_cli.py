@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,8 @@ def test_malformed_input_exit_codes(case, tmp_path, capsys):
     assert "Traceback" not in err
     if not extra:
         assert len(err.strip().splitlines()) == 1
+    if expected == EXIT_CONFIG and not extra:
+        assert re.search(r"\[\w+\]", err), "message names no config section"
     assert not (out / "run_manifest.json").exists()
 
 

@@ -125,13 +125,24 @@ class TestSinglesProfile:
         assert np.array_equal(prof.grid, fixed.grid)
         assert fixed.meta["order_doubling_delta"] is None
 
-    def test_quadrature_vs_montecarlo(self):
+    def test_gate_accepts_start_above_cap(self, monkeypatch):
+        # a starting order above the cap is checked once by doubling, not
+        # rejected unevaluated
+        from gsmspdc import profiles
+
+        monkeypatch.setattr(profiles, "MAX_INNER_ORDER", 4)
+        crystal = CrystalParams(L=2e-3, kind="I", theta_nc=THETA)
+        prof = singles_profile(pump_for(0.5), crystal, which="signal",
+                               samples=8, order=8)
+        assert prof.meta["order"] == 8
+        assert prof.meta["order_doubling_delta"] <= 1e-4
+
+    @staticmethod
+    def assert_quadrature_matches_montecarlo(pump, crystal, **quad_options):
         # the two integration backends agree within 3 MC standard errors at
         # every tested grid point
-        crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA)
-        pump = pump_for(0.5, w0=1e-4)
         quad = singles_profile(pump, crystal, which="signal", samples=8,
-                               order=32, check_convergence=False)
+                               **quad_options)
         mc = singles_profile(pump, crystal, which="signal", samples=8,
                              method="montecarlo", mc_samples=20000, seed=20240)
         quad_raw = quad.grid * quad.meta["normalization"]
@@ -139,6 +150,18 @@ class TestSinglesProfile:
         stderr = mc.meta["mc_stderr"] * mc.meta["normalization"]
         z = np.abs(quad_raw - mc_raw) / np.where(stderr > 0, stderr, np.inf)
         assert np.max(z) < 3.0
+
+    def test_quadrature_vs_montecarlo(self):
+        crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA)
+        self.assert_quadrature_matches_montecarlo(
+            pump_for(0.5, w0=1e-4), crystal, order=32, check_convergence=False)
+
+    def test_gated_quadrature_vs_montecarlo(self):
+        # the gate has to climb past orders 4 and 8 here, each of which
+        # misses by more than 15 MC standard errors
+        crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA, rho_p=0.07)
+        self.assert_quadrature_matches_montecarlo(pump_for(0.2, w0=1e-4),
+                                                  crystal)
 
     def test_montecarlo_seed_recorded_and_deterministic(self):
         crystal = CrystalParams(L=2e-3, kind="I", theta_nc=THETA)
