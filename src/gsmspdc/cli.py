@@ -87,18 +87,31 @@ def run_pump_invariance(res: Resolver, out: Path):
     return [path]
 
 
+def _int_at_least(res: Resolver, section: str, key: str, default: int,
+                  minimum: int) -> int:
+    value = int(res.get(section, key, default))
+    if value < minimum:
+        raise ConfigError(f"[{section}] {key} must be >= {minimum}, got {value}")
+    return value
+
+
+def _aperture_grid(res: Resolver):
+    """Detector samples and Gauss-Legendre order of the fringe experiments."""
+    samples = int(res.get("grid", "detector_samples", 1001))
+    order = _int_at_least(res, "grid", "order", 24, 1)
+    return samples, order
+
+
 def run_fringes(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     a, d_values, z, z1 = _slits_values(res)
-    samples = int(res.get("grid", "detector_samples", 1001))
-    order = int(res.get("grid", "order", 24))
+    samples, order = _aperture_grid(res)
     d = d_values[0]
     slits = interference.SlitGeometry(a=a, d=d, z=z, z1=z1)
     rows = []
-    for pump in pumps:
-        scan = interference.fringe_profile(pump, crystal, slits,
-                                           samples=samples, order=order)
+    for scan in interference.fringe_profiles(pumps, crystal, slits,
+                                             samples=samples, order=order):
         A = scan.meta["A"]
         for x, value in zip(scan.xs, scan.values):
             rows.append((A, d, x, value))
@@ -111,8 +124,7 @@ def run_visibility_curve(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     a, d_values, z, z1 = _slits_values(res)
-    samples = int(res.get("grid", "detector_samples", 1001))
-    order = int(res.get("grid", "order", 24))
+    samples, order = _aperture_grid(res)
     rows = interference.visibility_curve(pumps, d_values, a=a, z=z, z1=z1,
                                          crystal=crystal, samples=samples,
                                          order=order)
@@ -127,7 +139,7 @@ def run_profile(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     res.require_section("grid")
-    samples = int(res.get("grid", "samples", 256))
+    samples = _int_at_least(res, "grid", "samples", 256, 2)
     extent = res.get("grid", "extent", 0.0)
     computed = [profiles.singles_profile(
         pump, crystal, which="both",
@@ -162,17 +174,14 @@ def run_conditional(res: Resolver, out: Path):
 
 def _counting_params(res: Resolver):
     res.require_section("counting")
-    params = {
+    return {
         "n_frames": int(res.get("counting", "n_frames", 2000)),
         "pairs_per_frame": res.get("counting", "pairs_per_frame", 20.0),
         "noise": res.get("counting", "noise", 1e-3),
         "seed": int(res.get("counting", "seed", 12345)),
-        "n_px": int(res.get("counting", "n_px", 48)),
+        "n_px": _int_at_least(res, "counting", "n_px", 48, 2),
         "f_collim": res.get("counting", "f_collim", 0.200),
     }
-    if params["n_px"] < 2:
-        raise ConfigError(f"[counting] n_px must be >= 2, got {params['n_px']}")
-    return params
 
 
 def _synthesis_joint(pump, crystal, n_px):

@@ -28,6 +28,7 @@ Serialized stack layout (all little-endian), documented for external readers:
     u16 * n_frames*height*width   counts, C (row-major) order
 """
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -47,6 +48,7 @@ __all__ = [
 
 MAGIC = b"GSMFRAM1"
 _HEADER = struct.Struct("<III Q d d")
+U16_MAX = np.iinfo(np.uint16).max
 
 
 @dataclass
@@ -93,6 +95,7 @@ def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
     probability P[i, j].  Dark counts are independent Bernoulli(noise) per
     pixel per frame.  Frames are generated from independent substreams
     spawned from the seed, so the result does not depend on evaluation order.
+    Raises ValueError if a pixel's count would not fit the u16 format.
     """
     if isinstance(joint, Profile2D):
         joint = joint.grid
@@ -106,21 +109,30 @@ def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
         raise ValueError("rates must be >= 0")
     if n_frames < 1:
         raise ValueError("need at least one frame")
-    flat = (P / total).ravel()
+    # the CDF and inverse-CDF draw of Generator.choice(p=...), built once
+    cdf = (P / total).ravel().cumsum()
+    cdf /= cdf[-1]
     n_px = P.shape[0]
 
-    frames = np.zeros((n_frames, 2, n_px), dtype=np.uint16)
-    streams = np.random.SeedSequence(seed).spawn(n_frames)
+    frames = np.empty((n_frames, 2, n_px), dtype=np.uint16)
     for k in range(n_frames):
-        rng = np.random.default_rng(streams[k])
+        # the k-th child of SeedSequence(seed).spawn(n_frames)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         n_pairs = rng.poisson(pairs_per_frame) if pairs_per_frame > 0 else 0
+        counts = np.zeros((2, n_px), dtype=np.intp)
         if n_pairs:
-            idx = rng.choice(flat.size, size=n_pairs, p=flat)
-            i, j = np.unravel_index(idx, P.shape)
-            np.add.at(frames[k], (np.zeros(n_pairs, dtype=np.intp), i), 1)
-            np.add.at(frames[k], (np.ones(n_pairs, dtype=np.intp), j), 1)
+            idx = cdf.searchsorted(rng.random(n_pairs), side="right")
+            i, j = np.divmod(idx, n_px)
+            counts[0] = np.bincount(i, minlength=n_px)
+            counts[1] = np.bincount(j, minlength=n_px)
         if noise > 0:
-            frames[k] += (rng.random((2, n_px)) < noise).astype(np.uint16)
+            counts += rng.random((2, n_px)) < noise
+        # a pixel holds at most n_pairs + 1 counts
+        if n_pairs >= U16_MAX and counts.max() > U16_MAX:
+            raise ValueError(
+                f"frame {k} holds {counts.max()} counts in one pixel, more "
+                f"than the u16 format's {U16_MAX}")
+        frames[k] = counts
     return FrameStack(frames=frames, pixel_pitch=pixel_pitch,
                       exposure=exposure, seed=seed)
 
@@ -207,10 +219,10 @@ def save_frames(stack: FrameStack, path):
     h, w = stack.shape
     header = MAGIC + _HEADER.pack(stack.n_frames, h, w, stack.seed,
                                   stack.pixel_pitch, stack.exposure)
-    body = stack.frames.astype("<u2").tobytes(order="C")
+    body = np.ascontiguousarray(stack.frames, dtype="<u2")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(body)
+        body.tofile(fh)
 
 
 def load_frames(path) -> FrameStack:
@@ -222,8 +234,10 @@ def load_frames(path) -> FrameStack:
         if len(header) != _HEADER.size:
             raise ValueError("truncated frame-stack header")
         n_frames, h, w, seed, pitch, exposure = _HEADER.unpack(header)
-        data = np.frombuffer(fh.read(n_frames * h * w * 2), dtype="<u2")
-    if data.size != n_frames * h * w:
-        raise ValueError("truncated frame-stack file")
-    return FrameStack(frames=data.reshape(n_frames, h, w).copy(),
+        count = n_frames * h * w
+        # checked before reading, so a corrupt header allocates nothing
+        if os.fstat(fh.fileno()).st_size - fh.tell() < 2 * count:
+            raise ValueError("truncated frame-stack file")
+        data = np.fromfile(fh, dtype="<u2", count=count)
+    return FrameStack(frames=data.reshape(n_frames, h, w),
                       pixel_pitch=pitch, exposure=exposure, seed=seed)

@@ -47,6 +47,7 @@ __all__ = [
     "slit_transmission",
     "slit_plane_coherence",
     "fringe_profile",
+    "fringe_profiles",
     "visibility_curve",
 ]
 
@@ -120,35 +121,53 @@ def _slit_nodes(slits: SlitGeometry, order: int):
     return nodes, weights
 
 
-def _profile_values(xs, pump, crystal, slits, order):
-    a, c, delta = _kernel_constants(pump, crystal, slits.z)
+def _aperture_rule(xs, slits: SlitGeometry, order: int, k_s: float):
+    """Slit nodes, weights and the detector phases exp(-i k_s (x_s - x)^2 / 2 z1).
+
+    They depend on the slit geometry, the order and the signal wavelength
+    only, so one rule serves every pump of one lambda_p.
+    """
     nodes, weights = _slit_nodes(slits, order)
+    phases = np.exp(-1j * k_s * (xs[:, None] - nodes[None, :]) ** 2 / (2.0 * slits.z1))
+    return nodes, weights, phases
+
+
+def _profile_values(rule, pump, crystal, z):
+    nodes, weights, phases = rule
+    a, c, delta = _kernel_constants(pump, crystal, z)
     X, Xp = np.meshgrid(nodes, nodes, indexing="ij")
     w_slit = np.exp(-(np.pi**2) * (np.conj(a) * X**2 + a * Xp**2 - 2.0 * c * X * Xp)
                     / delta)
     kernel = weights[:, None] * weights[None, :] * w_slit
-    k_s = pump.k_p / 2.0
-    phases = np.exp(-1j * k_s * (xs[:, None] - nodes[None, :]) ** 2 / (2.0 * slits.z1))
-    p1 = np.real(np.einsum("ij,jk,ik->i", phases, kernel, np.conj(phases)))
+    p1 = np.einsum("sj,sj->s", phases @ kernel, np.conj(phases)).real
     return np.maximum(p1, 0.0)
 
 
-def fringe_profile(pump: PumpParams, crystal: CrystalParams, slits: SlitGeometry,
-                   samples: int = DEFAULT_SAMPLES, span: float | None = None,
-                   order: int = DEFAULT_ORDER,
-                   check_convergence: bool = True) -> Scan1D:
-    """Normalized single-photon fringe profile p1(x_s) at the detector plane.
+def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
+                    samples: int = DEFAULT_SAMPLES, span: float | None = None,
+                    order: int = DEFAULT_ORDER,
+                    check_convergence: bool = True) -> list[Scan1D]:
+    """Normalized single-photon fringe profiles p1(x_s), one per pump.
+
+    The pumps must share one lambda_p: the slit nodes and the detector phase
+    matrix are built once per order and contracted with each pump's
+    slit-plane kernel.
 
     Parameters
     ----------
     samples, span : detector grid; the span must cover at least 6 naive fringe
         periods lambda_s z1 / d (default 8).
     order : Gauss-Legendre points per slit for the aperture quadrature.
-    check_convergence : recompute at twice the order and raise
+    check_convergence : recompute every profile at twice the order and raise
         ConvergenceError if any sample moves by more than 1e-4 on the
         unit-max scale.
     """
-    lambda_s = 2.0 * pump.lambda_p
+    pumps = list(pumps)
+    if len({pump.lambda_p for pump in pumps}) != 1:
+        raise ValueError("fringe_profiles needs at least one pump, all of one "
+                         "lambda_p")
+    lambda_s = 2.0 * pumps[0].lambda_p
+    k_s = pumps[0].k_p / 2.0
     period = slits.fringe_period(lambda_s)
     if span is None:
         span = DEFAULT_SPAN_PERIODS * period
@@ -157,29 +176,46 @@ def fringe_profile(pump: PumpParams, crystal: CrystalParams, slits: SlitGeometry
             f"detector span {span:g} m covers fewer than {MIN_SPAN_PERIODS:g} "
             f"fringe periods ({period:g} m)")
     xs = np.linspace(-span / 2.0, span / 2.0, samples)
-    p1 = _profile_values(xs, pump, crystal, slits, order)
-    peak = p1.max()
-    if peak <= 0:
-        raise ConvergenceError("fringe profile vanished everywhere")
-    p1 = p1 / peak
+    rule = _aperture_rule(xs, slits, order, k_s)
+    values = []
+    for pump in pumps:
+        p1 = _profile_values(rule, pump, crystal, slits.z)
+        peak = p1.max()
+        if peak <= 0:
+            raise ConvergenceError("fringe profile vanished everywhere")
+        values.append(p1 / peak)
     if check_convergence:
-        p2 = _profile_values(xs, pump, crystal, slits, 2 * order)
-        p2 = p2 / p2.max()
-        worst = float(np.max(np.abs(p1 - p2)))
-        if worst > QUADRATURE_TOL:
-            raise ConvergenceError(
-                f"aperture quadrature not converged: order doubling moved a "
-                f"sample by {worst:.2e} (> {QUADRATURE_TOL:g})")
-    meta = {
-        "lambda_p_m": pump.lambda_p, "w0_m": pump.w0, "l_c_m": pump.l_c,
-        "A": coherence_from(pump).A,
-        "crystal_L_m": crystal.L, "alpha": crystal.alpha,
-        "slit_a_m": slits.a, "slit_d_m": slits.d,
-        "z_m": slits.z, "z1_m": slits.z1,
-        "order": order, "samples": samples, "span_m": span,
-        "fringe_period_m": period,
-    }
-    return Scan1D(xs=xs, values=p1, meta=meta)
+        rule = _aperture_rule(xs, slits, 2 * order, k_s)
+        for pump, p1 in zip(pumps, values):
+            p2 = _profile_values(rule, pump, crystal, slits.z)
+            p2 = p2 / p2.max()
+            worst = float(np.max(np.abs(p1 - p2)))
+            if worst > QUADRATURE_TOL:
+                raise ConvergenceError(
+                    f"aperture quadrature not converged: order doubling moved a "
+                    f"sample by {worst:.2e} (> {QUADRATURE_TOL:g})")
+    scans = []
+    for pump, p1 in zip(pumps, values):
+        meta = {
+            "lambda_p_m": pump.lambda_p, "w0_m": pump.w0, "l_c_m": pump.l_c,
+            "A": coherence_from(pump).A,
+            "crystal_L_m": crystal.L, "alpha": crystal.alpha,
+            "slit_a_m": slits.a, "slit_d_m": slits.d,
+            "z_m": slits.z, "z1_m": slits.z1,
+            "order": order, "samples": samples, "span_m": span,
+            "fringe_period_m": period,
+        }
+        scans.append(Scan1D(xs=xs, values=p1, meta=meta))
+    return scans
+
+
+def fringe_profile(pump: PumpParams, crystal: CrystalParams, slits: SlitGeometry,
+                   samples: int = DEFAULT_SAMPLES, span: float | None = None,
+                   order: int = DEFAULT_ORDER,
+                   check_convergence: bool = True) -> Scan1D:
+    """Normalized fringe profile of one pump; see fringe_profiles."""
+    return fringe_profiles([pump], crystal, slits, samples=samples, span=span,
+                           order=order, check_convergence=check_convergence)[0]
 
 
 def visibility_curve(pumps, d_values, a: float, z: float, z1: float,
@@ -187,22 +223,23 @@ def visibility_curve(pumps, d_values, a: float, z: float, z1: float,
                      order: int = DEFAULT_ORDER):
     """Fitted fringe visibility over a (pump, slit-separation) lattice.
 
-    Returns a list of dicts with keys A, d_m, visibility, fringe_period_m.
-    The fit is anchored with the known fringe period and restricted to the
-    central four periods, where the log-quadratic envelope model holds.
+    Returns a list of dicts with keys A, d_m, visibility, fringe_period_m,
+    pump-major: every d of the first pump, then of the next.  The fit is
+    anchored with the known fringe period and restricted to the central four
+    periods, where the log-quadratic envelope model holds.
     """
-    rows = []
-    for pump in pumps:
-        A = coherence_from(pump).A
-        for d in d_values:
-            slits = SlitGeometry(a=a, d=d, z=z, z1=z1)
-            scan = fringe_profile(pump, crystal, slits, samples=samples, order=order)
-            period = slits.fringe_period(2.0 * pump.lambda_p)
+    pumps = list(pumps)
+    per_pump = [[] for _ in pumps]
+    for d in d_values:
+        slits = SlitGeometry(a=a, d=d, z=z, z1=z1)
+        scans = fringe_profiles(pumps, crystal, slits, samples=samples, order=order)
+        for rows, scan in zip(per_pump, scans):
+            period = scan.meta["fringe_period_m"]
             fit = fit_visibility(scan, period_hint=period, window=2.0 * period)
             rows.append({
-                "A": A,
+                "A": scan.meta["A"],
                 "d_m": d,
                 "visibility": fit.visibility,
                 "fringe_period_m": fit.fringe_period,
             })
-    return rows
+    return [row for rows in per_pump for row in rows]

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -193,6 +194,22 @@ MALFORMED = {
     "negative-pair-rate": ("frames-synth", _edited("pairs_per_frame = 10",
                                                    "pairs_per_frame = -1"),
                            [], EXIT_CONFIG),
+    "u16-overflow": ("frames-synth",
+                     _edited("n_frames = 300\npairs_per_frame = 10\n"
+                             "noise = 1e-3\nseed = 777\nn_px = 24",
+                             "n_frames = 2\npairs_per_frame = 1e6\n"
+                             "noise = 1e-3\nseed = 777\nn_px = 2"),
+                     [], EXIT_CONFIG),
+    "grid-order-zero-fringes": ("fringes", _edited("detector_samples = 601",
+                                                   "detector_samples = 601\n"
+                                                   "order = 0"),
+                                [], EXIT_CONFIG),
+    "grid-order-zero-curve": ("visibility-curve",
+                              _edited("detector_samples = 601",
+                                      "detector_samples = 601\norder = 0"),
+                              [], EXIT_CONFIG),
+    "grid-samples-one": ("profile", _edited("samples = 48", "samples = 1"),
+                         [], EXIT_CONFIG),
     "threads-flag-removed": ("profile", lambda tmp_path: BASE_CONFIG,
                              ["--threads", "2"], EXIT_CONFIG),
     "frames-short-header": ("coincidence",
@@ -200,6 +217,10 @@ MALFORMED = {
     "frames-bad-magic": ("coincidence",
                          _frames_file(b"NOTAFRAME" + b"\x00" * 64), [], EXIT_IO),
     "frames-truncated-body": ("coincidence", _truncated_stack, [], EXIT_IO),
+    "frames-huge-header": ("coincidence",
+                           _frames_file(b"GSMFRAM1" + struct.pack(
+                               "<III Q d d", 2**32 - 1, 2**32 - 1, 2**32 - 1,
+                               1, 1e-5, 0.02) + b"\x00" * 64), [], EXIT_IO),
 }
 
 

@@ -14,6 +14,49 @@ def gaussian_joint(n_px=48, center=(24, 24), sigma=4.0):
     return joint
 
 
+def reference_synth(joint, pairs_per_frame, noise, n_frames, seed):
+    """Frame synthesis as a spawned stream list, Generator.choice and np.add.at."""
+    P = np.asarray(joint, dtype=float)
+    flat = (P / P.sum()).ravel()
+    n_px = P.shape[0]
+    frames = np.zeros((n_frames, 2, n_px), dtype=np.uint16)
+    streams = np.random.SeedSequence(seed).spawn(n_frames)
+    for k in range(n_frames):
+        rng = np.random.default_rng(streams[k])
+        n_pairs = rng.poisson(pairs_per_frame) if pairs_per_frame > 0 else 0
+        if n_pairs:
+            idx = rng.choice(flat.size, size=n_pairs, p=flat)
+            i, j = np.unravel_index(idx, P.shape)
+            np.add.at(frames[k], (np.zeros(n_pairs, dtype=np.intp), i), 1)
+            np.add.at(frames[k], (np.ones(n_pairs, dtype=np.intp), j), 1)
+        if noise > 0:
+            frames[k] += (rng.random((2, n_px)) < noise).astype(np.uint16)
+    return frames
+
+
+def sparse_joint():
+    joint = gaussian_joint(12, center=(4, 7), sigma=2.0)
+    joint[:, ::3] = 0.0
+    joint[0] = 0.0
+    return joint
+
+
+class TestSynthStream:
+    """synth_frames must draw the same stream as the reference loop."""
+
+    @pytest.mark.parametrize("joint, pairs, noise, n_frames, seed", [
+        (gaussian_joint(16), 6.0, 0.02, 300, 99),
+        (sparse_joint(), 9.0, 0.0, 200, 5),
+        (gaussian_joint(8), 0.0, 0.05, 100, 3),
+        (gaussian_joint(16), 40.0, 1e-3, 1, 2**40 + 17),
+    ], ids=["gaussian-noise", "zero-entries", "no-pairs", "one-frame"])
+    def test_frames_match_reference(self, joint, pairs, noise, n_frames, seed):
+        stack = synth_frames(joint, pairs, noise, n_frames, seed=seed)
+        ref = reference_synth(joint, pairs, noise, n_frames, seed)
+        assert stack.frames.dtype == ref.dtype
+        assert np.array_equal(stack.frames, ref)
+
+
 class TestSynthFrames:
     def test_zero_rates_give_zero_stack(self):
         stack = synth_frames(np.ones((8, 8)), 0.0, 0.0, 50, seed=1)
@@ -51,6 +94,17 @@ class TestSynthFrames:
         assert np.array_equal(stack.frames[:, 0, 2], stack.frames[:, 1, 6])
         others = stack.frames.sum() - 2 * stack.frames[:, 0, 2].sum()
         assert others == 0
+
+    def test_rejects_u16_overflow(self):
+        joint = np.zeros((2, 2))
+        joint[0, 1] = 1.0
+        with pytest.raises(ValueError, match="u16"):
+            synth_frames(joint, 70000.0, 0.0, 2, seed=1)
+        # the largest count the format holds is still accepted
+        stack = synth_frames(joint, 60000.0, 0.0, 2, seed=1)
+        assert np.array_equal(stack.frames[:, 0, 0], stack.frames[:, 1, 1])
+        assert stack.frames[:, 0, 1].sum() == stack.frames[:, 1, 0].sum() == 0
+        assert stack.frames.min(axis=0).max() > 59000
 
     def test_accepts_profile2d_as_joint(self):
         from gsmspdc.records import Profile2D

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from gsmspdc.analysis import fit_visibility
+from gsmspdc import interference
 from gsmspdc.errors import ConvergenceError
-from gsmspdc.interference import (SlitGeometry, fringe_profile,
+from gsmspdc.interference import (SlitGeometry, fringe_profile, fringe_profiles,
                                   slit_plane_coherence, slit_transmission,
                                   visibility_curve)
-from gsmspdc.pump import PumpParams
+from gsmspdc.pump import PumpParams, coherence_from
 from gsmspdc.spdc import CrystalParams
 
 LAMBDA_P = 405e-9
@@ -102,6 +103,68 @@ class TestFringeProfile:
         assert scan.meta["A"] == pytest.approx(0.5, rel=1e-12)
 
 
+def reference_profile(pump, slits, xs, order):
+    """Aperture quadrature as one three-operand einsum per pump, max-normalized."""
+    a, c, delta = interference._kernel_constants(pump, CRYSTAL, slits.z)
+    nodes, weights = interference._slit_nodes(slits, order)
+    X, Xp = np.meshgrid(nodes, nodes, indexing="ij")
+    w_slit = np.exp(-(np.pi**2) * (np.conj(a) * X**2 + a * Xp**2 - 2.0 * c * X * Xp)
+                    / delta)
+    kernel = weights[:, None] * weights[None, :] * w_slit
+    k_s = pump.k_p / 2.0
+    phases = np.exp(-1j * k_s * (xs[:, None] - nodes[None, :]) ** 2 / (2.0 * slits.z1))
+    p1 = np.maximum(np.real(np.einsum("ij,jk,ik->i", phases, kernel,
+                                      np.conj(phases))), 0.0)
+    return p1 / p1.max()
+
+
+class TestFringeProfiles:
+    PUMPS = [pump_for(A) for A in (0.9, 0.6, 0.3)]
+
+    @pytest.mark.parametrize("order", [24, 48])
+    def test_batch_matches_per_pump_einsum(self, order):
+        scans = fringe_profiles(self.PUMPS, CRYSTAL, SLITS, order=order,
+                                check_convergence=False)
+        assert len(scans) == len(self.PUMPS)
+        for pump, scan in zip(self.PUMPS, scans):
+            ref = reference_profile(pump, SLITS, scan.xs, order)
+            assert np.max(np.abs(scan.values - ref)) < 1e-12
+            assert scan.meta["A"] == coherence_from(pump).A
+
+    def test_single_pump_call_is_batch_of_one(self):
+        one = fringe_profile(self.PUMPS[1], CRYSTAL, SLITS)
+        batch = fringe_profiles(self.PUMPS, CRYSTAL, SLITS)
+        assert np.array_equal(one.values, batch[1].values)
+        assert one.meta == batch[1].meta
+
+    def test_mixed_wavelengths_rejected(self):
+        other = PumpParams.from_coherence(532e-9, W0, 0.6)
+        with pytest.raises(ValueError):
+            fringe_profiles([self.PUMPS[0], other], CRYSTAL, SLITS)
+        with pytest.raises(ValueError):
+            fringe_profiles([], CRYSTAL, SLITS)
+
+    def test_gate_fails_batch_when_one_pump_fails(self, monkeypatch):
+        order = 12
+        deltas = []
+        for pump in self.PUMPS:
+            base = fringe_profile(pump, CRYSTAL, SLITS, order=order,
+                                  check_convergence=False)
+            doubled = fringe_profile(pump, CRYSTAL, SLITS, order=2 * order,
+                                     check_convergence=False)
+            deltas.append(np.max(np.abs(base.values - doubled.values)))
+        worst = int(np.argmax(deltas))
+        others = [p for k, p in enumerate(self.PUMPS) if k != worst]
+        tol = (max(d for k, d in enumerate(deltas) if k != worst)
+               + deltas[worst]) / 2.0
+        assert tol < deltas[worst]
+        monkeypatch.setattr(interference, "QUADRATURE_TOL", tol)
+        fringe_profiles(others, CRYSTAL, SLITS, order=order)
+        with pytest.raises(ConvergenceError, match="order doubling moved"):
+            fringe_profiles(others + [self.PUMPS[worst]], CRYSTAL, SLITS,
+                            order=order)
+
+
 class TestSlitPlaneCoherence:
     def test_coherent_pump_near_unity(self):
         mu = slit_plane_coherence(pump_for(0.9999), CRYSTAL, SLITS.z, SLITS.d)
@@ -134,6 +197,14 @@ class TestVisibilityCurve:
         for d in (0.25e-3, 0.5e-3, 0.75e-3):
             run = [table[(A, d)] for A in (0.9, 0.6, 0.3)]
             assert run[0] > run[1] > run[2]
+
+    def test_rows_pump_major(self):
+        pumps = [pump_for(A) for A in (0.9, 0.3)]
+        d_values = [0.25e-3, 0.5e-3, 0.75e-3]
+        rows = visibility_curve(pumps, d_values, a=0.15e-3, z=0.10, z1=0.20,
+                                crystal=CRYSTAL, samples=601)
+        assert [(round(r["A"], 6), r["d_m"]) for r in rows] == [
+            (A, d) for A in (0.9, 0.3) for d in d_values]
 
     def test_overlapping_slit_limit(self):
         # d barely above a approximates a single aperture: near-unit
