@@ -1,13 +1,14 @@
 """Curve fitting and figure-of-merit extraction.
 
 All fits use deterministic moment-based initialization (no random restarts)
-so repeated runs give identical results.
+so repeated runs give identical results.  The nonlinear fits share one
+Levenberg-Marquardt solver with analytic Jacobians; the Bessel-law inversion
+is a grid search refined by golden-section search.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitError
 from .pump import bessel_visibility
@@ -23,6 +24,17 @@ __all__ = [
 ]
 
 FWHM_SIGMA_RATIO = 2.0 * np.sqrt(2.0 * np.log(2.0))  # 2.35482
+
+# Levenberg-Marquardt: a step is kept when it lowers the cost, or, once the
+# steps change the cost by less than _LM_FLAT of itself (its rounding in a
+# flat valley), when it lowers the scaled gradient.  Converged when a step
+# moves the scaled parameters by at most _LM_XTOL of their norm, or when the
+# residual's cosine with every Jacobian column is at most _LM_GTOL.
+_LM_XTOL = 1e-12
+_LM_GTOL = 1e-15
+_LM_FLAT = 1e-12
+_LM_DAMPING0 = 1e-3     # initial damping, relative to the largest scaled J^T J entry
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -51,6 +63,64 @@ def _as_xy(scan):
         return scan.xs, scan.values
     xs, ys = scan
     return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+
+
+def _levenberg_marquardt(fun, theta0, max_nfev):
+    """Minimize |r(theta)|^2 for fun(theta) -> (r, J), with J = dr/dtheta.
+
+    Each parameter is measured in units of the largest norm its Jacobian
+    column has reached (Marquardt scaling), so the damping does not depend on
+    the parameters' units.  A trial step solves the damped normal equations
+    through one SVD of the scaled Jacobian, without forming J^T J; the damping
+    follows Nielsen's update.  Returns (theta, r, converged), where converged
+    is False when max_nfev evaluations were spent before the stopping rule held.
+    """
+    theta = np.array(theta0, dtype=float)
+    r, jac = fun(theta)
+    nfev = 1
+    scale = np.zeros(theta.size)
+    damping, growth = None, 2.0
+    while True:
+        cost = float(r @ r)
+        if not np.isfinite(cost):
+            return theta, r, False
+        norms = np.linalg.norm(jac, axis=0)
+        grad = jac.T @ r
+        if np.all(np.abs(grad) <= _LM_GTOL * norms * np.sqrt(cost)):
+            return theta, r, True
+        scale = np.maximum(scale, norms)
+        scale[scale == 0.0] = 1.0
+        u, s, vt = np.linalg.svd(jac / scale, full_matrices=False)
+        ur = u.T @ r
+        if damping is None:
+            damping = _LM_DAMPING0 * s[0] ** 2
+        size = np.linalg.norm(scale * theta)
+        while True:
+            shrink = damping / (s * s + damping)
+            scaled_step = -(vt.T @ (s * ur / (s * s + damping)))
+            if np.linalg.norm(scaled_step) <= _LM_XTOL * (size + _LM_XTOL):
+                return theta, r, True
+            if nfev >= max_nfev:
+                return theta, r, False
+            trial = theta + scaled_step / scale
+            r_trial, jac_trial = fun(trial)
+            nfev += 1
+            predicted = float(ur * ur @ (1.0 - shrink * shrink))
+            actual = float((r - r_trial) @ (r + r_trial))  # no cancellation
+            if actual > 0.0:  # False for a non-finite trial residual too
+                factor = max(1.0 / 3.0, 1.0 - (2.0 * actual / predicted - 1.0) ** 3)
+            elif (predicted <= _LM_FLAT * cost
+                  and np.linalg.norm(jac_trial.T @ r_trial / scale)
+                  < np.linalg.norm(grad / scale)):
+                factor = 1.0 / 3.0
+            else:
+                damping *= growth
+                growth *= 2.0
+                continue
+            damping = max(damping * factor, _TINY)  # s = 0 directions stay still
+            growth = 2.0
+            theta, r, jac = trial, r_trial, jac_trial
+            break
 
 
 def fit_gaussian(scan, weights=None, max_iter=200) -> GaussianFit:
@@ -88,16 +158,22 @@ def fit_gaussian(scan, weights=None, max_iter=200) -> GaussianFit:
     sigma0 = np.sqrt(var0) if var0 > 0 else (xs[-1] - xs[0]) / 6.0
     wts = np.ones_like(ys) if weights is None else np.asarray(weights, dtype=float)
 
+    max_nfev = max_iter * 5
+
     def residuals(theta):
         a, mu, s, c = theta
-        return wts * (a * np.exp(-((xs - mu) ** 2) / (2.0 * s * s)) + c - ys)
+        dx = xs - mu
+        bump = np.exp(-dx * dx / (2.0 * s * s))
+        jac = np.stack([bump, a * bump * dx / s**2, a * bump * dx * dx / s**3,
+                        np.ones_like(xs)], axis=1)
+        return wts * (a * bump + c - ys), wts[:, None] * jac
 
-    result = least_squares(residuals, [amp0, mu0, sigma0, offset0], method="lm",
-                           xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=max_iter * 5)
-    if not result.success:
-        raise FitError(f"Gaussian fit did not converge: {result.message}")
-    a, mu, s, c = result.x
-    rms = float(np.sqrt(np.mean((residuals(result.x) / np.where(wts == 0, 1, wts)) ** 2)))
+    theta, r, converged = _levenberg_marquardt(
+        residuals, [amp0, mu0, sigma0, offset0], max_nfev)
+    if not converged:
+        raise FitError(f"Gaussian fit did not converge in {max_nfev} evaluations")
+    a, mu, s, c = theta
+    rms = float(np.sqrt(np.mean((r / np.where(wts == 0, 1, wts)) ** 2)))
     return GaussianFit(amplitude=float(a), mean=float(mu), sigma=float(abs(s)),
                        offset=float(c), residual_rms=rms)
 
@@ -171,29 +247,34 @@ def fit_visibility(scan, period_hint=None, window=None) -> VisibilityFit:
     candidates = ([period_hint / x_half] if period_hint is not None
                   else _period_search(u, ys, 4.0 * du, 2.0 / 3.0))
 
-    def model(theta):
+    def residuals(theta):
         e0, e1, e2, v, period, phi = theta
         env = np.exp(e0 + e1 * u + e2 * u * u)
-        return env * (1.0 + v * np.cos(2.0 * np.pi * u / period + phi))
+        arg = 2.0 * np.pi * u / period + phi
+        cos, sin = np.cos(arg), np.sin(arg)
+        model = env * (1.0 + v * cos)
+        jac = np.stack([model, u * model, u * u * model, env * cos,
+                        env * v * sin * 2.0 * np.pi * u / period**2,
+                        -env * v * sin], axis=1)
+        return model - ys, jac
 
+    max_nfev = 20000
     best = None
     for p0 in candidates:
         theta0 = [np.log(max(ys.mean(), 1e-12)), 0.0, 0.0, 0.5, p0, 0.0]
-        result = least_squares(lambda th: model(th) - ys, theta0, method="lm",
-                               xtol=1e-12, ftol=1e-12, gtol=1e-12,
-                               max_nfev=20000)
-        rss = float(result.fun @ result.fun)
+        theta, r, converged = _levenberg_marquardt(residuals, theta0, max_nfev)
+        rss = float(r @ r)
         if best is None or rss < best[0]:
-            best = (rss, result)
-    result = best[1]
-    if not result.success:
-        raise FitError(f"visibility fit did not converge: {result.message}")
-    rms = float(np.sqrt(np.mean((model(result.x) - ys) ** 2)))
+            best = (rss, theta, r, converged)
+    _, theta, r, converged = best
+    if not converged:
+        raise FitError(f"visibility fit did not converge in {max_nfev} evaluations")
+    rms = float(np.sqrt(np.mean(r * r)))
     if rms > 0.20:
         raise FitError(f"visibility fit residual RMS {rms:.3f} exceeds 20% of max")
-    v = min(abs(float(result.x[3])), 1.0)
-    period = abs(float(result.x[4])) * x_half
-    phase = float(result.x[5]) - 2.0 * np.pi * x_mid / period
+    v = min(abs(float(theta[3])), 1.0)
+    period = abs(float(theta[4])) * x_half
+    phase = float(theta[5]) - 2.0 * np.pi * x_mid / period
     return VisibilityFit(visibility=v, fringe_period=period,
                          phase=float(np.mod(phase + np.pi, 2 * np.pi) - np.pi),
                          residual_rms=rms)
@@ -203,7 +284,9 @@ def fit_bessel_visibility(points, f: float, lambda_p: float,
                           a_s_bounds=(1e-7, 1.0)) -> float:
     """Estimate the diffuser spot radius a_s from (d12, visibility) pairs.
 
-    One-parameter least-squares inversion of the Bessel visibility law.
+    One-parameter least-squares inversion of the Bessel visibility law: the
+    best of a 400-point geometric grid, refined by golden-section search
+    between its two neighbours, so the estimate stays within a_s_bounds.
     Needs at least 3 points with distinct separations.
     """
     pts = [(float(d), float(v)) for d, v in points]
@@ -215,19 +298,31 @@ def fit_bessel_visibility(points, f: float, lambda_p: float,
         raise FitError("d12 values must be distinct")
     k_p = 2.0 * np.pi / lambda_p
 
-    def predict(a_s):
-        return bessel_visibility(k_p * d12 * a_s / f)
+    def cost(a_s):
+        return float(np.sum((bessel_visibility(k_p * d12 * a_s / f) - vis) ** 2))
 
     # deterministic coarse grid, then local refinement
     grid = np.geomspace(a_s_bounds[0], a_s_bounds[1], 400)
-    costs = [float(np.sum((predict(a) - vis) ** 2)) for a in grid]
-    a0 = grid[int(np.argmin(costs))]
-    result = least_squares(lambda a: predict(a[0]) - vis, [a0], method="trf",
-                           bounds=([a_s_bounds[0]], [a_s_bounds[1]]),
-                           xtol=1e-14, ftol=1e-14)
-    if not result.success:
-        raise FitError(f"Bessel-law fit did not converge: {result.message}")
-    return float(result.x[0])
+    i = int(np.argmin([cost(a) for a in grid]))
+    return _golden_section(cost, grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)])
+
+
+def _golden_section(cost, lo, hi):
+    """Minimizer of cost on [lo, hi] (0 < lo <= hi) by golden-section search,
+    to 1e-12 of hi."""
+    shrink = (np.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    f1, f2 = cost(x1), cost(x2)
+    while hi - lo > 1e-12 * hi:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - shrink * (hi - lo)
+            f1 = cost(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + shrink * (hi - lo)
+            f2 = cost(x2)
+    return float(x1 if f1 <= f2 else x2)
 
 
 def scan_fwhm(scan) -> float:

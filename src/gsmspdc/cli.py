@@ -57,7 +57,7 @@ def run_pump_visibility(res: Resolver, out: Path):
     f_char = res.get("pump", "f_char", 0.150)
     a_s_values = res.get_list("pump", "a_s_values", [0.25e-3, 0.5e-3, 1.0e-3])
     d12_max = res.get("pump", "d12_max", 2.0e-3)
-    n_d12 = int(res.get("pump", "d12_samples", 64))
+    n_d12 = _int_at_least(res, "pump", "d12_samples", 64, 1)
     rows = []
     for a_s in a_s_values:
         for d12 in np.linspace(0.0, d12_max, n_d12):
@@ -87,9 +87,20 @@ def run_pump_invariance(res: Resolver, out: Path):
     return [path]
 
 
+def _integer(text: str) -> int:
+    """An integer config value: "2000" and "2e3" read as 2000, "2000.7" fails."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+        if not value.is_integer():
+            raise ValueError(f"{text!r} is not an integer") from None
+        return int(value)
+
+
 def _int_at_least(res: Resolver, section: str, key: str, default: int,
                   minimum: int) -> int:
-    value = int(res.get(section, key, default))
+    value = res.get(section, key, default, cast=_integer)
     if value < minimum:
         raise ConfigError(f"[{section}] {key} must be >= {minimum}, got {value}")
     return value
@@ -97,7 +108,7 @@ def _int_at_least(res: Resolver, section: str, key: str, default: int,
 
 def _aperture_grid(res: Resolver):
     """Detector samples and Gauss-Legendre order of the fringe experiments."""
-    samples = int(res.get("grid", "detector_samples", 1001))
+    samples = _int_at_least(res, "grid", "detector_samples", 1001, 2)
     order = _int_at_least(res, "grid", "order", 24, 1)
     return samples, order
 
@@ -159,7 +170,7 @@ def run_profile(res: Resolver, out: Path):
 def run_conditional(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
-    samples = int(res.get("grid", "detector_samples", 801))
+    samples = _int_at_least(res, "grid", "detector_samples", 801, 2)
     rows = []
     for pump in pumps:
         q_s = profiles.overlap_point(crystal, pump.k_p)
@@ -175,10 +186,10 @@ def run_conditional(res: Resolver, out: Path):
 def _counting_params(res: Resolver):
     res.require_section("counting")
     return {
-        "n_frames": int(res.get("counting", "n_frames", 2000)),
+        "n_frames": _int_at_least(res, "counting", "n_frames", 2000, 2),
         "pairs_per_frame": res.get("counting", "pairs_per_frame", 20.0),
         "noise": res.get("counting", "noise", 1e-3),
-        "seed": int(res.get("counting", "seed", 12345)),
+        "seed": res.get("counting", "seed", 12345, cast=_integer),
         "n_px": _int_at_least(res, "counting", "n_px", 48, 2),
         "f_collim": res.get("counting", "f_collim", 0.200),
     }
@@ -222,15 +233,22 @@ def run_coincidence(res: Resolver, out: Path):
     params = _counting_params(res)
     frames_file = res.get("counting", "frames_file", str(out / "frames.bin"),
                           cast=str)
+    signal_px = res.get("counting", "signal_px", -1, cast=_integer)
     try:
         stack = counting.load_frames(frames_file)
     except ValueError as exc:
         raise OSError(f"malformed frames file {frames_file}: {exc}") from exc
-    signal_px = int(res.get("counting", "signal_px", -1))
+    if signal_px >= stack.shape[1]:
+        raise ConfigError(f"[counting] signal_px must be below the "
+                          f"{stack.shape[1]} columns of {frames_file}, "
+                          f"got {signal_px}")
     if signal_px < 0:
         totals = stack.frames[:, 0, :].sum(axis=0)
         signal_px = int(np.argmax(totals))
-    scan = counting.conditional_map(stack, (0, signal_px), row=1)
+    try:
+        scan = counting.conditional_map(stack, (0, signal_px), row=1)
+    except ValueError as exc:  # fewer than two frames, or a single row
+        raise OSError(f"unusable frames file {frames_file}: {exc}") from exc
     path = out / "coincidence.csv"
     write_csv(path, ["j_px", "C_counts2", "stderr_counts2"],
               [(int(j), c, e) for j, c, e in

@@ -33,6 +33,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .records import Profile2D, Scan1D
 
@@ -117,7 +118,7 @@ def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
     frames = np.empty((n_frames, 2, n_px), dtype=np.uint16)
     for k in range(n_frames):
         # the k-th child of SeedSequence(seed).spawn(n_frames)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+        rng = default_rng(SeedSequence(seed, spawn_key=(k,)))
         n_pairs = rng.poisson(pairs_per_frame) if pairs_per_frame > 0 else 0
         counts = np.zeros((2, n_px), dtype=np.intp)
         if n_pairs:

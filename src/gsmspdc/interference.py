@@ -35,6 +35,7 @@ computation is the 1-D reduction along the measured horizontal axis.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .analysis import fit_visibility
 from .errors import ConvergenceError
@@ -111,7 +112,7 @@ def slit_plane_coherence(pump: PumpParams, crystal: CrystalParams, z: float,
 
 
 def _slit_nodes(slits: SlitGeometry, order: int):
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = leggauss(order)
     lo = (slits.d - slits.a) / 2.0
     hi = (slits.d + slits.a) / 2.0
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0

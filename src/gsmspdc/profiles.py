@@ -15,6 +15,8 @@ position X to transverse momentum q = k X / f (helpers below).
 """
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
+from numpy.random import default_rng
 
 from .errors import ConvergenceError
 from .pump import PumpParams, coherence_from, csd_coefficients
@@ -91,7 +93,7 @@ def _singles_quadrature(qx, qy, pump, crystal, order, center_shift=(0.0, 0.0),
     """Tensor Gauss-Hermite rule of order^2 pair-sum nodes at each (qx, qy)."""
     coeffs = csd_coefficients(pump)
     sigma = coeffs.sum_sigma
-    x, w = np.polynomial.hermite.hermgauss(order)
+    x, w = hermgauss(order)
     # u = sqrt(2) sigma x turns exp(-|u|^2 / (2 sigma^2)) d^2u into
     # 2 sigma^2 exp(-|x|^2) d^2x, the Hermite weight
     u = np.sqrt(2.0) * sigma * x
@@ -114,7 +116,7 @@ def _singles_montecarlo(qx, qy, pump, crystal, n_samples, seed,
     coeffs = csd_coefficients(pump)
     sigma = coeffs.sum_sigma
     norm = coeffs.A_c * 2.0 * np.pi * sigma**2
-    u = np.random.default_rng(seed).normal(scale=sigma, size=(n_samples, 2))
+    u = default_rng(seed).normal(scale=sigma, size=(n_samples, 2))
     mean = np.empty(qx.size)
     stderr = np.empty(qx.size)
     for block, f in _integrand_blocks(qx, qy, crystal, pump.k_p, u[:, 0],

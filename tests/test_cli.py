@@ -1,12 +1,17 @@
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gsmspdc
 from gsmspdc.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_IO, EXIT_OK,
-                         OUTPUT_DIR_ENV, main)
+                         OUTPUT_DIR_ENV, _integer, main)
 from gsmspdc.counting import load_frames, save_frames, synth_frames
 from gsmspdc.iofmt import read_pgm16
 
@@ -174,10 +179,23 @@ def _frames_file(body):
     return config
 
 
-def _truncated_stack(tmp_path):
+def _stack_bytes(tmp_path, n_frames):
+    """A saved 2 x 4 stack of n_frames frames."""
     full = tmp_path / "full.bin"
-    save_frames(synth_frames(np.ones((4, 4)), 2.0, 0.0, 5, seed=1), full)
-    return _frames_file(full.read_bytes()[:-3])(tmp_path)
+    save_frames(synth_frames(np.ones((4, 4)), 2.0, 0.0, n_frames, seed=1), full)
+    return full.read_bytes()
+
+
+def _truncated_stack(tmp_path):
+    return _frames_file(_stack_bytes(tmp_path, 5)[:-3])(tmp_path)
+
+
+def _one_frame_stack(tmp_path):
+    return _frames_file(_stack_bytes(tmp_path, 1))(tmp_path)
+
+
+def _signal_px_beyond_stack(tmp_path):
+    return _frames_file(_stack_bytes(tmp_path, 5))(tmp_path) + "signal_px = 4\n"
 
 
 # case: (experiment, config text from tmp_path, extra argv, exit code)
@@ -210,6 +228,28 @@ MALFORMED = {
                               [], EXIT_CONFIG),
     "grid-samples-one": ("profile", _edited("samples = 48", "samples = 1"),
                          [], EXIT_CONFIG),
+    "detector-samples-one-fringes": ("fringes",
+                                     _edited("detector_samples = 601",
+                                             "detector_samples = 1"),
+                                     [], EXIT_CONFIG),
+    "detector-samples-one-curve": ("visibility-curve",
+                                   _edited("detector_samples = 601",
+                                           "detector_samples = 1"),
+                                   [], EXIT_CONFIG),
+    "detector-samples-one-conditional": ("conditional",
+                                         _edited("detector_samples = 601",
+                                                 "detector_samples = 1"),
+                                         [], EXIT_CONFIG),
+    "n-frames-one": ("frames-synth", _edited("n_frames = 300", "n_frames = 1"),
+                     [], EXIT_CONFIG),
+    "n-frames-fractional": ("frames-synth",
+                            _edited("n_frames = 300", "n_frames = 300.7"),
+                            [], EXIT_CONFIG),
+    "d12-samples-negative": ("pump-visibility",
+                             _edited("w0 = 0.5e-3", "w0 = 0.5e-3\nd12_samples = -3"),
+                             [], EXIT_CONFIG),
+    "signal-px-beyond-stack": ("coincidence", _signal_px_beyond_stack, [],
+                               EXIT_CONFIG),
     "threads-flag-removed": ("profile", lambda tmp_path: BASE_CONFIG,
                              ["--threads", "2"], EXIT_CONFIG),
     "frames-short-header": ("coincidence",
@@ -217,6 +257,7 @@ MALFORMED = {
     "frames-bad-magic": ("coincidence",
                          _frames_file(b"NOTAFRAME" + b"\x00" * 64), [], EXIT_IO),
     "frames-truncated-body": ("coincidence", _truncated_stack, [], EXIT_IO),
+    "frames-one-frame": ("coincidence", _one_frame_stack, [], EXIT_IO),
     "frames-huge-header": ("coincidence",
                            _frames_file(b"GSMFRAM1" + struct.pack(
                                "<III Q d d", 2**32 - 1, 2**32 - 1, 2**32 - 1,
@@ -240,6 +281,31 @@ def test_malformed_input_exit_codes(case, tmp_path, capsys):
     if expected == EXIT_CONFIG and not extra:
         assert re.search(r"\[\w+\]", err), "message names no config section"
     assert not (out / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("text, value", [("2000", 2000), ("2e3", 2000),
+                                         ("-1", -1), (" 7 ", 7)])
+def test_integer_reads(text, value):
+    assert _integer(text) == value
+
+
+@pytest.mark.parametrize("text", ["2000.7", "1e-3", "inf", "nan", "seven"])
+def test_integer_reads_reject(text):
+    with pytest.raises(ValueError):
+        _integer(text)
+
+
+def test_cli_import_loads_no_scipy():
+    """The CLI starts on NumPy alone, with the NumPy submodules it uses loaded."""
+    src = str(Path(gsmspdc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import json, sys, gsmspdc.cli; print(json.dumps(sorted(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    modules = json.loads(done.stdout)
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
+    assert "numpy.polynomial" in modules and "numpy.random" in modules
 
 
 class TestReproducibility:
