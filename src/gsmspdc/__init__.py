@@ -6,6 +6,7 @@ Library layout:
     spdc          phase matching and the joint momentum detection rate
     interference  double-slit fringe profiles of the signal beam
     profiles      far-field ring profiles and conditional momentum scans
+    quadrature    the order-doubling gate both quadrature rules share
     counting      synthetic photon-counting frames and the covariance estimator
     analysis      visibility / Gaussian / Bessel-law fits
     cli           batch experiment harness (CSV + 16-bit PGM outputs)
@@ -16,8 +17,8 @@ from .analysis import (GaussianFit, VisibilityFit, fit_bessel_visibility,
 from .counting import (CoincidenceResult, FrameStack, conditional_map,
                        load_frames, pixel_coincidence, save_frames, synth_frames)
 from .errors import ConfigError, ConvergenceError, FitError
-from .interference import (SlitGeometry, fringe_profile, slit_plane_coherence,
-                           slit_transmission, visibility_curve)
+from .interference import (SlitGeometry, fringe_profile, fringe_profiles,
+                           slit_plane_coherence, slit_transmission, visibility_curve)
 from .profiles import (conditional_scan, momentum_to_position, overlap_point,
                        position_to_momentum, ring_radial_profile, ring_radius,
                        singles_profile)

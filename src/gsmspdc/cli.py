@@ -6,9 +6,9 @@ Experiments: pump-visibility, pump-invariance, fringes, visibility-curve,
 profile, conditional, frames-synth, coincidence.  Each run writes CSV data
 and/or 16-bit PGM images plus run_manifest.json with the resolved parameters,
 seed, and SHA-256 hashes of every output.  Reruns with the same config and
-seed are byte-identical.  Profile sidecars record the inner rule, the order
-its doubling gate accepted and the change reached; [grid] order is the
-fringe aperture order only.
+seed are byte-identical.  Quadrature orders are measured, not configured:
+profile sidecars, fringes.json and visibility_curve.csv record the order the
+order-doubling gate accepted and the change it reached.
 
 Exit codes: 0 success, 2 configuration error, 3 convergence failure,
 4 I/O failure (a malformed frames file included).
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, counting, interference, profiles
 from .config import Resolver, crystal_from, load_config, pumps_from
-from .errors import ConfigError, ConvergenceError, FitError
+from .errors import ConfigError, ConvergenceError, FitError, section_errors
 from .iofmt import write_csv, write_json, write_manifest, write_pgm16
 from .pump import (CharacterizationSetup, coherence_from, correlation_length,
                    csd_coefficients, propagate_to_crystal, pump_visibility)
@@ -43,11 +43,9 @@ def _slits_values(res: Resolver):
     d_values = res.get_list("slits", "d_values", [0.25e-3, 0.5e-3, 0.75e-3])
     z = res.get("slits", "z", 0.10)
     z1 = res.get("slits", "z1", 0.20)
-    try:
+    with section_errors("slits"):
         for d in d_values:
             interference.SlitGeometry(a=a, d=d, z=z, z1=z1)
-    except ValueError as exc:
-        raise ConfigError(f"[slits] {exc}") from exc
     return a, d_values, z, z1
 
 
@@ -59,10 +57,11 @@ def run_pump_visibility(res: Resolver, out: Path):
     d12_max = res.get("pump", "d12_max", 2.0e-3)
     n_d12 = _int_at_least(res, "pump", "d12_samples", 64, 1)
     rows = []
-    for a_s in a_s_values:
-        for d12 in np.linspace(0.0, d12_max, n_d12):
-            setup = CharacterizationSetup(a_s=a_s, f=f_char, d12=float(d12))
-            rows.append((a_s, d12, pump_visibility(setup, lambda_p)))
+    with section_errors("pump"):
+        for a_s in a_s_values:
+            for d12 in np.linspace(0.0, d12_max, n_d12):
+                setup = CharacterizationSetup(a_s=a_s, f=f_char, d12=float(d12))
+                rows.append((a_s, d12, pump_visibility(setup, lambda_p)))
     path = out / "pump_visibility.csv"
     write_csv(path, ["a_s_m", "d12_m", "visibility"], rows)
     return [path]
@@ -77,10 +76,11 @@ def run_pump_invariance(res: Resolver, out: Path):
     a_s_values = res.get_list("pump", "a_s_values", [0.25e-3, 0.5e-3, 1.0e-3])
     w_at_lens = w0 * demag
     rows = []
-    for a_s in a_s_values:
-        l_c_lens = correlation_length(a_s, f_char, lambda_p)
-        pump = propagate_to_crystal(l_c_lens, w_at_lens, demag, lambda_p)
-        rows.append((a_s, l_c_lens, pump.w0, pump.l_c, coherence_from(pump).A))
+    with section_errors("pump"):
+        for a_s in a_s_values:
+            l_c_lens = correlation_length(a_s, f_char, lambda_p)
+            pump = propagate_to_crystal(l_c_lens, w_at_lens, demag, lambda_p)
+            rows.append((a_s, l_c_lens, pump.w0, pump.l_c, coherence_from(pump).A))
     path = out / "pump_invariance.csv"
     write_csv(path, ["a_s_m", "l_c_lens_m", "w0_crystal_m", "l_c_crystal_m", "A"],
               rows)
@@ -106,43 +106,34 @@ def _int_at_least(res: Resolver, section: str, key: str, default: int,
     return value
 
 
-def _aperture_grid(res: Resolver):
-    """Detector samples and Gauss-Legendre order of the fringe experiments."""
-    samples = _int_at_least(res, "grid", "detector_samples", 1001, 2)
-    order = _int_at_least(res, "grid", "order", 24, 1)
-    return samples, order
-
-
 def run_fringes(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     a, d_values, z, z1 = _slits_values(res)
-    samples, order = _aperture_grid(res)
+    samples = _int_at_least(res, "grid", "detector_samples", 1001, 2)
     d = d_values[0]
     slits = interference.SlitGeometry(a=a, d=d, z=z, z1=z1)
-    rows = []
-    for scan in interference.fringe_profiles(pumps, crystal, slits,
-                                             samples=samples, order=order):
-        A = scan.meta["A"]
-        for x, value in zip(scan.xs, scan.values):
-            rows.append((A, d, x, value))
+    scans = interference.fringe_profiles(pumps, crystal, slits, samples=samples)
+    rows = [(scan.meta["A"], d, x, value)
+            for scan in scans for x, value in zip(scan.xs, scan.values)]
     path = out / "fringes.csv"
     write_csv(path, ["A", "d_m", "x_m", "intensity_norm"], rows)
-    return [path]
+    sidecar = out / "fringes.json"
+    write_json(sidecar, [scan.meta for scan in scans])
+    return [path, sidecar]
 
 
 def run_visibility_curve(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     a, d_values, z, z1 = _slits_values(res)
-    samples, order = _aperture_grid(res)
+    samples = _int_at_least(res, "grid", "detector_samples", 1001, 2)
     rows = interference.visibility_curve(pumps, d_values, a=a, z=z, z1=z1,
-                                         crystal=crystal, samples=samples,
-                                         order=order)
+                                         crystal=crystal, samples=samples)
+    columns = ["A", "d_m", "visibility", "fringe_period_m", "aperture_order",
+               "order_doubling_delta"]
     path = out / "visibility_curve.csv"
-    write_csv(path, ["A", "d_m", "visibility", "fringe_period_m"],
-              [(r["A"], r["d_m"], r["visibility"], r["fringe_period_m"])
-               for r in rows])
+    write_csv(path, columns, [[r[c] for c in columns] for r in rows])
     return [path]
 
 
@@ -152,10 +143,11 @@ def run_profile(res: Resolver, out: Path):
     res.require_section("grid")
     samples = _int_at_least(res, "grid", "samples", 256, 2)
     extent = res.get("grid", "extent", 0.0)
-    computed = [profiles.singles_profile(
-        pump, crystal, which="both",
-        extent=None if extent <= 0 else extent,
-        samples=samples) for pump in pumps]
+    with section_errors("grid"):  # an extent that does not cover the ring
+        computed = [profiles.singles_profile(
+            pump, crystal, which="both",
+            extent=None if extent <= 0 else extent,
+            samples=samples) for pump in pumps]
     paths = []
     for prof in computed:
         stem = f"profile_A{prof.meta['A']:.4g}"
@@ -215,12 +207,10 @@ def run_frames_synth(res: Resolver, out: Path):
     lambda_s = 2.0 * pump.lambda_p
     pitch = float(profiles.momentum_to_position(qi[1] - qi[0],
                                                 params["f_collim"], lambda_s))
-    try:
+    with section_errors("counting"):  # every argument comes from [counting]
         stack = counting.synth_frames(joint, params["pairs_per_frame"],
                                       params["noise"], params["n_frames"],
                                       params["seed"], pixel_pitch=pitch)
-    except ValueError as exc:  # every argument comes from [counting]
-        raise ConfigError(f"[counting] {exc}") from exc
     path = out / "frames.bin"
     counting.save_frames(stack, path)
     grid = out / "frames_grid.csv"

@@ -9,7 +9,7 @@ import configparser
 import math
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, section_errors
 from .pump import PumpParams
 from .spdc import CrystalParams
 
@@ -31,6 +31,14 @@ def load_config(path) -> dict:
     return {name: dict(parser[name]) for name in parser.sections()}
 
 
+def _finite(text: str) -> float:
+    """A float config value; nan and +-inf are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 class Resolver:
     """Typed access to the raw config that records every resolved value."""
 
@@ -42,7 +50,7 @@ class Resolver:
         if name not in self.raw:
             raise ConfigError(f"missing required config section [{name}]")
 
-    def get(self, section: str, key: str, default=_REQUIRED, cast=float):
+    def get(self, section: str, key: str, default=_REQUIRED, cast=_finite):
         block = self.raw.get(section, {})
         if key in block and block[key].strip() != "":
             text = block[key].strip()
@@ -58,23 +66,18 @@ class Resolver:
         self.resolved[f"{section}.{key}"] = value
         return value
 
-    def get_list(self, section: str, key: str, default=_REQUIRED, cast=float):
-        block = self.raw.get(section, {})
-        if key in block and block[key].strip() != "":
-            try:
-                value = [cast(part.strip()) for part in block[key].split(",")
-                         if part.strip() != ""]
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(
-                    f"bad list for [{section}] {key}: {block[key]!r}") from exc
+    def get_list(self, section: str, key: str, default=_REQUIRED, cast=_finite):
+        """A non-empty comma-separated list, each item read by cast."""
+        def items(text):
+            value = [cast(part.strip()) for part in text.split(",")
+                     if part.strip() != ""]
             if not value:
-                raise ConfigError(f"empty list for [{section}] {key}")
-        elif default is _REQUIRED:
-            raise ConfigError(f"missing required config key [{section}] {key}")
-        else:
-            value = list(default)
-        self.resolved[f"{section}.{key}"] = value
-        return value
+                raise ValueError("empty list")
+            return value
+
+        if default is not _REQUIRED:
+            default = list(default)
+        return self.get(section, key, default, cast=items)
 
 
 def pumps_from(res: Resolver) -> list[PumpParams]:
@@ -87,21 +90,19 @@ def pumps_from(res: Resolver) -> list[PumpParams]:
     lambda_p = res.get("pump", "lambda_p", 405e-9)
     w0 = res.get("pump", "w0", 0.5e-3)
     block = res.raw.get("pump", {})
-    try:
+    with section_errors("pump"):
         if "l_c" in block:
             l_c = res.get("pump", "l_c")
             return [PumpParams(lambda_p=lambda_p, w0=w0, l_c=l_c)]
         a_values = res.get_list("pump", "a_values", [0.9, 0.6, 0.3])
         return [PumpParams.from_coherence(lambda_p, w0, a) for a in a_values]
-    except ValueError as exc:
-        raise ConfigError(f"[pump] {exc}") from exc
 
 
 def crystal_from(res: Resolver) -> CrystalParams:
     res.require_section("crystal")
     kind = res.get("crystal", "kind", "II", cast=str).strip().upper()
     theta_deg = res.get("crystal", "theta_nc_deg", 3.0)
-    try:
+    with section_errors("crystal"):
         return CrystalParams(
             L=res.get("crystal", "l", 2e-3),
             kind=kind,
@@ -110,5 +111,3 @@ def crystal_from(res: Resolver) -> CrystalParams:
             rho_p=res.get("crystal", "rho_p", 0.0),
             rho_i=res.get("crystal", "rho_i", 0.0),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc

@@ -22,8 +22,8 @@ function has the closed form
     Delta = |a|^2 - c^2 .
 
 Only the double integral over the two slit apertures is done numerically
-(fixed-order Gauss-Legendre panels per slit), with the exact Fresnel
-propagator from slit to detector:
+(Gauss-Legendre panels per slit, order set by gsmspdc.quadrature's gate),
+with the exact Fresnel propagator from slit to detector:
 
     p1(x_s) = Re  int dx dx' t(x) t(x') W(x, x')
                   exp(-i k_s [(x_s - x)^2 - (x_s - x')^2] / (2 z1)) .
@@ -40,6 +40,7 @@ from numpy.polynomial.legendre import leggauss
 from .analysis import fit_visibility
 from .errors import ConvergenceError
 from .pump import PumpParams, coherence_from, csd_coefficients
+from .quadrature import INITIAL_ORDER, doubling_gate
 from .records import Scan1D
 from .spdc import CrystalParams
 
@@ -52,8 +53,6 @@ __all__ = [
     "visibility_curve",
 ]
 
-QUADRATURE_TOL = 1e-4       # max allowed per-sample change under order doubling
-DEFAULT_ORDER = 24
 DEFAULT_SAMPLES = 1001
 DEFAULT_SPAN_PERIODS = 8.0  # detector span in naive fringe periods lambda_s z1 / d
 MIN_SPAN_PERIODS = 6.0
@@ -122,53 +121,52 @@ def _slit_nodes(slits: SlitGeometry, order: int):
     return nodes, weights
 
 
-def _aperture_rule(xs, slits: SlitGeometry, order: int, k_s: float):
-    """Slit nodes, weights and the detector phases exp(-i k_s (x_s - x)^2 / 2 z1).
-
-    They depend on the slit geometry, the order and the signal wavelength
-    only, so one rule serves every pump of one lambda_p.
+def _unit_max_profiles(pumps, crystal, slits, xs, order):
+    """p1 on xs by the order-point aperture rule, one unit-max row per pump;
+    the slit nodes and detector phases exp(-i k_s (x_s - x)^2 / 2 z1) serve
+    every pump, and each pump's slit-plane kernel is one matrix product.
     """
     nodes, weights = _slit_nodes(slits, order)
+    k_s = pumps[0].k_p / 2.0
     phases = np.exp(-1j * k_s * (xs[:, None] - nodes[None, :]) ** 2 / (2.0 * slits.z1))
-    return nodes, weights, phases
-
-
-def _profile_values(rule, pump, crystal, z):
-    nodes, weights, phases = rule
-    a, c, delta = _kernel_constants(pump, crystal, z)
     X, Xp = np.meshgrid(nodes, nodes, indexing="ij")
-    w_slit = np.exp(-(np.pi**2) * (np.conj(a) * X**2 + a * Xp**2 - 2.0 * c * X * Xp)
-                    / delta)
-    kernel = weights[:, None] * weights[None, :] * w_slit
-    p1 = np.einsum("sj,sj->s", phases @ kernel, np.conj(phases)).real
-    return np.maximum(p1, 0.0)
+    out = np.empty((len(pumps), xs.size))
+    for row, pump in zip(out, pumps):
+        a, c, delta = _kernel_constants(pump, crystal, slits.z)
+        w_slit = np.exp(-(np.pi**2) * (np.conj(a) * X**2 + a * Xp**2 - 2.0 * c * X * Xp)
+                        / delta)
+        kernel = weights[:, None] * weights[None, :] * w_slit
+        p1 = np.maximum(
+            np.einsum("sj,sj->s", phases @ kernel, np.conj(phases)).real, 0.0)
+        peak = p1.max()
+        if peak <= 0:
+            raise ConvergenceError("fringe profile vanished everywhere")
+        row[:] = p1 / peak
+    return out
 
 
 def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
                     samples: int = DEFAULT_SAMPLES, span: float | None = None,
-                    order: int = DEFAULT_ORDER,
+                    order: int = INITIAL_ORDER,
                     check_convergence: bool = True) -> list[Scan1D]:
     """Normalized single-photon fringe profiles p1(x_s), one per pump.
 
-    The pumps must share one lambda_p: the slit nodes and the detector phase
-    matrix are built once per order and contracted with each pump's
-    slit-plane kernel.
+    The pumps must share one lambda_p, so that one aperture rule serves all.
 
     Parameters
     ----------
     samples, span : detector grid; the span must cover at least 6 naive fringe
         periods lambda_s z1 / d (default 8).
-    order : Gauss-Legendre points per slit for the aperture quadrature.
-    check_convergence : recompute every profile at twice the order and raise
-        ConvergenceError if any sample moves by more than 1e-4 on the
-        unit-max scale.
+    order : Gauss-Legendre points per slit to start from; the order-doubling
+        gate raises it until every profile has converged, and meta records
+        the accepted "order" and its "order_doubling_delta".
+    check_convergence : False evaluates the starting order once, unchecked.
     """
     pumps = list(pumps)
     if len({pump.lambda_p for pump in pumps}) != 1:
         raise ValueError("fringe_profiles needs at least one pump, all of one "
                          "lambda_p")
     lambda_s = 2.0 * pumps[0].lambda_p
-    k_s = pumps[0].k_p / 2.0
     period = slits.fringe_period(lambda_s)
     if span is None:
         span = DEFAULT_SPAN_PERIODS * period
@@ -177,24 +175,10 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
             f"detector span {span:g} m covers fewer than {MIN_SPAN_PERIODS:g} "
             f"fringe periods ({period:g} m)")
     xs = np.linspace(-span / 2.0, span / 2.0, samples)
-    rule = _aperture_rule(xs, slits, order, k_s)
-    values = []
-    for pump in pumps:
-        p1 = _profile_values(rule, pump, crystal, slits.z)
-        peak = p1.max()
-        if peak <= 0:
-            raise ConvergenceError("fringe profile vanished everywhere")
-        values.append(p1 / peak)
-    if check_convergence:
-        rule = _aperture_rule(xs, slits, 2 * order, k_s)
-        for pump, p1 in zip(pumps, values):
-            p2 = _profile_values(rule, pump, crystal, slits.z)
-            p2 = p2 / p2.max()
-            worst = float(np.max(np.abs(p1 - p2)))
-            if worst > QUADRATURE_TOL:
-                raise ConvergenceError(
-                    f"aperture quadrature not converged: order doubling moved a "
-                    f"sample by {worst:.2e} (> {QUADRATURE_TOL:g})")
+
+    values, order, delta = doubling_gate(
+        lambda n: _unit_max_profiles(pumps, crystal, slits, xs, n), "aperture",
+        order, check_convergence)
     scans = []
     for pump, p1 in zip(pumps, values):
         meta = {
@@ -203,7 +187,8 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
             "crystal_L_m": crystal.L, "alpha": crystal.alpha,
             "slit_a_m": slits.a, "slit_d_m": slits.d,
             "z_m": slits.z, "z1_m": slits.z1,
-            "order": order, "samples": samples, "span_m": span,
+            "rule": "gauss-legendre", "order": order,
+            "order_doubling_delta": delta, "samples": samples, "span_m": span,
             "fringe_period_m": period,
         }
         scans.append(Scan1D(xs=xs, values=p1, meta=meta))
@@ -212,7 +197,7 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
 
 def fringe_profile(pump: PumpParams, crystal: CrystalParams, slits: SlitGeometry,
                    samples: int = DEFAULT_SAMPLES, span: float | None = None,
-                   order: int = DEFAULT_ORDER,
+                   order: int = INITIAL_ORDER,
                    check_convergence: bool = True) -> Scan1D:
     """Normalized fringe profile of one pump; see fringe_profiles."""
     return fringe_profiles([pump], crystal, slits, samples=samples, span=span,
@@ -220,12 +205,12 @@ def fringe_profile(pump: PumpParams, crystal: CrystalParams, slits: SlitGeometry
 
 
 def visibility_curve(pumps, d_values, a: float, z: float, z1: float,
-                     crystal: CrystalParams, samples: int = DEFAULT_SAMPLES,
-                     order: int = DEFAULT_ORDER):
+                     crystal: CrystalParams, samples: int = DEFAULT_SAMPLES):
     """Fitted fringe visibility over a (pump, slit-separation) lattice.
 
     Returns a list of dicts with keys A, d_m, visibility, fringe_period_m,
-    pump-major: every d of the first pump, then of the next.  The fit is
+    aperture_order, order_doubling_delta, pump-major: every d of the first
+    pump, then of the next.  The fit is
     anchored with the known fringe period and restricted to the central four
     periods, where the log-quadratic envelope model holds.
     """
@@ -233,7 +218,7 @@ def visibility_curve(pumps, d_values, a: float, z: float, z1: float,
     per_pump = [[] for _ in pumps]
     for d in d_values:
         slits = SlitGeometry(a=a, d=d, z=z, z1=z1)
-        scans = fringe_profiles(pumps, crystal, slits, samples=samples, order=order)
+        scans = fringe_profiles(pumps, crystal, slits, samples=samples)
         for rows, scan in zip(per_pump, scans):
             period = scan.meta["fringe_period_m"]
             fit = fit_visibility(scan, period_hint=period, window=2.0 * period)
@@ -242,5 +227,7 @@ def visibility_curve(pumps, d_values, a: float, z: float, z1: float,
                 "d_m": d,
                 "visibility": fit.visibility,
                 "fringe_period_m": fit.fringe_period,
+                "aperture_order": scan.meta["order"],
+                "order_doubling_delta": scan.meta["order_doubling_delta"],
             })
     return [row for rows in per_pump for row in rows]

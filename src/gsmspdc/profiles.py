@@ -6,9 +6,8 @@ the Gaussian A_c exp(-|u|^2 / (2 sigma^2)), with sigma from
 GsmCsdCoefficients.sum_sigma, leaving the bounded factor sinc^2(L dk_z / 2) to
 integrate against it: by a tensor Gauss-Hermite rule, exact for that weight,
 or by Monte Carlo drawn from it.  The two backends share the integrand and
-differ only in their nodes.  The Hermite order is measured, not configured: it
-starts at 4 and doubles until doubling moves no max-normalized sample by more
-than QUADRATURE_TOL.
+differ only in their nodes.  The Hermite order is measured, not configured, by
+the order-doubling gate of gsmspdc.quadrature.
 
 Momenta are in rad/m.  A camera at the focal plane of a collimating lens maps
 position X to transverse momentum q = k X / f (helpers below).
@@ -20,6 +19,7 @@ from numpy.random import default_rng
 
 from .errors import ConvergenceError
 from .pump import PumpParams, coherence_from, csd_coefficients
+from .quadrature import INITIAL_ORDER, doubling_gate
 from .records import Profile2D, Scan1D
 from .spdc import (CrystalParams, _sinc, joint_momentum_rate,
                    noncollinear_mismatch)
@@ -33,10 +33,6 @@ __all__ = [
     "conditional_scan",
     "ring_radial_profile",
 ]
-
-QUADRATURE_TOL = 1e-4
-INITIAL_INNER_ORDER = 4
-MAX_INNER_ORDER = 64    # highest Gauss-Hermite order the doubling gate accepts
 
 
 def ring_radius(crystal: CrystalParams, k_p: float) -> float:
@@ -126,32 +122,9 @@ def _singles_montecarlo(qx, qy, pump, crystal, n_samples, seed,
     return mean.reshape(qx.shape), stderr.reshape(qx.shape)
 
 
-def _doubling_gate(evaluate, order, check_convergence=True):
-    """(values, order, change) at the first of order, 2 order, ... up to
-    MAX_INNER_ORDER (or the starting order, if higher) whose doubling moves
-    no max-normalized sample of evaluate(order) by more than QUADRATURE_TOL;
-    change is None unchecked.
-    """
-    values = evaluate(order)
-    if not check_convergence:
-        return values, order, None
-    cap = max(MAX_INNER_ORDER, order)
-    while True:
-        doubled = evaluate(2 * order)
-        delta = float(np.max(np.abs(values / values.max()
-                                    - doubled / doubled.max())))
-        if delta <= QUADRATURE_TOL:
-            return values, order, delta
-        if 2 * order > cap:
-            raise ConvergenceError(
-                f"inner quadrature not converged by order {order}: order "
-                f"doubling still moved a sample by {delta:.2e}")
-        values, order = doubled, 2 * order
-
-
 def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both",
                     extent: float | None = None, samples: int = 256,
-                    order: int = INITIAL_INNER_ORDER, q_offset: float | None = None,
+                    order: int = INITIAL_ORDER, q_offset: float | None = None,
                     method: str = "quadrature", mc_samples: int = 4000,
                     seed: int = 0, check_convergence: bool = True) -> Profile2D:
     """Far-field intensity map of the down-converted photons, unit maximum.
@@ -199,7 +172,8 @@ def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both
                                            center_shift=shift, idler_ring=idler)
                        for shift, idler in selected)
 
-        total, order, delta = _doubling_gate(evaluate, order, check_convergence)
+        total, order, delta = doubling_gate(evaluate, "inner", order,
+                                            check_convergence)
         rule = {"rule": "gauss-hermite", "order": order,
                 "order_doubling_delta": delta}
     elif method == "montecarlo":
@@ -276,9 +250,8 @@ def ring_radial_profile(pump: PumpParams, crystal: CrystalParams,
     radii = np.asarray(radii, dtype=float)
     QX = radii[:, None] * np.cos(angles)[None, :]
     QY = radii[:, None] * np.sin(angles)[None, :]
-    vals, order, delta = _doubling_gate(
-        lambda n: _singles_quadrature(QX, QY, pump, crystal, n),
-        INITIAL_INNER_ORDER)
+    vals, order, delta = doubling_gate(
+        lambda n: _singles_quadrature(QX, QY, pump, crystal, n), "inner")
     meta = {"angles_rad": angles.tolist(), "A": coherence_from(pump).A,
             "order": order, "order_doubling_delta": delta}
     return Scan1D(xs=radii, values=vals.mean(axis=1), meta=meta)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gsmspdc
+from gsmspdc import quadrature
 from gsmspdc.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_IO, EXIT_OK,
                          OUTPUT_DIR_ENV, _integer, main)
 from gsmspdc.counting import load_frames, save_frames, synth_frames
@@ -75,9 +76,18 @@ class TestRunFringes:
         assert manifest["experiment"] == "fringes"
         # implicit defaults must be recorded
         assert manifest["parameters"]["crystal.alpha"] == 0.455
-        assert manifest["parameters"]["grid.order"] == 24
         assert "fringes.csv" in manifest["outputs"]
         assert len(manifest["outputs"]["fringes.csv"]) == 64  # sha256 hex
+
+    def test_sidecar_records_aperture_rule(self, config_file, tmp_path):
+        out = tmp_path / "out"
+        assert run("fringes", config_file, out) == EXIT_OK
+        metas = json.loads((out / "fringes.json").read_text())
+        assert [round(m["A"], 2) for m in metas] == [0.9, 0.3]
+        for meta in metas:
+            assert meta["rule"] == "gauss-legendre"
+            assert meta["order"] >= 4
+            assert 0.0 <= meta["order_doubling_delta"] <= 1e-4
 
 
 class TestRunVisibilityCurve:
@@ -91,6 +101,17 @@ class TestRunVisibilityCurve:
             assert table[(A, 0.25e-3)] > table[(A, 0.5e-3)]
         for d in (0.25e-3, 0.5e-3):
             assert table[(0.9, d)] > table[(0.3, d)]
+
+    def test_columns_record_aperture_order(self, config_file, tmp_path):
+        out = tmp_path / "out"
+        assert run("visibility-curve", config_file, out) == EXIT_OK
+        lines = (out / "visibility_curve.csv").read_text().splitlines()
+        assert lines[0] == ("A,d_m,visibility,fringe_period_m,aperture_order,"
+                            "order_doubling_delta")
+        for line in lines[1:]:
+            order, delta = line.split(",")[4:]
+            assert int(order) >= 4
+            assert 0.0 <= float(delta) <= 1e-4
 
 
 class TestRunProfile:
@@ -151,14 +172,32 @@ class TestErrorPaths:
         assert main(["run", "no-such-thing", "--config", str(config_file),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
-    def test_convergence_failure_status(self, tmp_path):
-        # [grid] order is the aperture order of the fringe experiments only;
-        # the profile's inner order is set by its own order-doubling gate
-        path = tmp_path / "weak.ini"
-        path.write_text(BASE_CONFIG.replace("detector_samples = 601",
-                                            "detector_samples = 601\norder = 2"))
-        assert run("fringes", path, tmp_path / "o") == EXIT_CONVERGENCE
-        assert run("profile", path, tmp_path / "p") == EXIT_OK
+    def test_convergence_failure_status(self, config_file, tmp_path,
+                                        monkeypatch):
+        # the fringes need aperture order 8, the profiles inner order 4
+        monkeypatch.setattr(quadrature, "MAX_ORDER", 4)
+        assert run("fringes", config_file, tmp_path / "o") == EXIT_CONVERGENCE
+        assert run("profile", config_file, tmp_path / "p") == EXIT_OK
+
+    def test_grid_order_key_ignored(self, config_file, tmp_path):
+        # the aperture order is measured; a config that still sets it runs
+        # as if it did not
+        legacy = tmp_path / "legacy.ini"
+        legacy.write_text(BASE_CONFIG.replace(
+            "detector_samples = 601", "detector_samples = 601\norder = 2"))
+        for experiment in ("fringes", "visibility-curve"):
+            outs = []
+            for name, path in (("plain", config_file), ("legacy", legacy)):
+                out = tmp_path / name / experiment
+                assert run(experiment, path, out) == EXIT_OK
+                outs.append(out)
+            manifests = [json.loads((out / "run_manifest.json").read_text())
+                         for out in outs]
+            assert manifests[0]["outputs"] == manifests[1]["outputs"]
+            for manifest in manifests:
+                manifest["parameters"].pop("output.directory")
+                assert "grid.order" not in manifest["parameters"]
+            assert manifests[0]["parameters"] == manifests[1]["parameters"]
 
     def test_io_failure_status(self, config_file, tmp_path):
         blocker = tmp_path / "not_a_dir"
@@ -218,14 +257,6 @@ MALFORMED = {
                              "n_frames = 2\npairs_per_frame = 1e6\n"
                              "noise = 1e-3\nseed = 777\nn_px = 2"),
                      [], EXIT_CONFIG),
-    "grid-order-zero-fringes": ("fringes", _edited("detector_samples = 601",
-                                                   "detector_samples = 601\n"
-                                                   "order = 0"),
-                                [], EXIT_CONFIG),
-    "grid-order-zero-curve": ("visibility-curve",
-                              _edited("detector_samples = 601",
-                                      "detector_samples = 601\norder = 0"),
-                              [], EXIT_CONFIG),
     "grid-samples-one": ("profile", _edited("samples = 48", "samples = 1"),
                          [], EXIT_CONFIG),
     "detector-samples-one-fringes": ("fringes",
@@ -245,6 +276,49 @@ MALFORMED = {
     "n-frames-fractional": ("frames-synth",
                             _edited("n_frames = 300", "n_frames = 300.7"),
                             [], EXIT_CONFIG),
+    "f-char-nan": ("pump-visibility",
+                   _edited("w0 = 0.5e-3", "w0 = 0.5e-3\nf_char = nan"),
+                   [], EXIT_CONFIG),
+    "f-char-negative-visibility": ("pump-visibility",
+                                   _edited("w0 = 0.5e-3",
+                                           "w0 = 0.5e-3\nf_char = -0.1"),
+                                   [], EXIT_CONFIG),
+    "f-char-negative-invariance": ("pump-invariance",
+                                   _edited("w0 = 0.5e-3",
+                                           "w0 = 0.5e-3\nf_char = -0.1"),
+                                   [], EXIT_CONFIG),
+    "a-s-zero-visibility": ("pump-visibility",
+                            _edited("w0 = 0.5e-3", "w0 = 0.5e-3\na_s_values = 0"),
+                            [], EXIT_CONFIG),
+    "a-s-zero-invariance": ("pump-invariance",
+                            _edited("w0 = 0.5e-3", "w0 = 0.5e-3\na_s_values = 0"),
+                            [], EXIT_CONFIG),
+    "demag-zero": ("pump-invariance",
+                   _edited("w0 = 0.5e-3", "w0 = 0.5e-3\ndemag = 0"),
+                   [], EXIT_CONFIG),
+    "d12-max-inf": ("pump-visibility",
+                    _edited("w0 = 0.5e-3", "w0 = 0.5e-3\nd12_max = inf"),
+                    [], EXIT_CONFIG),
+    "a-s-values-inf": ("pump-invariance",
+                       _edited("w0 = 0.5e-3",
+                               "w0 = 0.5e-3\na_s_values = 0.25e-3, inf"),
+                       [], EXIT_CONFIG),
+    "slits-z-nan": ("fringes", _edited("z = 0.10", "z = nan"), [], EXIT_CONFIG),
+    "noise-nan": ("frames-synth", _edited("noise = 1e-3", "noise = nan"),
+                  [], EXIT_CONFIG),
+    "pair-rate-nan": ("frames-synth", _edited("pairs_per_frame = 10",
+                                              "pairs_per_frame = nan"),
+                      [], EXIT_CONFIG),
+    "crystal-length-negative": ("fringes", _edited("L = 2e-3", "L = -2e-3"),
+                                [], EXIT_CONFIG),
+    "crystal-kind-unknown": ("profile", _edited("kind = II", "kind = III"),
+                             [], EXIT_CONFIG),
+    "crystal-theta-negative": ("profile", _edited("theta_nc_deg = 3.0",
+                                                  "theta_nc_deg = -3"),
+                               [], EXIT_CONFIG),
+    "grid-extent-short": ("profile", _edited("samples = 48",
+                                             "samples = 48\nextent = 1"),
+                          [], EXIT_CONFIG),
     "d12-samples-negative": ("pump-visibility",
                              _edited("w0 = 0.5e-3", "w0 = 0.5e-3\nd12_samples = -3"),
                              [], EXIT_CONFIG),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsmspdc.analysis import fit_visibility
-from gsmspdc import interference
+from gsmspdc import interference, quadrature
 from gsmspdc.errors import ConvergenceError
 from gsmspdc.interference import (SlitGeometry, fringe_profile, fringe_profiles,
                                   slit_plane_coherence, slit_transmission,
@@ -93,14 +93,37 @@ class TestFringeProfile:
                                  check_convergence=False)
         assert np.max(np.abs(base.values - doubled.values)) < 1e-4
 
-    def test_non_convergence_reported(self):
-        with pytest.raises(ConvergenceError):
-            fringe_profile(pump_for(0.6), CRYSTAL, SLITS, order=2)
+    def test_non_convergence_reported(self, monkeypatch):
+        # SLITS needs aperture order 8: with the shared cap at 4 both the
+        # profile and the visibility curve built on it report the failure
+        monkeypatch.setattr(quadrature, "MAX_ORDER", 4)
+        match = "aperture quadrature not converged by order 4"
+        with pytest.raises(ConvergenceError, match=match):
+            fringe_profile(pump_for(0.6), CRYSTAL, SLITS)
+        with pytest.raises(ConvergenceError, match=match):
+            visibility_curve([pump_for(0.6)], [SLITS.d], a=SLITS.a, z=SLITS.z,
+                             z1=SLITS.z1, crystal=CRYSTAL)
 
     def test_meta_records_parameters(self):
         scan = fringe_profile(pump_for(0.5), CRYSTAL, SLITS)
         assert scan.meta["slit_d_m"] == SLITS.d
         assert scan.meta["A"] == pytest.approx(0.5, rel=1e-12)
+
+    def test_order_doubling_gate_recorded(self):
+        scan = fringe_profile(pump_for(0.5), CRYSTAL, SLITS)
+        assert scan.meta["rule"] == "gauss-legendre"
+        assert scan.meta["order"] >= 4
+        assert 0.0 <= scan.meta["order_doubling_delta"] <= 1e-4
+        fixed = fringe_profile(pump_for(0.5), CRYSTAL, SLITS,
+                               order=scan.meta["order"], check_convergence=False)
+        assert np.array_equal(scan.values, fixed.values)
+        assert fixed.meta["order_doubling_delta"] is None
+
+    def test_start_order_below_need_climbs(self):
+        # order 2 is too coarse for SLITS; the gate climbs instead of failing
+        scan = fringe_profile(pump_for(0.6), CRYSTAL, SLITS, order=2)
+        assert scan.meta["order"] > 2
+        assert scan.meta["order_doubling_delta"] <= 1e-4
 
 
 def reference_profile(pump, slits, xs, order):
@@ -158,9 +181,11 @@ class TestFringeProfiles:
         tol = (max(d for k, d in enumerate(deltas) if k != worst)
                + deltas[worst]) / 2.0
         assert tol < deltas[worst]
-        monkeypatch.setattr(interference, "QUADRATURE_TOL", tol)
+        # a cap at the start order leaves the gate one check, at 2 x order
+        monkeypatch.setattr(quadrature, "QUADRATURE_TOL", tol)
+        monkeypatch.setattr(quadrature, "MAX_ORDER", order)
         fringe_profiles(others, CRYSTAL, SLITS, order=order)
-        with pytest.raises(ConvergenceError, match="order doubling moved"):
+        with pytest.raises(ConvergenceError, match="aperture quadrature"):
             fringe_profiles(others + [self.PUMPS[worst]], CRYSTAL, SLITS,
                             order=order)
 

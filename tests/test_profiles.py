@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from gsmspdc import quadrature
 from gsmspdc.analysis import fit_gaussian, scan_fwhm
+from gsmspdc.errors import ConvergenceError
+from gsmspdc.interference import SlitGeometry, fringe_profiles
 from gsmspdc.profiles import (conditional_scan, momentum_to_position,
                               overlap_point, position_to_momentum,
                               ring_radial_profile, ring_radius, singles_profile)
@@ -95,21 +98,21 @@ class TestSinglesProfile:
             singles_profile(pump_for(0.5), crystal,
                             extent=ring_radius(crystal, K_P), samples=32)
 
-    @pytest.mark.parametrize("integrate", [
-        lambda pump, crystal, radius: singles_profile(
-            pump, crystal, which="signal", samples=16),
-        lambda pump, crystal, radius: ring_radial_profile(
+    @pytest.mark.parametrize("rule, integrate", [
+        ("inner", lambda pump, crystal, radius: singles_profile(
+            pump, crystal, which="signal", samples=16)),
+        ("inner", lambda pump, crystal, radius: ring_radial_profile(
             pump, crystal, [0.0, np.pi],
-            np.linspace(0.5 * radius, 1.6 * radius, 101)),
-    ], ids=["singles_profile", "ring_radial_profile"])
-    def test_non_convergence_reported(self, integrate, monkeypatch):
-        # this case needs order 16; with the cap at 4 the gate must give up
-        from gsmspdc import profiles
-        from gsmspdc.errors import ConvergenceError
-
-        monkeypatch.setattr(profiles, "MAX_INNER_ORDER", 4)
+            np.linspace(0.5 * radius, 1.6 * radius, 101))),
+        ("aperture", lambda pump, crystal, radius: fringe_profiles(
+            [pump], crystal, SlitGeometry(a=0.15e-3, d=0.25e-3))),
+    ], ids=["singles_profile", "ring_radial_profile", "fringe_profiles"])
+    def test_non_convergence_reported(self, rule, integrate, monkeypatch):
+        # the inner rule needs order 16 here and the aperture rule order 8;
+        # with the shared cap at 4 the gate must give up and name the rule
+        monkeypatch.setattr(quadrature, "MAX_ORDER", 4)
         crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA, rho_p=0.07)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match=f"{rule} quadrature"):
             integrate(pump_for(0.2, w0=1e-4), crystal, ring_radius(crystal, K_P))
 
     def test_order_doubling_gate_recorded(self):
@@ -128,9 +131,7 @@ class TestSinglesProfile:
     def test_gate_accepts_start_above_cap(self, monkeypatch):
         # a starting order above the cap is checked once by doubling, not
         # rejected unevaluated
-        from gsmspdc import profiles
-
-        monkeypatch.setattr(profiles, "MAX_INNER_ORDER", 4)
+        monkeypatch.setattr(quadrature, "MAX_ORDER", 4)
         crystal = CrystalParams(L=2e-3, kind="I", theta_nc=THETA)
         prof = singles_profile(pump_for(0.5), crystal, which="signal",
                                samples=8, order=8)
