@@ -243,20 +243,17 @@ def run_coincidence(res: Resolver, out: Path):
     write_csv(path, ["j_px", "C_counts2", "stderr_counts2"],
               [(int(j), c, e) for j, c, e in
                zip(scan.xs, scan.values, scan.meta["stderr"])])
-    paths = [path]
     try:
         fit = analysis.fit_gaussian(scan)
-        summary = out / "coincidence_fit.json"
-        write_json(summary, {
-            "signal_px": signal_px, "amplitude": fit.amplitude,
-            "mean_px": fit.mean, "sigma_px": fit.sigma,
-            "fwhm_px": fit.fwhm, "offset": fit.offset,
-            "residual_rms": fit.residual_rms,
-        })
-        paths.append(summary)
-    except FitError:
-        pass  # scan may legitimately be featureless (e.g. noise-only stacks)
-    return paths
+        record = {"signal_px": signal_px, "amplitude": fit.amplitude,
+                  "mean_px": fit.mean, "sigma_px": fit.sigma,
+                  "fwhm_px": fit.fwhm, "offset": fit.offset,
+                  "residual_rms": fit.residual_rms}
+    except FitError as exc:  # a featureless scan, e.g. a noise-only stack
+        record = {"signal_px": signal_px, "skipped": str(exc)}
+    summary = out / "coincidence_fit.json"
+    write_json(summary, record)
+    return [path, summary]
 
 
 EXPERIMENTS = {

@@ -13,13 +13,32 @@ from .errors import ConfigError, section_errors
 from .pump import PumpParams
 from .spdc import CrystalParams
 
-__all__ = ["load_config", "Resolver", "pumps_from", "crystal_from"]
+__all__ = ["load_config", "Resolver", "pumps_from", "crystal_from", "KEYS",
+           "RETIRED_KEYS"]
 
 _REQUIRED = object()
 
+# Every key some experiment reads, per section; configparser lower-cases keys.
+KEYS = {
+    "pump": {"lambda_p", "w0", "a_values", "l_c", "demag", "f_char",
+             "a_s_values", "d12_max", "d12_samples"},
+    "crystal": {"l", "kind", "alpha", "theta_nc_deg", "rho_p", "rho_i"},
+    "slits": {"a", "d_values", "z", "z1"},
+    "grid": {"samples", "detector_samples", "extent"},
+    "counting": {"n_frames", "pairs_per_frame", "noise", "seed", "n_px",
+                 "f_collim", "frames_file", "signal_px"},
+    "output": {"directory"},
+}
+# Keys no experiment reads any more, still accepted so older configs run.
+RETIRED_KEYS = {"grid": {"order"}}
+
 
 def load_config(path) -> dict:
-    """Parse an INI config file into {section: {key: raw string}}."""
+    """Parse an INI config file into {section: {key: raw string}}.
+
+    A section or key outside KEYS and RETIRED_KEYS is a ConfigError, so a
+    misspelt key cannot silently fall back to its default.
+    """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -28,7 +47,15 @@ def load_config(path) -> dict:
         parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    return {name: dict(parser[name]) for name in parser.sections()}
+    raw = {name: dict(parser[name]) for name in parser.sections()}
+    for section, block in raw.items():
+        if section not in KEYS:
+            raise ConfigError(f"unknown config section [{section}] in {path}")
+        for key in block:
+            if key not in KEYS[section] | RETIRED_KEYS.get(section, set()):
+                raise ConfigError(f"unknown config key [{section}] {key} "
+                                  f"in {path}")
+    return raw
 
 
 def _finite(text: str) -> float:

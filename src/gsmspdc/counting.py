@@ -28,12 +28,14 @@ Serialized stack layout (all little-endian), documented for external readers:
     u16 * n_frames*height*width   counts, C (row-major) order
 """
 
+import operator
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .records import Profile2D, Scan1D
 
@@ -50,6 +52,20 @@ __all__ = [
 MAGIC = b"GSMFRAM1"
 _HEADER = struct.Struct("<III Q d d")
 U16_MAX = np.iinfo(np.uint16).max
+# Doubles a block of frames may draw, a frame counting its mean pairs plus
+# its 2 n_px pixels: a block's draws stay near 256 KB at any rate, and from
+# 2**15 pairs per frame a block is one frame.
+BLOCK_DOUBLES = 2**15
+
+# numpy.random.SeedSequence's constants (pool of 4 uint32 words)
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass
@@ -86,6 +102,65 @@ class CoincidenceResult:
     stderr: float
 
 
+def _hashmix(value, const, mult=_MULT_A):
+    """SeedSequence's hashmix; returns the hash and the next hash constant.
+
+    value is a Python int or a uint32 array below 2**32, const a Python int.
+    """
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ (value >> 16), const_next
+
+
+def _mix(x, y):
+    value = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)
+    value &= _MASK32
+    return value ^ (value >> 16)
+
+
+def _spawned_states(seed: int, k0: int, k1: int) -> np.ndarray:
+    """Rows SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64).
+
+    One row for each k0 <= k < k1, by NumPy's SeedSequence algorithm: the
+    seed's words, zero-padded to the pool size as for any spawned child,
+    fill and mix the pool (Python ints, the same for every k); then the
+    spawn key k is mixed into every pool word and the eight output words are
+    drawn (uint32 arrays).  Needs 0 <= seed < 2**64 and k1 <= 2**32.
+    """
+    words = [seed >> shift & _MASK32
+             for shift in range(0, max(seed.bit_length(), 1), 32)]
+    const = _INIT_A
+    pool = []
+    for word in words + [0] * (_POOL_SIZE - len(words)):
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    k = np.arange(k0, k1, dtype=np.uint32)
+    for dst in range(_POOL_SIZE):
+        hashed, const = _hashmix(k, const)
+        pool[dst] = _mix(pool[dst], hashed)
+    const = _INIT_B
+    state = np.empty((k1 - k0, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        state[:, i], const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
+    # pairs of words are little-endian uint64s, as in generate_state
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Words(ISeedSequence):
+    """Precomputed state words for PCG64, which asks for 4 uint64s."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
                  seed: int, pixel_pitch: float = 16e-6,
                  exposure: float = 20e-3) -> FrameStack:
@@ -94,9 +169,12 @@ def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
     Each frame receives a Poisson number of photon pairs (mean
     pairs_per_frame); each pair lands at (row 0, i) and (row 1, j) with
     probability P[i, j].  Dark counts are independent Bernoulli(noise) per
-    pixel per frame.  Frames are generated from independent substreams
-    spawned from the seed, so the result does not depend on evaluation order.
-    Raises ValueError if a pixel's count would not fit the u16 format.
+    pixel per frame.  Frame k draws from the k-th child of
+    SeedSequence(seed).spawn(n_frames), so the result does not depend on
+    evaluation order; the children's PCG64 states are seeded in one
+    vectorized pass per block of frames, and each block is binned at once.
+    The seed must fit the format's u64.  Raises ValueError if a pixel's
+    count would not fit the u16 format.
     """
     if isinstance(joint, Profile2D):
         joint = joint.grid
@@ -106,34 +184,51 @@ def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
     total = P.sum()
     if not np.isfinite(total) or total <= 0 or np.any(P < 0):
         raise ValueError("joint distribution is empty or degenerate")
-    if pairs_per_frame < 0 or noise < 0:
+    if not (pairs_per_frame >= 0 and noise >= 0):
         raise ValueError("rates must be >= 0")
     if n_frames < 1:
         raise ValueError("need at least one frame")
+    seed = operator.index(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     # the CDF and inverse-CDF draw of Generator.choice(p=...), built once
     cdf = (P / total).ravel().cumsum()
     cdf /= cdf[-1]
     n_px = P.shape[0]
+    n_dark = 2 * n_px if noise > 0 else 0
+    block = max(1, int(BLOCK_DOUBLES // (pairs_per_frame + 2 * n_px)))
 
     frames = np.empty((n_frames, 2, n_px), dtype=np.uint16)
-    for k in range(n_frames):
-        # the k-th child of SeedSequence(seed).spawn(n_frames)
-        rng = default_rng(SeedSequence(seed, spawn_key=(k,)))
-        n_pairs = rng.poisson(pairs_per_frame) if pairs_per_frame > 0 else 0
-        counts = np.zeros((2, n_px), dtype=np.intp)
-        if n_pairs:
-            idx = cdf.searchsorted(rng.random(n_pairs), side="right")
-            i, j = np.divmod(idx, n_px)
-            counts[0] = np.bincount(i, minlength=n_px)
-            counts[1] = np.bincount(j, minlength=n_px)
-        if noise > 0:
-            counts += rng.random((2, n_px)) < noise
-        # a pixel holds at most n_pairs + 1 counts
-        if n_pairs >= U16_MAX and counts.max() > U16_MAX:
+    for k0 in range(0, n_frames, block):
+        k1 = min(k0 + block, n_frames)
+        n_pairs = np.zeros(k1 - k0, dtype=np.intp)
+        pairs = []
+        dark = np.empty((k1 - k0, n_dark))
+        for f, words in enumerate(_spawned_states(seed, k0, k1)):
+            rng = Generator(PCG64(_Words(words)))
+            n = rng.poisson(pairs_per_frame) if pairs_per_frame > 0 else 0
+            # one draw: the pair positions, then the dark-count uniforms
+            draw = rng.random(n + n_dark)
+            n_pairs[f] = n
+            pairs.append(draw[:n])
+            dark[f] = draw[n:]
+        # bin every pair of the block keyed by frame * n_px + column
+        base = np.repeat(np.arange(k1 - k0) * n_px, n_pairs)
+        i, j = np.divmod(cdf.searchsorted(np.concatenate(pairs), side="right"),
+                         n_px)
+        size = (k1 - k0) * n_px
+        counts = np.empty((k1 - k0, 2, n_px), dtype=np.intp)
+        counts[:, 0] = np.bincount(base + i, minlength=size).reshape(-1, n_px)
+        counts[:, 1] = np.bincount(base + j, minlength=size).reshape(-1, n_px)
+        if n_dark:
+            counts += (dark < noise).reshape(k1 - k0, 2, n_px)
+        if counts.max() > U16_MAX:
+            peaks = counts.reshape(k1 - k0, -1).max(axis=1)
+            f = int(np.argmax(peaks > U16_MAX))
             raise ValueError(
-                f"frame {k} holds {counts.max()} counts in one pixel, more "
+                f"frame {k0 + f} holds {peaks[f]} counts in one pixel, more "
                 f"than the u16 format's {U16_MAX}")
-        frames[k] = counts
+        frames[k0:k1] = counts
     return FrameStack(frames=frames, pixel_pitch=pixel_pitch,
                       exposure=exposure, seed=seed)
 

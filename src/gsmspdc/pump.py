@@ -239,6 +239,7 @@ def propagate_to_crystal(l_c_at_lens: float, w_at_lens: float, demag: float,
     Both transverse scales shrink by the same factor, so the degree of
     coherence A is invariant.
     """
-    _require_positive(l_c_at_lens=l_c_at_lens, w_at_lens=w_at_lens,
-                      demag=demag, lambda_p=lambda_p)
+    # demag first: a caller's w_at_lens may be derived from it
+    _require_positive(demag=demag, l_c_at_lens=l_c_at_lens,
+                      w_at_lens=w_at_lens, lambda_p=lambda_p)
     return PumpParams(lambda_p=lambda_p, w0=w_at_lens / demag, l_c=l_c_at_lens / demag)

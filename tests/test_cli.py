@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -12,7 +13,8 @@ import pytest
 import gsmspdc
 from gsmspdc import quadrature
 from gsmspdc.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_IO, EXIT_OK,
-                         OUTPUT_DIR_ENV, _integer, main)
+                         EXPERIMENTS, OUTPUT_DIR_ENV, _integer, main)
+from gsmspdc.config import KEYS, load_config
 from gsmspdc.counting import load_frames, save_frames, synth_frames
 from gsmspdc.iofmt import read_pgm16
 
@@ -142,6 +144,19 @@ class TestCountingPipeline:
         assert lines[0] == "j_px,C_counts2,stderr_counts2"
         assert len(lines) == 25
 
+    def test_noise_only_stack_records_skipped_fit(self, tmp_path):
+        path = tmp_path / "noise.ini"
+        path.write_text(BASE_CONFIG.replace("pairs_per_frame = 10",
+                                            "pairs_per_frame = 0"))
+        out = tmp_path / "out"
+        assert run("frames-synth", path, out) == EXIT_OK
+        assert run("coincidence", path, out) == EXIT_OK
+        record = json.loads((out / "coincidence_fit.json").read_text())
+        assert set(record) == {"signal_px", "skipped"}
+        assert record["skipped"]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert "coincidence_fit.json" in manifest["outputs"]
+
     def test_seed_flag_overrides_config(self, config_file, tmp_path):
         out = tmp_path / "out"
         code = main(["run", "frames-synth", "--config", str(config_file),
@@ -198,6 +213,31 @@ class TestErrorPaths:
                 manifest["parameters"].pop("output.directory")
                 assert "grid.order" not in manifest["parameters"]
             assert manifests[0]["parameters"] == manifests[1]["parameters"]
+
+    def test_resolved_keys_are_accepted(self, config_file, tmp_path):
+        # a key some experiment reads but KEYS lacks could not be set
+        out = tmp_path / "out"
+        for experiment in sorted(EXPERIMENTS):
+            if experiment == "coincidence":
+                assert run("frames-synth", config_file, out) == EXIT_OK
+            assert run(experiment, config_file, out) == EXIT_OK
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            for name in manifest["parameters"]:
+                section, key = name.split(".")
+                assert key in KEYS[section], name
+
+    def test_shipped_and_benchmark_configs_load(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        load_config(root / "configs" / "default.ini")
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", root / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for name in workloads.WORKLOADS:
+            sections, _ = workloads.make(name, workloads.DEFAULT_SEED)
+            path = tmp_path / f"{name}.ini"
+            path.write_text(workloads.render_ini(sections))
+            assert set(load_config(path)) == set(sections)
 
     def test_io_failure_status(self, config_file, tmp_path):
         blocker = tmp_path / "not_a_dir"
@@ -332,10 +372,30 @@ MALFORMED = {
                          _frames_file(b"NOTAFRAME" + b"\x00" * 64), [], EXIT_IO),
     "frames-truncated-body": ("coincidence", _truncated_stack, [], EXIT_IO),
     "frames-one-frame": ("coincidence", _one_frame_stack, [], EXIT_IO),
+    "seed-beyond-u64": ("frames-synth",
+                        _edited("seed = 777", "seed = 18446744073709551616"),
+                        [], EXIT_CONFIG),
+    "seed-negative": ("frames-synth", _edited("seed = 777", "seed = -1"),
+                      [], EXIT_CONFIG),
+    "grid-key-misspelt": ("fringes", _edited("detector_samples = 601",
+                                             "detector_sample = 601"),
+                          [], EXIT_CONFIG),
+    "section-misspelt": ("frames-synth", _edited("[counting]", "[countng]"),
+                         [], EXIT_CONFIG),
     "frames-huge-header": ("coincidence",
                            _frames_file(b"GSMFRAM1" + struct.pack(
                                "<III Q d d", 2**32 - 1, 2**32 - 1, 2**32 - 1,
                                1, 1e-5, 0.02) + b"\x00" * 64), [], EXIT_IO),
+}
+
+
+# case: text its one-line message must contain
+MESSAGES = {
+    "demag-zero": "[pump] demag ",
+    "seed-beyond-u64": "[counting] seed ",
+    "seed-negative": "[counting] seed ",
+    "grid-key-misspelt": "[grid] detector_sample ",
+    "section-misspelt": "[countng]",
 }
 
 
@@ -354,6 +414,7 @@ def test_malformed_input_exit_codes(case, tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1
     if expected == EXIT_CONFIG and not extra:
         assert re.search(r"\[\w+\]", err), "message names no config section"
+    assert MESSAGES.get(case, "") in err
     assert not (out / "run_manifest.json").exists()
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from gsmspdc import counting
 from gsmspdc.analysis import fit_gaussian
-from gsmspdc.counting import (FrameStack, conditional_map, load_frames,
+from gsmspdc.counting import (BLOCK_DOUBLES, U16_MAX, FrameStack,
+                              _spawned_states, conditional_map, load_frames,
                               pixel_coincidence, save_frames, synth_frames)
 
 
@@ -49,12 +51,29 @@ class TestSynthStream:
         (sparse_joint(), 9.0, 0.0, 200, 5),
         (gaussian_joint(8), 0.0, 0.05, 100, 3),
         (gaussian_joint(16), 40.0, 1e-3, 1, 2**40 + 17),
-    ], ids=["gaussian-noise", "zero-entries", "no-pairs", "one-frame"])
+        (gaussian_joint(16), 6.0, 0.02, BLOCK_DOUBLES // (6 + 2 * 16) + 3, 11),
+        (gaussian_joint(8), 40000.0, 0.01, 3, 2**64 - 1),
+    ], ids=["gaussian-noise", "zero-entries", "no-pairs", "one-frame",
+            "block-boundary", "one-frame-blocks"])
     def test_frames_match_reference(self, joint, pairs, noise, n_frames, seed):
         stack = synth_frames(joint, pairs, noise, n_frames, seed=seed)
         ref = reference_synth(joint, pairs, noise, n_frames, seed)
         assert stack.frames.dtype == ref.dtype
         assert np.array_equal(stack.frames, ref)
+
+
+class TestSpawnedStates:
+    """The vectorized seeding must give SeedSequence's child states."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 17,
+                                      2**64 - 1])
+    @pytest.mark.parametrize("k0, k1", [(0, 700), (2**32 - 3, 2**32)])
+    def test_rows_match_seed_sequence(self, seed, k0, k1):
+        states = _spawned_states(seed, k0, k1)
+        assert states.shape == (k1 - k0, 4) and states.dtype == np.uint64
+        for k, row in zip(range(k0, k1), states):
+            ref = np.random.SeedSequence(seed, spawn_key=(k,))
+            assert np.array_equal(row, ref.generate_state(4, np.uint64))
 
 
 class TestSynthFrames:
@@ -105,6 +124,28 @@ class TestSynthFrames:
         assert np.array_equal(stack.frames[:, 0, 0], stack.frames[:, 1, 1])
         assert stack.frames[:, 0, 1].sum() == stack.frames[:, 1, 0].sum() == 0
         assert stack.frames.min(axis=0).max() > 59000
+
+    @pytest.mark.parametrize("block_doubles", [BLOCK_DOUBLES, 2**17])
+    def test_overflow_names_frame_beyond_first_block(self, block_doubles,
+                                                     monkeypatch):
+        # every pair lands on one pixel pair, so a frame's peak is its pair
+        # count; at this rate a block holds one frame, or two at 2**17
+        monkeypatch.setattr(counting, "BLOCK_DOUBLES", block_doubles)
+        joint = np.zeros((2, 2))
+        joint[0, 1] = 1.0
+        rate, seed = 65450.0, 18
+        children = np.random.SeedSequence(seed).spawn(5)
+        peaks = [np.random.default_rng(c).poisson(rate) for c in children]
+        bad = next(k for k, n in enumerate(peaks) if n > U16_MAX)
+        assert bad >= 2
+        with pytest.raises(ValueError,
+                           match=f"frame {bad} holds {peaks[bad]} counts"):
+            synth_frames(joint, rate, 0.0, 5, seed=seed)
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_rejects_seed_outside_u64(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            synth_frames(gaussian_joint(8), 1.0, 0.0, 2, seed=seed)
 
     def test_accepts_profile2d_as_joint(self):
         from gsmspdc.records import Profile2D
