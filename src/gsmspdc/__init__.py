@@ -10,7 +10,25 @@ Library layout:
     counting      synthetic photon-counting frames and the covariance estimator
     analysis      visibility / Gaussian / Bessel-law fits
     cli           batch experiment harness (CSV + 16-bit PGM outputs)
+
+Importing the package loads NumPy's BLAS on one thread, unless NumPy is
+already loaded or the caller set OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS; the environment is left as it was found.
 """
+
+import os
+import sys
+
+# OpenBLAS reads its thread count once, when NumPy loads it.  The largest
+# product here is 1001 x 32 x 32, too small for a worker pool, whose start-up
+# and spin-waits after every call cost more CPU than they save.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401  (the load that reads the variable)
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from .analysis import (GaussianFit, VisibilityFit, fit_bessel_visibility,
                        fit_gaussian, fit_visibility, scan_fwhm)

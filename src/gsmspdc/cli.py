@@ -35,6 +35,8 @@ EXIT_CONVERGENCE = 3
 EXIT_IO = 4
 
 OUTPUT_DIR_ENV = "GSMSPDC_OUT"
+# separations per a_s in pump-visibility; each costs a row and a J1 evaluation
+MAX_D12_SAMPLES = 10_000
 
 
 def _slits_values(res: Resolver):
@@ -56,6 +58,9 @@ def run_pump_visibility(res: Resolver, out: Path):
     a_s_values = res.get_list("pump", "a_s_values", [0.25e-3, 0.5e-3, 1.0e-3])
     d12_max = res.get("pump", "d12_max", 2.0e-3)
     n_d12 = _int_at_least(res, "pump", "d12_samples", 64, 1)
+    if n_d12 > MAX_D12_SAMPLES:
+        raise ConfigError(f"[pump] d12_samples must be <= {MAX_D12_SAMPLES}, "
+                          f"got {n_d12}")
     rows = []
     with section_errors("pump"):
         for a_s in a_s_values:
@@ -74,6 +79,8 @@ def run_pump_invariance(res: Resolver, out: Path):
     f_char = res.get("pump", "f_char", 0.150)
     demag = res.get("pump", "demag", 8.0)
     a_s_values = res.get_list("pump", "a_s_values", [0.25e-3, 0.5e-3, 1.0e-3])
+    if w0 <= 0:  # else reported as the derived w_at_lens = w0 * demag
+        raise ConfigError(f"[pump] w0 must be positive and finite, got {w0!r}")
     w_at_lens = w0 * demag
     rows = []
     with section_errors("pump"):
@@ -96,6 +103,14 @@ def _integer(text: str) -> int:
         if not value.is_integer():
             raise ValueError(f"{text!r} is not an integer") from None
         return int(value)
+
+
+def _column_index(text: str) -> int:
+    """A configured column index; the default -1 (auto) is never cast."""
+    value = _integer(text)
+    if value < 0:
+        raise ValueError(f"{text!r} is negative")
+    return value
 
 
 def _int_at_least(res: Resolver, section: str, key: str, default: int,
@@ -223,7 +238,8 @@ def run_coincidence(res: Resolver, out: Path):
     params = _counting_params(res)
     frames_file = res.get("counting", "frames_file", str(out / "frames.bin"),
                           cast=str)
-    signal_px = res.get("counting", "signal_px", -1, cast=_integer)
+    # left out, signal_px resolves to -1: the brightest column
+    signal_px = res.get("counting", "signal_px", -1, cast=_column_index)
     try:
         stack = counting.load_frames(frames_file)
     except ValueError as exc:
@@ -300,10 +316,16 @@ def main(argv=None) -> int:
         res.resolved["output.directory"] = str(out_dir)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        written = EXPERIMENTS[args.experiment](res, out)
+        # finite config values can still overflow the models' arithmetic
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            written = EXPERIMENTS[args.experiment](res, out)
         write_manifest(out, args.experiment, res.resolved, written)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ArithmeticError as exc:  # overflow, or a division by zero
+        print(f"config error: a config value is out of numerical range ({exc})",
+              file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, FitError) as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)

@@ -45,9 +45,12 @@ def load_config(path) -> dict:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+        raw = {name: dict(parser[name]) for name in parser.sections()}
+    except configparser.InterpolationError as exc:  # e.g. a lone "%"
+        raise ConfigError(f"bad value for [{exc.section}] {exc.option}: "
+                          f"{exc.message}") from exc
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    raw = {name: dict(parser[name]) for name in parser.sections()}
     for section, block in raw.items():
         if section not in KEYS:
             raise ConfigError(f"unknown config section [{section}] in {path}")

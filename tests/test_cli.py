@@ -1,14 +1,19 @@
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import re
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gsmspdc
 from gsmspdc import quadrature
@@ -277,10 +282,17 @@ def _signal_px_beyond_stack(tmp_path):
     return _frames_file(_stack_bytes(tmp_path, 5))(tmp_path) + "signal_px = 4\n"
 
 
+def _signal_px_negative(tmp_path):
+    return _frames_file(_stack_bytes(tmp_path, 5))(tmp_path) + "signal_px = -7\n"
+
+
 # case: (experiment, config text from tmp_path, extra argv, exit code)
 MALFORMED = {
     "w0-negative": ("fringes", _edited("w0 = 0.5e-3", "w0 = -0.5e-3"),
                     [], EXIT_CONFIG),
+    "w0-negative-invariance": ("pump-invariance",
+                               _edited("w0 = 0.5e-3", "w0 = -0.5e-3"),
+                               [], EXIT_CONFIG),
     "slit-a-exceeds-d-fringes": ("fringes", _edited("a = 0.15e-3", "a = 0.3e-3"),
                                  [], EXIT_CONFIG),
     "slit-a-exceeds-d-curve": ("visibility-curve",
@@ -359,11 +371,15 @@ MALFORMED = {
     "grid-extent-short": ("profile", _edited("samples = 48",
                                              "samples = 48\nextent = 1"),
                           [], EXIT_CONFIG),
+    "d12-samples-huge": ("pump-visibility",
+                         _edited("w0 = 0.5e-3", "w0 = 0.5e-3\nd12_samples = 1e12"),
+                         [], EXIT_CONFIG),
     "d12-samples-negative": ("pump-visibility",
                              _edited("w0 = 0.5e-3", "w0 = 0.5e-3\nd12_samples = -3"),
                              [], EXIT_CONFIG),
     "signal-px-beyond-stack": ("coincidence", _signal_px_beyond_stack, [],
                                EXIT_CONFIG),
+    "signal-px-negative": ("coincidence", _signal_px_negative, [], EXIT_CONFIG),
     "threads-flag-removed": ("profile", lambda tmp_path: BASE_CONFIG,
                              ["--threads", "2"], EXIT_CONFIG),
     "frames-short-header": ("coincidence",
@@ -377,6 +393,8 @@ MALFORMED = {
                         [], EXIT_CONFIG),
     "seed-negative": ("frames-synth", _edited("seed = 777", "seed = -1"),
                       [], EXIT_CONFIG),
+    "value-lone-percent": ("pump-invariance",
+                           _edited("w0 = 0.5e-3", "w0 = 50%"), [], EXIT_CONFIG),
     "grid-key-misspelt": ("fringes", _edited("detector_samples = 601",
                                              "detector_sample = 601"),
                           [], EXIT_CONFIG),
@@ -392,10 +410,14 @@ MALFORMED = {
 # case: text its one-line message must contain
 MESSAGES = {
     "demag-zero": "[pump] demag ",
+    "w0-negative-invariance": "[pump] w0 ",
+    "signal-px-negative": "[counting] signal_px",
     "seed-beyond-u64": "[counting] seed ",
     "seed-negative": "[counting] seed ",
     "grid-key-misspelt": "[grid] detector_sample ",
     "section-misspelt": "[countng]",
+    "value-lone-percent": "[pump] w0",
+    "d12-samples-huge": "[pump] d12_samples ",
 }
 
 
@@ -415,6 +437,88 @@ def test_malformed_input_exit_codes(case, tmp_path, capsys):
     if expected == EXIT_CONFIG and not extra:
         assert re.search(r"\[\w+\]", err), "message names no config section"
     assert MESSAGES.get(case, "") in err
+    assert not (out / "run_manifest.json").exists()
+
+
+# the float, integer and list keys each cheap experiment reads
+FUZZ_KEYS = {
+    "pump-visibility": [("pump", k) for k in
+                        ("lambda_p", "f_char", "a_s_values", "d12_max",
+                         "d12_samples")],
+    "pump-invariance": [("pump", k) for k in
+                        ("lambda_p", "w0", "f_char", "demag", "a_s_values")],
+    "fringes": [("pump", k) for k in ("lambda_p", "w0", "a_values", "l_c")]
+               + [("crystal", k) for k in
+                  ("l", "alpha", "theta_nc_deg", "rho_p", "rho_i")]
+               + [("slits", k) for k in ("a", "d_values", "z", "z1")],
+}
+_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-0", "0", "",
+                     "banana", "0x10", "1_000", "%", "5e-324"]),
+)
+_TEXT = st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")))
+_VALUE = st.one_of(_NUMBER, st.lists(_NUMBER).map(", ".join), _TEXT)
+_FUZZ_CASE = st.sampled_from(sorted(FUZZ_KEYS)).flatmap(
+    lambda experiment: st.tuples(
+        st.just(experiment),
+        st.dictionaries(st.sampled_from(FUZZ_KEYS[experiment]), _VALUE,
+                        min_size=1, max_size=3)))
+
+
+def _config_with(edits):
+    """BASE_CONFIG at 41 detector samples, with edits {(section, key): text}."""
+    lines = BASE_CONFIG.replace("detector_samples = 601",
+                                "detector_samples = 41").splitlines()
+    for (section, key), text in edits.items():
+        line = f"{key} = {text}"
+        found = [i for i, l in enumerate(lines)
+                 if l.split("=")[0].strip().lower() == key]
+        if found:
+            lines[found[0]] = line
+        else:
+            lines.insert(lines.index(f"[{section}]") + 1, line)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_FUZZ_CASE)
+def test_config_fuzz_exit_contract(case):
+    """Any value of a float, integer or list key exits 0, 2 or 3 cleanly."""
+    experiment, edits = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ini"
+        path.write_text(_config_with(edits), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", experiment, "--config", str(path),
+                         "--out", str(Path(tmp) / "out")])
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CONVERGENCE), err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == (0 if code == EXIT_OK else 1), err
+
+
+# finite values whose products overflow or vanish in the models
+@pytest.mark.parametrize("experiment, edits", [
+    ("fringes", {("pump", "w0"): "1.3407807929942597e+154"}),
+    ("fringes", {("pump", "lambda_p"): "5e-324"}),
+    ("pump-invariance", {("pump", "a_s_values"): "5e-324",
+                         ("pump", "lambda_p"): "13.0"}),
+    ("pump-visibility", {("pump", "d12_max"): "1e308"}),
+])
+def test_out_of_range_values_are_config_errors(experiment, edits, tmp_path,
+                                               capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(_config_with(edits))
+    out = tmp_path / "out"
+    assert run(experiment, path, out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: a config value is out of numerical")
+    assert len(err.strip().splitlines()) == 1
     assert not (out / "run_manifest.json").exists()
 
 
@@ -441,6 +545,50 @@ def test_cli_import_loads_no_scipy():
     modules = json.loads(done.stdout)
     assert not [m for m in modules if m.split(".")[0] == "scipy"]
     assert "numpy.polynomial" in modules and "numpy.random" in modules
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _tasks_and_env(code, **env):
+    """Run code in a child with no BLAS thread variable but those in env;
+    returns its thread count after the code, and its environment."""
+    src = str(Path(gsmspdc.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    probe = (f"{code}\nimport json, os\nprint(json.dumps("
+             "[len(os.listdir('/proc/self/task')), dict(os.environ)]))")
+    done = subprocess.run([sys.executable, "-c", probe], env={**base, **env},
+                          check=True, capture_output=True, text=True, timeout=60)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task to count threads")
+def test_blas_loads_on_one_thread():
+    """Importing the package starts no BLAS worker, and leaves the
+    environment, a caller's thread setting and an earlier NumPy load alone."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    # OpenBLAS starts its pool at load, one thread per usable CPU
+    pool = len(os.sched_getaffinity(0)) >= 2 and "openblas" in blas["name"]
+    tasks, env = _tasks_and_env("import gsmspdc.cli")
+    assert tasks == 1
+    assert not set(BLAS_THREAD_VARS) & set(env)
+
+    tasks, env = _tasks_and_env("import gsmspdc.cli", OPENBLAS_NUM_THREADS="2")
+    assert env["OPENBLAS_NUM_THREADS"] == "2"
+    if pool:
+        assert tasks == 2
+
+    tasks, env = _tasks_and_env(
+        "import json, os, numpy\n"
+        "before = [len(os.listdir('/proc/self/task')), dict(os.environ)]\n"
+        "import gsmspdc.cli\n"
+        "assert [len(os.listdir('/proc/self/task')), dict(os.environ)] == before")
+    assert not set(BLAS_THREAD_VARS) & set(env)
+    if pool:
+        assert tasks == 2  # NumPy loaded first keeps its worker pool
 
 
 class TestReproducibility:
