@@ -32,8 +32,8 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_
 
 from .analysis import (GaussianFit, VisibilityFit, fit_bessel_visibility,
                        fit_gaussian, fit_visibility, scan_fwhm)
-from .counting import (CoincidenceResult, FrameStack, conditional_map,
-                       load_frames, pixel_coincidence, save_frames, synth_frames)
+from .counting import (FrameStack, conditional_map, load_frames, save_frames,
+                       synth_frames)
 from .errors import ConfigError, ConvergenceError, FitError
 from .interference import (SlitGeometry, fringe_profile, fringe_profiles,
                            slit_plane_coherence, slit_transmission, visibility_curve)
@@ -45,7 +45,7 @@ from .pump import (CharacterizationSetup, CoherenceParams, GsmCsdCoefficients,
                    correlation_length, csd_coefficients, propagate_to_crystal,
                    pump_visibility)
 from .records import Profile2D, Scan1D
-from .spdc import (CrystalParams, MomentumPoint, joint_momentum_rate,
-                   noncollinear_mismatch, phase_match_gaussian, phase_match_sinc)
+from .spdc import (CrystalParams, joint_momentum_rate, noncollinear_mismatch,
+                   phase_match_gaussian, phase_match_sinc)
 
 __version__ = "0.1.0"

@@ -58,13 +58,6 @@ class VisibilityFit:
     residual_rms: float
 
 
-def _as_xy(scan):
-    if isinstance(scan, Scan1D):
-        return scan.xs, scan.values
-    xs, ys = scan
-    return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-
-
 def _levenberg_marquardt(fun, theta0, max_nfev):
     """Minimize |r(theta)|^2 for fun(theta) -> (r, J), with J = dr/dtheta.
 
@@ -123,14 +116,14 @@ def _levenberg_marquardt(fun, theta0, max_nfev):
             break
 
 
-def fit_gaussian(scan, weights=None, max_iter=200) -> GaussianFit:
+def fit_gaussian(scan: Scan1D, weights=None, max_iter=200) -> GaussianFit:
     """Nonlinear least-squares Gaussian fit y = A exp(-(x-mu)^2/(2 s^2)) + c.
+
+    The scan must be single-peaked with at least 5 samples, and its peak must
+    not sit on the boundary.
 
     Parameters
     ----------
-    scan : Scan1D or (xs, ys)
-        Single-peaked data with at least 5 samples; the peak must not sit on
-        the boundary.
     weights : array, optional
         Per-point weights applied to the residuals.
 
@@ -140,7 +133,7 @@ def fit_gaussian(scan, weights=None, max_iter=200) -> GaussianFit:
         If the data is degenerate (flat, too short, boundary peak) or the
         optimizer fails to converge.
     """
-    xs, ys = _as_xy(scan)
+    xs, ys = scan.xs, scan.values
     if xs.size < 5:
         raise FitError("need at least 5 samples for a Gaussian fit")
     i_max = int(np.argmax(ys))
@@ -198,7 +191,7 @@ def _period_search(xs, ys, p_min, p_max, n_grid=200):
     return [p for _, p in best[:3]]
 
 
-def fit_visibility(scan, period_hint=None, window=None) -> VisibilityFit:
+def fit_visibility(scan: Scan1D, period_hint=None, window=None) -> VisibilityFit:
     """Fit I(x) = E(x) [1 + V cos(2 pi x / P + phi)] and return V in [0, 1].
 
     E(x) = exp(e0 + e1 x + e2 x^2) is a slowly varying non-negative envelope.
@@ -206,7 +199,6 @@ def fit_visibility(scan, period_hint=None, window=None) -> VisibilityFit:
 
     Parameters
     ----------
-    scan : Scan1D or (xs, ys)
     period_hint : float, optional
         Expected fringe period.  Without it the period is found by a
         deterministic residual grid search, which can lock onto envelope
@@ -221,7 +213,7 @@ def fit_visibility(scan, period_hint=None, window=None) -> VisibilityFit:
         If the fit does not converge or the residual RMS exceeds 20% of the
         maximum intensity.
     """
-    xs, ys = _as_xy(scan)
+    xs, ys = scan.xs, scan.values
     if window is not None:
         center = 0.5 * (xs[0] + xs[-1])
         keep = np.abs(xs - center) <= window
@@ -325,9 +317,9 @@ def _golden_section(cost, lo, hi):
     return float(x1 if f1 <= f2 else x2)
 
 
-def scan_fwhm(scan) -> float:
+def scan_fwhm(scan: Scan1D) -> float:
     """Full width at half maximum of a single-peaked scan, linearly interpolated."""
-    xs, ys = _as_xy(scan)
+    xs, ys = scan.xs, scan.values
     i_max = int(np.argmax(ys))
     if i_max in (0, xs.size - 1):
         raise FitError("peak sits on the scan boundary")

@@ -35,8 +35,12 @@ EXIT_CONVERGENCE = 3
 EXIT_IO = 4
 
 OUTPUT_DIR_ENV = "GSMSPDC_OUT"
-# separations per a_s in pump-visibility; each costs a row and a J1 evaluation
-MAX_D12_SAMPLES = 10_000
+# Upper bounds of the sample counts, checked before anything is allocated
+MAX_D12_SAMPLES = 10_000       # per a_s, each a row and a J1 evaluation
+MAX_GRID_SAMPLES = 2048        # profile side; a samples^2 float grid is 34 MB
+MAX_DETECTOR_SAMPLES = 10_000  # 4 KB of slit phases each at order 128: 41 MB
+MAX_FRAMES = 100_000           # five full-scale stacks, 4 n_px bytes a frame
+MAX_N_PX = 512                 # a 512 x 512 EMCCD's line; the joint is n_px^2
 
 
 def _slits_values(res: Resolver):
@@ -57,10 +61,7 @@ def run_pump_visibility(res: Resolver, out: Path):
     f_char = res.get("pump", "f_char", 0.150)
     a_s_values = res.get_list("pump", "a_s_values", [0.25e-3, 0.5e-3, 1.0e-3])
     d12_max = res.get("pump", "d12_max", 2.0e-3)
-    n_d12 = _int_at_least(res, "pump", "d12_samples", 64, 1)
-    if n_d12 > MAX_D12_SAMPLES:
-        raise ConfigError(f"[pump] d12_samples must be <= {MAX_D12_SAMPLES}, "
-                          f"got {n_d12}")
+    n_d12 = _int_within(res, "pump", "d12_samples", 64, 1, MAX_D12_SAMPLES)
     rows = []
     with section_errors("pump"):
         for a_s in a_s_values:
@@ -113,11 +114,13 @@ def _column_index(text: str) -> int:
     return value
 
 
-def _int_at_least(res: Resolver, section: str, key: str, default: int,
-                  minimum: int) -> int:
+def _int_within(res: Resolver, section: str, key: str, default: int,
+                minimum: int, maximum: int) -> int:
     value = res.get(section, key, default, cast=_integer)
     if value < minimum:
         raise ConfigError(f"[{section}] {key} must be >= {minimum}, got {value}")
+    if value > maximum:
+        raise ConfigError(f"[{section}] {key} must be <= {maximum}, got {value}")
     return value
 
 
@@ -125,7 +128,8 @@ def run_fringes(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     a, d_values, z, z1 = _slits_values(res)
-    samples = _int_at_least(res, "grid", "detector_samples", 1001, 2)
+    samples = _int_within(res, "grid", "detector_samples", 1001, 2,
+                          MAX_DETECTOR_SAMPLES)
     d = d_values[0]
     slits = interference.SlitGeometry(a=a, d=d, z=z, z1=z1)
     scans = interference.fringe_profiles(pumps, crystal, slits, samples=samples)
@@ -142,7 +146,8 @@ def run_visibility_curve(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     a, d_values, z, z1 = _slits_values(res)
-    samples = _int_at_least(res, "grid", "detector_samples", 1001, 2)
+    samples = _int_within(res, "grid", "detector_samples", 1001, 2,
+                          MAX_DETECTOR_SAMPLES)
     rows = interference.visibility_curve(pumps, d_values, a=a, z=z, z1=z1,
                                          crystal=crystal, samples=samples)
     columns = ["A", "d_m", "visibility", "fringe_period_m", "aperture_order",
@@ -156,7 +161,7 @@ def run_profile(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     res.require_section("grid")
-    samples = _int_at_least(res, "grid", "samples", 256, 2)
+    samples = _int_within(res, "grid", "samples", 256, 2, MAX_GRID_SAMPLES)
     extent = res.get("grid", "extent", 0.0)
     with section_errors("grid"):  # an extent that does not cover the ring
         computed = [profiles.singles_profile(
@@ -177,7 +182,8 @@ def run_profile(res: Resolver, out: Path):
 def run_conditional(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
-    samples = _int_at_least(res, "grid", "detector_samples", 801, 2)
+    samples = _int_within(res, "grid", "detector_samples", 801, 2,
+                          MAX_DETECTOR_SAMPLES)
     rows = []
     for pump in pumps:
         q_s = profiles.overlap_point(crystal, pump.k_p)
@@ -193,11 +199,11 @@ def run_conditional(res: Resolver, out: Path):
 def _counting_params(res: Resolver):
     res.require_section("counting")
     return {
-        "n_frames": _int_at_least(res, "counting", "n_frames", 2000, 2),
+        "n_frames": _int_within(res, "counting", "n_frames", 2000, 2, MAX_FRAMES),
         "pairs_per_frame": res.get("counting", "pairs_per_frame", 20.0),
         "noise": res.get("counting", "noise", 1e-3),
         "seed": res.get("counting", "seed", 12345, cast=_integer),
-        "n_px": _int_at_least(res, "counting", "n_px", 48, 2),
+        "n_px": _int_within(res, "counting", "n_px", 48, 2, MAX_N_PX),
         "f_collim": res.get("counting", "f_collim", 0.200),
     }
 

@@ -37,13 +37,11 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .records import Profile2D, Scan1D
+from .records import Scan1D
 
 __all__ = [
     "FrameStack",
-    "CoincidenceResult",
     "synth_frames",
-    "pixel_coincidence",
     "conditional_map",
     "save_frames",
     "load_frames",
@@ -92,14 +90,6 @@ class FrameStack:
     @property
     def shape(self):
         return self.frames.shape[1:]
-
-
-@dataclass(frozen=True)
-class CoincidenceResult:
-    C: float
-    i: tuple
-    j: tuple
-    stderr: float
 
 
 def _hashmix(value, const, mult=_MULT_A):
@@ -176,8 +166,6 @@ def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
     The seed must fit the format's u64.  Raises ValueError if a pixel's
     count would not fit the u16 format.
     """
-    if isinstance(joint, Profile2D):
-        joint = joint.grid
     P = np.asarray(joint, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("joint must be a square 2-D matrix P[i, j]")
@@ -256,24 +244,6 @@ def _jackknife_covariance(x: np.ndarray, y: np.ndarray):
     dev = np.sort((ck - mean_ck) ** 2)
     stderr = float(np.sqrt((n - 1) / n * np.sum(dev)))
     return float(C), stderr
-
-
-def pixel_coincidence(stack: FrameStack, i, j) -> CoincidenceResult:
-    """Count covariance C between pixels i and j with jackknife standard error.
-
-    i and j are (row, column) indices; they must differ and the stack must
-    hold at least two frames.
-    """
-    i = tuple(int(v) for v in i)
-    j = tuple(int(v) for v in j)
-    if i == j:
-        raise ValueError("pixels i and j must differ")
-    if stack.n_frames < 2:
-        raise ValueError("need at least two frames")
-    x = stack.frames[:, i[0], i[1]]
-    y = stack.frames[:, j[0], j[1]]
-    C, stderr = _jackknife_covariance(x, y)
-    return CoincidenceResult(C=C, i=i, j=j, stderr=stderr)
 
 
 def conditional_map(stack: FrameStack, pixel, row: int) -> Scan1D:

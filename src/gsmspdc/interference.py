@@ -159,7 +159,7 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
         periods lambda_s z1 / d (default 8).
     order : Gauss-Legendre points per slit to start from; the order-doubling
         gate raises it until every profile has converged, and meta records
-        the accepted "order" and its "order_doubling_delta".
+        the accepted "order" and the pump's own "order_doubling_delta" there.
     check_convergence : False evaluates the starting order once, unchecked.
     """
     pumps = list(pumps)
@@ -176,11 +176,17 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
             f"fringe periods ({period:g} m)")
     xs = np.linspace(-span / 2.0, span / 2.0, samples)
 
-    values, order, delta = doubling_gate(
-        lambda n: _unit_max_profiles(pumps, crystal, slits, xs, n), "aperture",
-        order, check_convergence)
+    rows = {}  # order -> unit-max profiles, for each pump's own delta
+
+    def evaluate(n):
+        rows[n] = _unit_max_profiles(pumps, crystal, slits, xs, n)
+        return rows[n]
+    values, order, delta = doubling_gate(evaluate, "aperture", order, check_convergence)
+    # every row peaks at exactly 1, so the gate's delta is the largest of these
+    deltas = ([None] * len(pumps) if delta is None
+              else np.max(np.abs(values - rows[2 * order]), axis=1).tolist())
     scans = []
-    for pump, p1 in zip(pumps, values):
+    for pump, p1, delta in zip(pumps, values, deltas):
         meta = {
             "lambda_p_m": pump.lambda_p, "w0_m": pump.w0, "l_c_m": pump.l_c,
             "A": coherence_from(pump).A,

@@ -214,7 +214,8 @@ def conditional_scan(pump: PumpParams, crystal: CrystalParams, q_s,
     """Conditional rate R(q_ix | q_s) along the idler x axis, unit area.
 
     q_s is the fixed signal momentum (pick an overlap point for type-II);
-    q_iy defaults to the anti-correlated value -q_sy.
+    q_iy defaults to the anti-correlated value -q_sy.  Raises
+    FloatingPointError if the scan does not resolve in floating point.
     """
     qsx, qsy = float(q_s[0]), float(q_s[1])
     if q_iy is None:
@@ -223,6 +224,10 @@ def conditional_scan(pump: PumpParams, crystal: CrystalParams, q_s,
     center = -qsx
     qix = np.linspace(center - span_sigmas * sigma, center + span_sigmas * sigma,
                       samples)
+    if not np.all(np.diff(qix) > 0):  # nan, or a span below the float spacing
+        raise FloatingPointError(
+            f"conditional scan of +-{span_sigmas:g} x {sigma:g} rad/m around "
+            f"q_ix = {center:g} rad/m does not resolve")
     rate = joint_momentum_rate((qsx, qsy), (qix, np.full_like(qix, q_iy)),
                                pump, crystal)
     area = np.trapezoid(rate, qix)

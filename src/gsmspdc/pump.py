@@ -158,11 +158,6 @@ class GsmCsdCoefficients:
         dot = np.sum(q * qp, axis=-1)
         return self.A_c * np.exp(-self.b1 * q2 - self.b1 * qp2 + 2.0 * self.b2 * dot)
 
-    def diagonal(self, q):
-        """W(q, q) for points with components on the last axis."""
-        q2 = np.sum(np.asarray(q, dtype=float) ** 2, axis=-1)
-        return self.A_c * np.exp(-2.0 * (self.b1 - self.b2) * q2)
-
 
 def csd_coefficients(pump: PumpParams) -> GsmCsdCoefficients:
     """Coefficients of the momentum-basis pump CSD.

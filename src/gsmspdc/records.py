@@ -49,11 +49,3 @@ class Profile2D:
             raise ValueError("grid samples must be finite and non-negative")
         if self.pitch_x <= 0 or self.pitch_y <= 0:
             raise ValueError("pitches must be positive")
-
-    def axis_x(self) -> np.ndarray:
-        n = self.grid.shape[1]
-        return (np.arange(n) - (n - 1) / 2) * self.pitch_x
-
-    def axis_y(self) -> np.ndarray:
-        n = self.grid.shape[0]
-        return (np.arange(n) - (n - 1) / 2) * self.pitch_y

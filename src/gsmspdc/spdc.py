@@ -1,6 +1,7 @@
 """Biphoton momentum kernel: phase matching and joint detection rate.
 
-Transverse momenta are in rad/m throughout this module.  Operation is
+Transverse momenta are in rad/m throughout this module, and each momentum
+argument is a (qx, qy) pair whose components may be arrays.  Operation is
 degenerate: lambda_s = lambda_i = 2 lambda_p, k_s = k_p / 2.
 
 The collinear phase-matching amplitude is sinc(dq L / 2) with
@@ -19,7 +20,6 @@ dispersion calculation.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .pump import PumpParams, csd_coefficients
 
 __all__ = [
     "CrystalParams",
-    "MomentumPoint",
     "phase_match_sinc",
     "phase_match_gaussian",
     "noncollinear_mismatch",
@@ -35,13 +34,6 @@ __all__ = [
 ]
 
 DEFAULT_ALPHA = 0.455
-
-
-class MomentumPoint(NamedTuple):
-    """Transverse wavevector components (rad/m).  Components may be arrays."""
-
-    qx: float
-    qy: float
 
 
 @dataclass(frozen=True)
@@ -76,19 +68,11 @@ def _sinc(x):
     return np.sinc(np.asarray(x, dtype=float) / np.pi)
 
 
-def _components(q):
-    if isinstance(q, MomentumPoint) or (isinstance(q, tuple) and len(q) == 2):
-        return np.asarray(q[0], dtype=float), np.asarray(q[1], dtype=float)
-    q = np.asarray(q, dtype=float)
-    return q[..., 0], q[..., 1]
-
-
 def phase_match_sinc(q_s, q_i, crystal: CrystalParams, k_p: float):
     """Collinear phase-matching amplitude sinc(dq L / 2)."""
     if k_p <= 0:
         raise ValueError("k_p must be positive")
-    sx, sy = _components(q_s)
-    ix, iy = _components(q_i)
+    (sx, sy), (ix, iy) = q_s, q_i
     dq = ((sx - ix) ** 2 + (sy - iy) ** 2) / (2.0 * k_p)
     return _sinc(dq * crystal.L / 2.0)
 
@@ -97,8 +81,7 @@ def phase_match_gaussian(q_s, q_i, crystal: CrystalParams, k_p: float):
     """Gaussian approximation exp(-alpha L |q_s - q_i|^2 / (4 k_p))."""
     if k_p <= 0:
         raise ValueError("k_p must be positive")
-    sx, sy = _components(q_s)
-    ix, iy = _components(q_i)
+    (sx, sy), (ix, iy) = q_s, q_i
     d2 = (sx - ix) ** 2 + (sy - iy) ** 2
     return np.exp(-crystal.alpha * crystal.L * d2 / (4.0 * k_p))
 
@@ -107,8 +90,7 @@ def noncollinear_mismatch(q_s, q_i, crystal: CrystalParams, k_p: float):
     """Longitudinal mismatch dk_z (rad/m) in the non-collinear geometry."""
     if k_p <= 0:
         raise ValueError("k_p must be positive")
-    sx, sy = _components(q_s)
-    ix, iy = _components(q_i)
+    (sx, sy), (ix, iy) = q_s, q_i
     d2 = (sx - ix) ** 2 + (sy - iy) ** 2
     return (d2 / (2.0 * k_p)
             - k_p * crystal.theta_nc**2 / 2.0
@@ -116,23 +98,15 @@ def noncollinear_mismatch(q_s, q_i, crystal: CrystalParams, k_p: float):
             + crystal.rho_i * ix)
 
 
-def joint_momentum_rate(q_s, q_i, pump: PumpParams, crystal: CrystalParams,
-                        use_sinc: bool = True):
+def joint_momentum_rate(q_s, q_i, pump: PumpParams, crystal: CrystalParams):
     """Joint detection rate (arb. units) for a signal/idler momentum pair.
 
     Product of the pump CSD diagonal at the pair-sum momentum and the squared
-    non-collinear phase-matching amplitude.  With ``use_sinc=False`` the sinc
-    is replaced by the Gaussian stand-in exp(-alpha L |dk_z| / 2), which
-    coincides with the collinear Gaussian approximation where dk_z >= 0.
+    non-collinear phase-matching amplitude sinc^2(L dk_z / 2).
     """
     coeffs = csd_coefficients(pump)
-    sx, sy = _components(q_s)
-    ix, iy = _components(q_i)
+    (sx, sy), (ix, iy) = q_s, q_i
     sum2 = (sx + ix) ** 2 + (sy + iy) ** 2
     envelope = coeffs.A_c * np.exp(-2.0 * (coeffs.b1 - coeffs.b2) * sum2)
     dkz = noncollinear_mismatch(q_s, q_i, crystal, pump.k_p)
-    if use_sinc:
-        amp2 = _sinc(crystal.L * dkz / 2.0) ** 2
-    else:
-        amp2 = np.exp(-crystal.alpha * crystal.L * np.abs(dkz))
-    return envelope * amp2
+    return envelope * _sinc(crystal.L * dkz / 2.0) ** 2

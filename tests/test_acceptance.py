@@ -9,8 +9,7 @@ import pytest
 
 from gsmspdc.analysis import fit_gaussian, fit_visibility, scan_fwhm
 from gsmspdc.cli import EXIT_OK, main
-from gsmspdc.counting import (FrameStack, conditional_map, pixel_coincidence,
-                              synth_frames)
+from gsmspdc.counting import FrameStack, conditional_map, synth_frames
 from gsmspdc.interference import (SlitGeometry, fringe_profile,
                                   visibility_curve)
 from gsmspdc.profiles import (conditional_scan, overlap_point,
@@ -210,8 +209,8 @@ class TestCriterion7CoincidenceCalibration:
                 pairs.add((i, j))
         violations = 0
         for i, j in sorted(pairs):
-            result = pixel_coincidence(stack, i, j)
-            if abs(result.C) >= 3 * result.stderr:
+            scan = conditional_map(stack, i, row=j[0])
+            if abs(scan.values[j[1]]) >= 3 * scan.meta["stderr"][j[1]]:
                 violations += 1
         assert violations <= 1  # >= 99% of 100 pairs consistent with zero
         report("7a", f"noise-only stacks: {100 - violations}/100 pixel pairs "
@@ -222,11 +221,11 @@ class TestCriterion7CoincidenceCalibration:
         joint = np.zeros((16, 16))
         joint[5, 11] = 1.0
         stack = synth_frames(joint, mu, 0.0, 4000, seed=42)
-        result = pixel_coincidence(stack, (0, 5), (1, 11))
-        assert abs(result.C - mu) < 3 * result.stderr
-        report("7b", f"perfectly paired injection: C = {result.C:.3f} "
-                     f"recovers rate {mu} within 3 stderr "
-                     f"({3 * result.stderr:.3f})")
+        scan = conditional_map(stack, (0, 5), row=1)
+        C, stderr = scan.values[11], scan.meta["stderr"][11]
+        assert abs(C - mu) < 3 * stderr
+        report("7b", f"perfectly paired injection: C = {C:.3f} "
+                     f"recovers rate {mu} within 3 stderr ({3 * stderr:.3f})")
 
 
 class TestCriterion8NumericalHygiene:

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 import gsmspdc
 from gsmspdc import quadrature
 from gsmspdc.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_IO, EXIT_OK,
-                         EXPERIMENTS, OUTPUT_DIR_ENV, _integer, main)
+                         EXPERIMENTS, MAX_D12_SAMPLES, MAX_DETECTOR_SAMPLES,
+                         MAX_FRAMES, MAX_GRID_SAMPLES, MAX_N_PX, OUTPUT_DIR_ENV,
+                         _integer, main)
 from gsmspdc.config import KEYS, load_config
 from gsmspdc.counting import load_frames, save_frames, synth_frames
 from gsmspdc.iofmt import read_pgm16
@@ -404,6 +406,27 @@ MALFORMED = {
                            _frames_file(b"GSMFRAM1" + struct.pack(
                                "<III Q d d", 2**32 - 1, 2**32 - 1, 2**32 - 1,
                                1, 1e-5, 0.02) + b"\x00" * 64), [], EXIT_IO),
+    # each sample count one above its bound
+    "d12-samples-above-bound": ("pump-visibility",
+                                _edited("w0 = 0.5e-3", "w0 = 0.5e-3\nd12_samples = "
+                                        f"{MAX_D12_SAMPLES + 1}"),
+                                [], EXIT_CONFIG),
+    "grid-samples-above-bound": ("profile",
+                                 _edited("samples = 48",
+                                         f"samples = {MAX_GRID_SAMPLES + 1}"),
+                                 [], EXIT_CONFIG),
+    **{f"detector-samples-above-bound-{experiment}": (
+        experiment, _edited("detector_samples = 601",
+                            f"detector_samples = {MAX_DETECTOR_SAMPLES + 1}"),
+        [], EXIT_CONFIG)
+       for experiment in ("fringes", "visibility-curve", "conditional")},
+    "n-frames-above-bound": ("frames-synth",
+                             _edited("n_frames = 300",
+                                     f"n_frames = {MAX_FRAMES + 1}"),
+                             [], EXIT_CONFIG),
+    "n-px-above-bound": ("frames-synth",
+                         _edited("n_px = 24", f"n_px = {MAX_N_PX + 1}"),
+                         [], EXIT_CONFIG),
 }
 
 
@@ -418,6 +441,13 @@ MESSAGES = {
     "section-misspelt": "[countng]",
     "value-lone-percent": "[pump] w0",
     "d12-samples-huge": "[pump] d12_samples ",
+    "d12-samples-above-bound": f"[pump] d12_samples must be <= {MAX_D12_SAMPLES}",
+    "grid-samples-above-bound": f"[grid] samples must be <= {MAX_GRID_SAMPLES}",
+    **{f"detector-samples-above-bound-{experiment}":
+       f"[grid] detector_samples must be <= {MAX_DETECTOR_SAMPLES}"
+       for experiment in ("fringes", "visibility-curve", "conditional")},
+    "n-frames-above-bound": f"[counting] n_frames must be <= {MAX_FRAMES}",
+    "n-px-above-bound": f"[counting] n_px must be <= {MAX_N_PX}",
 }
 
 
@@ -451,6 +481,10 @@ FUZZ_KEYS = {
                + [("crystal", k) for k in
                   ("l", "alpha", "theta_nc_deg", "rho_p", "rho_i")]
                + [("slits", k) for k in ("a", "d_values", "z", "z1")],
+    "conditional": [("pump", k) for k in ("lambda_p", "w0", "a_values", "l_c")]
+                   + [("crystal", k) for k in
+                      ("l", "alpha", "theta_nc_deg", "rho_p", "rho_i")]
+                   + [("grid", "detector_samples")],
 }
 _NUMBER = st.one_of(
     st.floats().map(repr),
@@ -509,6 +543,7 @@ def test_config_fuzz_exit_contract(case):
     ("pump-invariance", {("pump", "a_s_values"): "5e-324",
                          ("pump", "lambda_p"): "13.0"}),
     ("pump-visibility", {("pump", "d12_max"): "1e308"}),
+    ("conditional", {("pump", "lambda_p"): "5e-324"}),
 ])
 def test_out_of_range_values_are_config_errors(experiment, edits, tmp_path,
                                                capsys):

@@ -5,7 +5,7 @@ from gsmspdc import counting
 from gsmspdc.analysis import fit_gaussian
 from gsmspdc.counting import (BLOCK_DOUBLES, U16_MAX, FrameStack,
                               _spawned_states, conditional_map, load_frames,
-                              pixel_coincidence, save_frames, synth_frames)
+                              save_frames, synth_frames)
 
 
 def gaussian_joint(n_px=48, center=(24, 24), sigma=4.0):
@@ -147,44 +147,46 @@ class TestSynthFrames:
         with pytest.raises(ValueError, match="seed"):
             synth_frames(gaussian_joint(8), 1.0, 0.0, 2, seed=seed)
 
-    def test_accepts_profile2d_as_joint(self):
-        from gsmspdc.records import Profile2D
 
-        prof = Profile2D(grid=gaussian_joint(16), pitch_x=1.0, pitch_y=1.0)
-        stack = synth_frames(prof, 2.0, 0.0, 20, seed=9)
-        assert stack.frames.shape == (20, 2, 16)
+def pair_covariance(stack, i, j):
+    """(C, stderr) of pixels i and j, read from the conditional map of i."""
+    scan = conditional_map(stack, i, row=j[0])
+    return scan.values[j[1]], scan.meta["stderr"][j[1]]
 
 
 class TestPixelCoincidence:
     def test_independent_pixels_consistent_with_zero(self):
         stack = synth_frames(np.ones((8, 8)), 0.0, 0.1, 3000, seed=11)
-        result = pixel_coincidence(stack, (0, 1), (1, 5))
-        assert abs(result.C) < 3 * result.stderr
+        C, stderr = pair_covariance(stack, (0, 1), (1, 5))
+        assert abs(C) < 3 * stderr
 
     def test_perfect_pairing_recovers_rate(self):
         mu = 3.0
         joint = np.zeros((16, 16))
         joint[5, 11] = 1.0
         stack = synth_frames(joint, mu, 0.0, 4000, seed=13)
-        result = pixel_coincidence(stack, (0, 5), (1, 11))
-        assert abs(result.C - mu) < 3 * result.stderr
+        C, stderr = pair_covariance(stack, (0, 5), (1, 11))
+        assert abs(C - mu) < 3 * stderr
 
     def test_symmetry(self):
         stack = synth_frames(gaussian_joint(16), 5.0, 0.01, 300, seed=17)
-        a = pixel_coincidence(stack, (0, 7), (1, 9))
-        b = pixel_coincidence(stack, (1, 9), (0, 7))
-        assert a.C == b.C and a.stderr == b.stderr
-
-    def test_rejects_same_pixel_and_short_stacks(self):
-        stack = synth_frames(gaussian_joint(8), 1.0, 0.0, 10, seed=5)
-        with pytest.raises(ValueError):
-            pixel_coincidence(stack, (0, 1), (0, 1))
-        single = FrameStack(frames=stack.frames[:1])
-        with pytest.raises(ValueError):
-            pixel_coincidence(single, (0, 1), (1, 2))
+        assert (pair_covariance(stack, (0, 7), (1, 9))
+                == pair_covariance(stack, (1, 9), (0, 7)))
 
 
 class TestConditionalMap:
+    def test_skips_own_pixel_and_rejects_short_stacks(self):
+        joint = gaussian_joint(8, center=(4, 4), sigma=2.0)
+        stack = synth_frames(joint, 5.0, 0.0, 50, seed=5)
+        scan = conditional_map(stack, (1, 3), row=1)
+        # the pixel's own variance is replaced by its neighbours' average
+        for values in (scan.values, scan.meta["stderr"]):
+            assert values[3] == pytest.approx((values[2] + values[4]) / 2)
+        assert scan.values[3] != np.var(stack.frames[:, 1, 3])
+        single = FrameStack(frames=stack.frames[:1])
+        with pytest.raises(ValueError):
+            conditional_map(single, (0, 1), row=1)
+
     def test_peak_at_conjugate_pixel(self):
         joint = gaussian_joint(48, center=(20, 30), sigma=3.0)
         stack = synth_frames(joint, 20.0, 1e-3, 2000, seed=29)

@@ -160,6 +160,17 @@ class TestFringeProfiles:
         assert np.array_equal(one.values, batch[1].values)
         assert one.meta == batch[1].meta
 
+    def test_batch_records_each_pumps_own_delta(self):
+        batch = fringe_profiles(self.PUMPS, CRYSTAL, SLITS)
+        order = batch[0].meta["order"]
+        for pump, scan in zip(self.PUMPS, batch):
+            alone = fringe_profile(pump, CRYSTAL, SLITS, order=order)
+            assert alone.meta["order"] == order
+            assert (scan.meta["order_doubling_delta"]
+                    == alone.meta["order_doubling_delta"])
+        deltas = {scan.meta["order_doubling_delta"] for scan in batch}
+        assert len(deltas) == len(self.PUMPS)
+
     def test_mixed_wavelengths_rejected(self):
         other = PumpParams.from_coherence(532e-9, W0, 0.6)
         with pytest.raises(ValueError):

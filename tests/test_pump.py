@@ -95,9 +95,11 @@ class TestCsdCoefficients:
             assert c.kernel(q, qp) == pytest.approx(c.kernel(qp, q), rel=1e-12)
 
     def test_diagonal_matches_kernel(self):
+        # the diagonal W(q, q) is the pair-sum Gaussian of width sum_sigma
         c = csd_coefficients(PumpParams(405e-9, 0.5e-3, 0.4e-3))
         q = np.array([1.3e3, -0.4e3])
-        assert c.diagonal(q) == pytest.approx(c.kernel(q, q), rel=1e-12)
+        diagonal = c.A_c * np.exp(-(q @ q) / (2.0 * c.sum_sigma**2))
+        assert diagonal == pytest.approx(c.kernel(q, q), rel=1e-12)
 
     def test_angular_width_narrows_with_coherence(self):
         # pair-sum width of the diagonal shrinks as l_c grows (more coherent

@@ -26,8 +26,3 @@ class TestProfile2D:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Profile2D(grid=np.array([[np.nan, 1.0]]), pitch_x=1.0, pitch_y=1.0)
-
-    def test_axes_are_centered(self):
-        prof = Profile2D(grid=np.ones((3, 5)), pitch_x=2.0, pitch_y=1.0)
-        assert list(prof.axis_x()) == [-4.0, -2.0, 0.0, 2.0, 4.0]
-        assert list(prof.axis_y()) == [-1.0, 0.0, 1.0]
