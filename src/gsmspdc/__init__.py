@@ -8,7 +8,7 @@ Library layout:
     profiles      far-field ring profiles and conditional momentum scans
     quadrature    the order-doubling gate both quadrature rules share
     counting      synthetic photon-counting frames and the covariance estimator
-    analysis      visibility / Gaussian / Bessel-law fits
+    analysis      visibility and Gaussian fits, scan widths
     cli           batch experiment harness (CSV + 16-bit PGM outputs)
 
 Importing the package loads NumPy's BLAS on one thread, unless NumPy is
@@ -30,13 +30,13 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .analysis import (GaussianFit, VisibilityFit, fit_bessel_visibility,
-                       fit_gaussian, fit_visibility, scan_fwhm)
+from .analysis import (GaussianFit, VisibilityFit, fit_gaussian, fit_visibility,
+                       scan_fwhm)
 from .counting import (FrameStack, conditional_map, load_frames, save_frames,
                        synth_frames)
 from .errors import ConfigError, ConvergenceError, FitError
-from .interference import (SlitGeometry, fringe_profile, fringe_profiles,
-                           slit_plane_coherence, slit_transmission, visibility_curve)
+from .interference import (SlitGeometry, fringe_profiles, slit_plane_coherence,
+                           slit_transmission, visibility_curve)
 from .profiles import (conditional_scan, momentum_to_position, overlap_point,
                        position_to_momentum, ring_radial_profile, ring_radius,
                        singles_profile)

@@ -1,9 +1,8 @@
 """Curve fitting and figure-of-merit extraction.
 
 All fits use deterministic moment-based initialization (no random restarts)
-so repeated runs give identical results.  The nonlinear fits share one
-Levenberg-Marquardt solver with analytic Jacobians; the Bessel-law inversion
-is a grid search refined by golden-section search.
+so repeated runs give identical results.  Both nonlinear fits share one
+Levenberg-Marquardt solver with analytic Jacobians.
 """
 
 from dataclasses import dataclass
@@ -11,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError
-from .pump import bessel_visibility
 from .records import Scan1D
 
 __all__ = [
@@ -19,7 +17,6 @@ __all__ = [
     "VisibilityFit",
     "fit_gaussian",
     "fit_visibility",
-    "fit_bessel_visibility",
     "scan_fwhm",
 ]
 
@@ -171,27 +168,7 @@ def fit_gaussian(scan: Scan1D, weights=None, max_iter=200) -> GaussianFit:
                        offset=float(c), residual_rms=rms)
 
 
-def _period_search(xs, ys, p_min, p_max, n_grid=200):
-    """Deterministic fringe-period search.
-
-    For each trial period, fit the linearized model
-    q0(x) + qc(x) cos + qs(x) sin with quadratic q's and keep the period with
-    the smallest residual.  Returns the three best candidates.
-    """
-    n = xs.size
-    base = np.stack([np.ones(n), xs, xs * xs], axis=1)
-    best = []
-    for period in np.geomspace(p_min, p_max, n_grid):
-        arg = 2.0 * np.pi * xs / period
-        cols = np.hstack([base, base * np.cos(arg)[:, None], base * np.sin(arg)[:, None]])
-        coef, *_ = np.linalg.lstsq(cols, ys, rcond=None)
-        r = ys - cols @ coef
-        best.append((float(r @ r), period))
-    best.sort()
-    return [p for _, p in best[:3]]
-
-
-def fit_visibility(scan: Scan1D, period_hint=None, window=None) -> VisibilityFit:
+def fit_visibility(scan: Scan1D, period_hint: float, window=None) -> VisibilityFit:
     """Fit I(x) = E(x) [1 + V cos(2 pi x / P + phi)] and return V in [0, 1].
 
     E(x) = exp(e0 + e1 x + e2 x^2) is a slowly varying non-negative envelope.
@@ -199,11 +176,8 @@ def fit_visibility(scan: Scan1D, period_hint=None, window=None) -> VisibilityFit
 
     Parameters
     ----------
-    period_hint : float, optional
-        Expected fringe period.  Without it the period is found by a
-        deterministic residual grid search, which can lock onto envelope
-        structure when the fringes are very weak; callers that know the
-        geometry should pass the hint.
+    period_hint : float
+        Expected fringe period, the fit's starting value.
     window : float, optional
         Restrict the fit to |x - x_center| <= window.
 
@@ -229,15 +203,11 @@ def fit_visibility(scan: Scan1D, period_hint=None, window=None) -> VisibilityFit
     x_mid = 0.5 * (xs[0] + xs[-1])
     x_half = 0.5 * (xs[-1] - xs[0])
     u = (xs - x_mid) / x_half
-    du = u[1] - u[0]
 
     # constant scan: no fringe content at all
     if ys.max() - ys.min() < 1e-12:
         return VisibilityFit(visibility=0.0, fringe_period=xs[-1] - xs[0],
                              phase=0.0, residual_rms=0.0)
-
-    candidates = ([period_hint / x_half] if period_hint is not None
-                  else _period_search(u, ys, 4.0 * du, 2.0 / 3.0))
 
     def residuals(theta):
         e0, e1, e2, v, period, phi = theta
@@ -251,14 +221,9 @@ def fit_visibility(scan: Scan1D, period_hint=None, window=None) -> VisibilityFit
         return model - ys, jac
 
     max_nfev = 20000
-    best = None
-    for p0 in candidates:
-        theta0 = [np.log(max(ys.mean(), 1e-12)), 0.0, 0.0, 0.5, p0, 0.0]
-        theta, r, converged = _levenberg_marquardt(residuals, theta0, max_nfev)
-        rss = float(r @ r)
-        if best is None or rss < best[0]:
-            best = (rss, theta, r, converged)
-    _, theta, r, converged = best
+    theta0 = [np.log(max(ys.mean(), 1e-12)), 0.0, 0.0, 0.5,
+              period_hint / x_half, 0.0]
+    theta, r, converged = _levenberg_marquardt(residuals, theta0, max_nfev)
     if not converged:
         raise FitError(f"visibility fit did not converge in {max_nfev} evaluations")
     rms = float(np.sqrt(np.mean(r * r)))
@@ -270,51 +235,6 @@ def fit_visibility(scan: Scan1D, period_hint=None, window=None) -> VisibilityFit
     return VisibilityFit(visibility=v, fringe_period=period,
                          phase=float(np.mod(phase + np.pi, 2 * np.pi) - np.pi),
                          residual_rms=rms)
-
-
-def fit_bessel_visibility(points, f: float, lambda_p: float,
-                          a_s_bounds=(1e-7, 1.0)) -> float:
-    """Estimate the diffuser spot radius a_s from (d12, visibility) pairs.
-
-    One-parameter least-squares inversion of the Bessel visibility law: the
-    best of a 400-point geometric grid, refined by golden-section search
-    between its two neighbours, so the estimate stays within a_s_bounds.
-    Needs at least 3 points with distinct separations.
-    """
-    pts = [(float(d), float(v)) for d, v in points]
-    if len(pts) < 3:
-        raise FitError("need at least 3 (d12, visibility) points")
-    d12 = np.array([p[0] for p in pts])
-    vis = np.array([p[1] for p in pts])
-    if np.unique(d12).size < 3:
-        raise FitError("d12 values must be distinct")
-    k_p = 2.0 * np.pi / lambda_p
-
-    def cost(a_s):
-        return float(np.sum((bessel_visibility(k_p * d12 * a_s / f) - vis) ** 2))
-
-    # deterministic coarse grid, then local refinement
-    grid = np.geomspace(a_s_bounds[0], a_s_bounds[1], 400)
-    i = int(np.argmin([cost(a) for a in grid]))
-    return _golden_section(cost, grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)])
-
-
-def _golden_section(cost, lo, hi):
-    """Minimizer of cost on [lo, hi] (0 < lo <= hi) by golden-section search,
-    to 1e-12 of hi."""
-    shrink = (np.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
-    f1, f2 = cost(x1), cost(x2)
-    while hi - lo > 1e-12 * hi:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - shrink * (hi - lo)
-            f1 = cost(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + shrink * (hi - lo)
-            f2 = cost(x2)
-    return float(x1 if f1 <= f2 else x2)
 
 
 def scan_fwhm(scan: Scan1D) -> float:

@@ -124,12 +124,17 @@ def _int_within(res: Resolver, section: str, key: str, default: int,
     return value
 
 
+def _detector_samples(res: Resolver) -> int:
+    """[grid] detector_samples of the fringe and conditional scans."""
+    return _int_within(res, "grid", "detector_samples", 1001, 2,
+                       MAX_DETECTOR_SAMPLES)
+
+
 def run_fringes(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     a, d_values, z, z1 = _slits_values(res)
-    samples = _int_within(res, "grid", "detector_samples", 1001, 2,
-                          MAX_DETECTOR_SAMPLES)
+    samples = _detector_samples(res)
     d = d_values[0]
     slits = interference.SlitGeometry(a=a, d=d, z=z, z1=z1)
     scans = interference.fringe_profiles(pumps, crystal, slits, samples=samples)
@@ -146,8 +151,7 @@ def run_visibility_curve(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     a, d_values, z, z1 = _slits_values(res)
-    samples = _int_within(res, "grid", "detector_samples", 1001, 2,
-                          MAX_DETECTOR_SAMPLES)
+    samples = _detector_samples(res)
     rows = interference.visibility_curve(pumps, d_values, a=a, z=z, z1=z1,
                                          crystal=crystal, samples=samples)
     columns = ["A", "d_m", "visibility", "fringe_period_m", "aperture_order",
@@ -182,8 +186,7 @@ def run_profile(res: Resolver, out: Path):
 def run_conditional(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
-    samples = _int_within(res, "grid", "detector_samples", 801, 2,
-                          MAX_DETECTOR_SAMPLES)
+    samples = _detector_samples(res)
     rows = []
     for pump in pumps:
         q_s = profiles.overlap_point(crystal, pump.k_p)
@@ -241,7 +244,6 @@ def run_frames_synth(res: Resolver, out: Path):
 
 
 def run_coincidence(res: Resolver, out: Path):
-    params = _counting_params(res)
     frames_file = res.get("counting", "frames_file", str(out / "frames.bin"),
                           cast=str)
     # left out, signal_px resolves to -1: the brightest column

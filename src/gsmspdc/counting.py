@@ -152,8 +152,7 @@ class _Words(ISeedSequence):
 
 
 def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
-                 seed: int, pixel_pitch: float = 16e-6,
-                 exposure: float = 20e-3) -> FrameStack:
+                 seed: int, pixel_pitch: float = 16e-6) -> FrameStack:
     """Draw a photon-counting frame stack from a joint pixel distribution.
 
     Each frame receives a Poisson number of photon pairs (mean
@@ -217,8 +216,7 @@ def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
                 f"frame {k0 + f} holds {peaks[f]} counts in one pixel, more "
                 f"than the u16 format's {U16_MAX}")
         frames[k0:k1] = counts
-    return FrameStack(frames=frames, pixel_pitch=pixel_pitch,
-                      exposure=exposure, seed=seed)
+    return FrameStack(frames=frames, pixel_pitch=pixel_pitch, seed=seed)
 
 
 def _jackknife_covariance(x: np.ndarray, y: np.ndarray):

@@ -48,14 +48,12 @@ __all__ = [
     "SlitGeometry",
     "slit_transmission",
     "slit_plane_coherence",
-    "fringe_profile",
     "fringe_profiles",
     "visibility_curve",
 ]
 
 DEFAULT_SAMPLES = 1001
 DEFAULT_SPAN_PERIODS = 8.0  # detector span in naive fringe periods lambda_s z1 / d
-MIN_SPAN_PERIODS = 6.0
 
 
 @dataclass(frozen=True)
@@ -146,8 +144,7 @@ def _unit_max_profiles(pumps, crystal, slits, xs, order):
 
 
 def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
-                    samples: int = DEFAULT_SAMPLES, span: float | None = None,
-                    order: int = INITIAL_ORDER,
+                    samples: int = DEFAULT_SAMPLES, order: int = INITIAL_ORDER,
                     check_convergence: bool = True) -> list[Scan1D]:
     """Normalized single-photon fringe profiles p1(x_s), one per pump.
 
@@ -155,8 +152,7 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
 
     Parameters
     ----------
-    samples, span : detector grid; the span must cover at least 6 naive fringe
-        periods lambda_s z1 / d (default 8).
+    samples : detector samples across 8 naive fringe periods lambda_s z1 / d.
     order : Gauss-Legendre points per slit to start from; the order-doubling
         gate raises it until every profile has converged, and meta records
         the accepted "order" and the pump's own "order_doubling_delta" there.
@@ -168,12 +164,7 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
                          "lambda_p")
     lambda_s = 2.0 * pumps[0].lambda_p
     period = slits.fringe_period(lambda_s)
-    if span is None:
-        span = DEFAULT_SPAN_PERIODS * period
-    if span < MIN_SPAN_PERIODS * period:
-        raise ValueError(
-            f"detector span {span:g} m covers fewer than {MIN_SPAN_PERIODS:g} "
-            f"fringe periods ({period:g} m)")
+    span = DEFAULT_SPAN_PERIODS * period
     xs = np.linspace(-span / 2.0, span / 2.0, samples)
 
     rows = {}  # order -> unit-max profiles, for each pump's own delta
@@ -199,15 +190,6 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
         }
         scans.append(Scan1D(xs=xs, values=p1, meta=meta))
     return scans
-
-
-def fringe_profile(pump: PumpParams, crystal: CrystalParams, slits: SlitGeometry,
-                   samples: int = DEFAULT_SAMPLES, span: float | None = None,
-                   order: int = INITIAL_ORDER,
-                   check_convergence: bool = True) -> Scan1D:
-    """Normalized fringe profile of one pump; see fringe_profiles."""
-    return fringe_profiles([pump], crystal, slits, samples=samples, span=span,
-                           order=order, check_convergence=check_convergence)[0]
 
 
 def visibility_curve(pumps, d_values, a: float, z: float, z1: float,

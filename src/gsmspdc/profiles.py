@@ -124,16 +124,16 @@ def _singles_montecarlo(qx, qy, pump, crystal, n_samples, seed,
 
 def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both",
                     extent: float | None = None, samples: int = 256,
-                    order: int = INITIAL_ORDER, q_offset: float | None = None,
-                    method: str = "quadrature", mc_samples: int = 4000,
-                    seed: int = 0, check_convergence: bool = True) -> Profile2D:
+                    order: int = INITIAL_ORDER, method: str = "quadrature",
+                    mc_samples: int = 4000, seed: int = 0,
+                    check_convergence: bool = True) -> Profile2D:
     """Far-field intensity map of the down-converted photons, unit maximum.
 
     which : "signal", "idler", or "both".  For type-II crystals the signal
-        and idler rings are displaced by +-q_offset along y (default: half
-        the ring radius, which makes them overlap at two points on the x
-        axis) and the idler walk-off applies only to the idler ring.  Type-I
-        has a single ring at the origin.
+        and idler rings are displaced by +-q_offset = half the ring radius
+        along y, which makes them overlap at two points on the x axis, and
+        the idler walk-off applies only to the idler ring.  Type-I has a
+        single ring at the origin.
     extent : full grid span in rad/m; must cover the ring (>= 2 k_s theta_nc).
     method : "quadrature" (tensor Gauss-Hermite, order^2 inner nodes) or
         "montecarlo" (mc_samples importance draws, deterministic seed).
@@ -151,8 +151,7 @@ def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both
     QX, QY = np.meshgrid(axis, axis, indexing="xy")
 
     if crystal.kind == "II":
-        if q_offset is None:
-            q_offset = 0.5 * radius
+        q_offset = 0.5 * radius
         rings = {"signal": ((0.0, +q_offset), False),
                  "idler": ((0.0, -q_offset), True)}
     else:
@@ -209,24 +208,22 @@ def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both
 
 
 def conditional_scan(pump: PumpParams, crystal: CrystalParams, q_s,
-                     q_iy: float | None = None, span_sigmas: float = 10.0,
                      samples: int = 801) -> Scan1D:
     """Conditional rate R(q_ix | q_s) along the idler x axis, unit area.
 
-    q_s is the fixed signal momentum (pick an overlap point for type-II);
-    q_iy defaults to the anti-correlated value -q_sy.  Raises
-    FloatingPointError if the scan does not resolve in floating point.
+    q_s is the fixed signal momentum (pick an overlap point for type-II); the
+    idler sits at the anti-correlated q_iy = -q_sy, and the scan spans
+    +-10 pair-sum widths around q_ix = -q_sx.  Raises FloatingPointError if
+    the scan does not resolve in floating point.
     """
     qsx, qsy = float(q_s[0]), float(q_s[1])
-    if q_iy is None:
-        q_iy = -qsy
+    q_iy = -qsy
     sigma = csd_coefficients(pump).sum_sigma
     center = -qsx
-    qix = np.linspace(center - span_sigmas * sigma, center + span_sigmas * sigma,
-                      samples)
+    qix = np.linspace(center - 10.0 * sigma, center + 10.0 * sigma, samples)
     if not np.all(np.diff(qix) > 0):  # nan, or a span below the float spacing
         raise FloatingPointError(
-            f"conditional scan of +-{span_sigmas:g} x {sigma:g} rad/m around "
+            f"conditional scan of +-10 x {sigma:g} rad/m around "
             f"q_ix = {center:g} rad/m does not resolve")
     rate = joint_momentum_rate((qsx, qsy), (qix, np.full_like(qix, q_iy)),
                                pump, crystal)

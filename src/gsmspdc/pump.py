@@ -90,6 +90,14 @@ def _require_positive(**kwargs):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _require_wavelength(lambda_p):
+    """A positive wavelength whose wave number 2 pi / lambda_p is finite."""
+    _require_positive(lambda_p=lambda_p)
+    if not np.isfinite(2.0 * np.pi / float(lambda_p)):
+        raise ValueError(f"lambda_p must give a finite wave number "
+                         f"2 pi / lambda_p, got {lambda_p!r}")
+
+
 @dataclass(frozen=True)
 class PumpParams:
     """Pump beam at the crystal plane.  All lengths in meters."""
@@ -99,7 +107,8 @@ class PumpParams:
     l_c: float          # transverse correlation length
 
     def __post_init__(self):
-        _require_positive(lambda_p=self.lambda_p, w0=self.w0, l_c=self.l_c)
+        _require_wavelength(self.lambda_p)
+        _require_positive(w0=self.w0, l_c=self.l_c)
 
     @property
     def k_p(self) -> float:
@@ -108,7 +117,8 @@ class PumpParams:
     @classmethod
     def from_coherence(cls, lambda_p: float, w0: float, A: float) -> "PumpParams":
         """Build pump parameters from a target degree of coherence A in (0, 1]."""
-        _require_positive(lambda_p=lambda_p, w0=w0, A=A)
+        _require_wavelength(lambda_p)
+        _require_positive(w0=w0, A=A)
         if A > 1.0:
             raise ValueError(f"A must be <= 1, got {A}")
         l_c = correlation_length_for(A, w0)
@@ -197,24 +207,22 @@ class CharacterizationSetup:
     """Geometry of the pump-coherence measurement.
 
     a_s: beam radius at the diffuser surface (m); f: collimating lens focal
-    length (m); d12: separation of the two probed points (m); demag:
-    downstream demagnification onto the crystal (dimensionless).
+    length (m); d12: separation of the two probed points (m).
     """
 
     a_s: float
     f: float
     d12: float
-    demag: float = 8.0
 
     def __post_init__(self):
-        _require_positive(a_s=self.a_s, f=self.f, demag=self.demag)
+        _require_positive(a_s=self.a_s, f=self.f)
         if self.d12 < 0:
             raise ValueError("d12 must be >= 0")
 
 
 def pump_visibility(setup: CharacterizationSetup, lambda_p: float) -> float:
     """Double-slit visibility of the characterized pump at separation d12."""
-    _require_positive(lambda_p=lambda_p)
+    _require_wavelength(lambda_p)
     k_p = 2.0 * np.pi / lambda_p
     nu = k_p * setup.d12 * setup.a_s / setup.f
     return float(bessel_visibility(nu))
@@ -222,7 +230,8 @@ def pump_visibility(setup: CharacterizationSetup, lambda_p: float) -> float:
 
 def correlation_length(a_s: float, f: float, lambda_p: float) -> float:
     """Transverse correlation length l_c = 3.832 f / (k a_s) of the output beam."""
-    _require_positive(a_s=a_s, f=f, lambda_p=lambda_p)
+    _require_positive(a_s=a_s, f=f)
+    _require_wavelength(lambda_p)
     k_p = 2.0 * np.pi / lambda_p
     return J1_FIRST_ZERO * f / (k_p * a_s)
 
@@ -235,6 +244,6 @@ def propagate_to_crystal(l_c_at_lens: float, w_at_lens: float, demag: float,
     coherence A is invariant.
     """
     # demag first: a caller's w_at_lens may be derived from it
-    _require_positive(demag=demag, l_c_at_lens=l_c_at_lens,
-                      w_at_lens=w_at_lens, lambda_p=lambda_p)
+    _require_positive(demag=demag, l_c_at_lens=l_c_at_lens, w_at_lens=w_at_lens)
+    _require_wavelength(lambda_p)
     return PumpParams(lambda_p=lambda_p, w0=w_at_lens / demag, l_c=l_c_at_lens / demag)

@@ -10,7 +10,7 @@ import pytest
 from gsmspdc.analysis import fit_gaussian, fit_visibility, scan_fwhm
 from gsmspdc.cli import EXIT_OK, main
 from gsmspdc.counting import FrameStack, conditional_map, synth_frames
-from gsmspdc.interference import (SlitGeometry, fringe_profile,
+from gsmspdc.interference import (SlitGeometry, fringe_profiles,
                                   visibility_curve)
 from gsmspdc.profiles import (conditional_scan, overlap_point,
                               ring_radial_profile, ring_radius,
@@ -71,7 +71,7 @@ def test_criterion_2_bessel_visibility_oracle():
 
 def test_criterion_3_coherent_limit_fringe_oracle():
     pump = pump_for(0.9995)
-    scan = fringe_profile(pump, FRINGE_CRYSTAL, SLITS_DEFAULT)
+    scan = fringe_profiles([pump], FRINGE_CRYSTAL, SLITS_DEFAULT)[0]
     v_sim = fitted_visibility(scan, SLITS_DEFAULT)
     u = scan.xs / (LAMBDA_S * SLITS_DEFAULT.z1)
     oracle = (np.sinc(SLITS_DEFAULT.a * u) ** 2
@@ -230,16 +230,17 @@ class TestCriterion7CoincidenceCalibration:
 
 class TestCriterion8NumericalHygiene:
     def test_fringe_mirror_symmetry(self):
-        scan = fringe_profile(pump_for(0.6), FRINGE_CRYSTAL, SLITS_DEFAULT)
+        [scan] = fringe_profiles([pump_for(0.6)], FRINGE_CRYSTAL, SLITS_DEFAULT)
         worst = float(np.max(np.abs(scan.values - scan.values[::-1])))
         assert worst < 1e-6
         report("8a", f"fringe mirror asymmetry {worst:.1e} (< 1e-6)")
 
     def test_quadrature_order_doubling(self):
-        base = fringe_profile(pump_for(0.6), FRINGE_CRYSTAL, SLITS_DEFAULT,
-                              order=24, check_convergence=False)
-        double = fringe_profile(pump_for(0.6), FRINGE_CRYSTAL, SLITS_DEFAULT,
-                                order=48, check_convergence=False)
+        pump = pump_for(0.6)
+        base = fringe_profiles([pump], FRINGE_CRYSTAL, SLITS_DEFAULT,
+                               order=24, check_convergence=False)[0]
+        double = fringe_profiles([pump], FRINGE_CRYSTAL, SLITS_DEFAULT,
+                                 order=48, check_convergence=False)[0]
         worst_fringe = float(np.max(np.abs(base.values - double.values)))
         crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA)
         prof = singles_profile(pump_for(0.5, w0=1e-4), crystal, which="signal",

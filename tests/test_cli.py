@@ -88,6 +88,15 @@ class TestRunFringes:
         assert "fringes.csv" in manifest["outputs"]
         assert len(manifest["outputs"]["fringes.csv"]) == 64  # sha256 hex
 
+    def test_detector_samples_default_is_shared(self, tmp_path):
+        path = tmp_path / "default.ini"
+        path.write_text(BASE_CONFIG.replace("detector_samples = 601\n", ""))
+        for experiment in ("fringes", "conditional"):
+            out = tmp_path / experiment
+            assert run(experiment, path, out) == EXIT_OK
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert manifest["parameters"]["grid.detector_samples"] == 1001
+
     def test_sidecar_records_aperture_rule(self, config_file, tmp_path):
         out = tmp_path / "out"
         assert run("fringes", config_file, out) == EXIT_OK
@@ -163,6 +172,17 @@ class TestCountingPipeline:
         assert record["skipped"]
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert "coincidence_fit.json" in manifest["outputs"]
+
+    def test_coincidence_ignores_synthesis_keys(self, config_file, tmp_path):
+        out = tmp_path / "out"
+        assert run("frames-synth", config_file, out) == EXIT_OK
+        path = tmp_path / "one.ini"
+        path.write_text(BASE_CONFIG.replace("n_frames = 300", "n_frames = 1"))
+        assert run("coincidence", path, out) == EXIT_OK
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert {name for name in manifest["parameters"]
+                if name.startswith("counting.")} == {"counting.frames_file",
+                                                     "counting.signal_px"}
 
     def test_seed_flag_overrides_config(self, config_file, tmp_path):
         out = tmp_path / "out"
@@ -287,6 +307,11 @@ def _signal_px_beyond_stack(tmp_path):
 def _signal_px_negative(tmp_path):
     return _frames_file(_stack_bytes(tmp_path, 5))(tmp_path) + "signal_px = -7\n"
 
+
+# the experiments that read [pump] lambda_p
+LAMBDA_P_EXPERIMENTS = ("pump-visibility", "pump-invariance", "fringes",
+                        "visibility-curve", "profile", "conditional",
+                        "frames-synth")
 
 # case: (experiment, config text from tmp_path, extra argv, exit code)
 MALFORMED = {
@@ -427,6 +452,11 @@ MALFORMED = {
     "n-px-above-bound": ("frames-synth",
                          _edited("n_px = 24", f"n_px = {MAX_N_PX + 1}"),
                          [], EXIT_CONFIG),
+    # 2 pi / lambda_p overflows to inf
+    **{f"lambda-p-tiny-{experiment}": (
+        experiment, _edited("lambda_p = 405e-9", "lambda_p = 5e-324"),
+        [], EXIT_CONFIG)
+       for experiment in LAMBDA_P_EXPERIMENTS},
 }
 
 
@@ -448,6 +478,8 @@ MESSAGES = {
        for experiment in ("fringes", "visibility-curve", "conditional")},
     "n-frames-above-bound": f"[counting] n_frames must be <= {MAX_FRAMES}",
     "n-px-above-bound": f"[counting] n_px must be <= {MAX_N_PX}",
+    **{f"lambda-p-tiny-{experiment}": "[pump] lambda_p"
+       for experiment in LAMBDA_P_EXPERIMENTS},
 }
 
 
@@ -539,11 +571,11 @@ def test_config_fuzz_exit_contract(case):
 # finite values whose products overflow or vanish in the models
 @pytest.mark.parametrize("experiment, edits", [
     ("fringes", {("pump", "w0"): "1.3407807929942597e+154"}),
-    ("fringes", {("pump", "lambda_p"): "5e-324"}),
+    ("fringes", {("pump", "lambda_p"): "1e300"}),
     ("pump-invariance", {("pump", "a_s_values"): "5e-324",
                          ("pump", "lambda_p"): "13.0"}),
     ("pump-visibility", {("pump", "d12_max"): "1e308"}),
-    ("conditional", {("pump", "lambda_p"): "5e-324"}),
+    ("conditional", {("pump", "lambda_p"): "1e-300"}),
 ])
 def test_out_of_range_values_are_config_errors(experiment, edits, tmp_path,
                                                capsys):

@@ -262,8 +262,9 @@ class TestConditionalMap:
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        stack = synth_frames(gaussian_joint(24), 8.0, 5e-3, 120, seed=43,
-                             pixel_pitch=13e-6, exposure=0.01)
+        frames = synth_frames(gaussian_joint(24), 8.0, 5e-3, 120, seed=43).frames
+        stack = FrameStack(frames=frames, pixel_pitch=13e-6, exposure=0.01,
+                           seed=43)
         path = tmp_path / "frames.bin"
         save_frames(stack, path)
         loaded = load_frames(path)

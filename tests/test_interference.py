@@ -4,7 +4,7 @@ import pytest
 from gsmspdc.analysis import fit_visibility
 from gsmspdc import interference, quadrature
 from gsmspdc.errors import ConvergenceError
-from gsmspdc.interference import (SlitGeometry, fringe_profile, fringe_profiles,
+from gsmspdc.interference import (SlitGeometry, fringe_profiles,
                                   slit_plane_coherence, slit_transmission,
                                   visibility_curve)
 from gsmspdc.pump import PumpParams, coherence_from
@@ -58,16 +58,16 @@ class TestSlitTransmission:
 
 class TestFringeProfile:
     def test_mirror_symmetry(self):
-        scan = fringe_profile(pump_for(0.6), CRYSTAL, SLITS)
+        scan = fringe_profiles([pump_for(0.6)], CRYSTAL, SLITS)[0]
         assert np.max(np.abs(scan.values - scan.values[::-1])) < 1e-6
 
     def test_unit_maximum_and_bounds(self):
-        scan = fringe_profile(pump_for(0.4), CRYSTAL, SLITS)
+        scan = fringe_profiles([pump_for(0.4)], CRYSTAL, SLITS)[0]
         assert scan.values.max() == pytest.approx(1.0)
         assert np.all(scan.values >= 0.0)
 
     def test_coherent_limit_matches_closed_form_oracle(self):
-        scan = fringe_profile(pump_for(0.9995), CRYSTAL, SLITS)
+        scan = fringe_profiles([pump_for(0.9995)], CRYSTAL, SLITS)[0]
         v_sim = fitted_visibility(scan, SLITS)
         oracle = coherent_oracle_pattern(SLITS, scan.xs)
         v_oracle = fitted_visibility(
@@ -76,21 +76,16 @@ class TestFringeProfile:
         assert abs(v_sim - v_oracle) < 0.02
 
     def test_visibility_decreases_with_coherence_loss(self):
-        vis = [fitted_visibility(fringe_profile(pump_for(A), CRYSTAL, SLITS),
-                                 SLITS)
+        vis = [fitted_visibility(
+                   fringe_profiles([pump_for(A)], CRYSTAL, SLITS)[0], SLITS)
                for A in (0.9, 0.6, 0.3)]
         assert vis[0] > vis[1] > vis[2]
 
-    def test_span_precondition(self):
-        period = SLITS.fringe_period(LAMBDA_S)
-        with pytest.raises(ValueError):
-            fringe_profile(pump_for(0.6), CRYSTAL, SLITS, span=4 * period)
-
     def test_quadrature_convergence_under_order_doubling(self):
-        base = fringe_profile(pump_for(0.6), CRYSTAL, SLITS, order=24,
-                              check_convergence=False)
-        doubled = fringe_profile(pump_for(0.6), CRYSTAL, SLITS, order=48,
-                                 check_convergence=False)
+        base = fringe_profiles([pump_for(0.6)], CRYSTAL, SLITS, order=24,
+                               check_convergence=False)[0]
+        doubled = fringe_profiles([pump_for(0.6)], CRYSTAL, SLITS, order=48,
+                                  check_convergence=False)[0]
         assert np.max(np.abs(base.values - doubled.values)) < 1e-4
 
     def test_non_convergence_reported(self, monkeypatch):
@@ -99,29 +94,30 @@ class TestFringeProfile:
         monkeypatch.setattr(quadrature, "MAX_ORDER", 4)
         match = "aperture quadrature not converged by order 4"
         with pytest.raises(ConvergenceError, match=match):
-            fringe_profile(pump_for(0.6), CRYSTAL, SLITS)
+            fringe_profiles([pump_for(0.6)], CRYSTAL, SLITS)
         with pytest.raises(ConvergenceError, match=match):
             visibility_curve([pump_for(0.6)], [SLITS.d], a=SLITS.a, z=SLITS.z,
                              z1=SLITS.z1, crystal=CRYSTAL)
 
     def test_meta_records_parameters(self):
-        scan = fringe_profile(pump_for(0.5), CRYSTAL, SLITS)
+        scan = fringe_profiles([pump_for(0.5)], CRYSTAL, SLITS)[0]
         assert scan.meta["slit_d_m"] == SLITS.d
         assert scan.meta["A"] == pytest.approx(0.5, rel=1e-12)
 
     def test_order_doubling_gate_recorded(self):
-        scan = fringe_profile(pump_for(0.5), CRYSTAL, SLITS)
+        scan = fringe_profiles([pump_for(0.5)], CRYSTAL, SLITS)[0]
         assert scan.meta["rule"] == "gauss-legendre"
         assert scan.meta["order"] >= 4
         assert 0.0 <= scan.meta["order_doubling_delta"] <= 1e-4
-        fixed = fringe_profile(pump_for(0.5), CRYSTAL, SLITS,
-                               order=scan.meta["order"], check_convergence=False)
+        fixed = fringe_profiles([pump_for(0.5)], CRYSTAL, SLITS,
+                                order=scan.meta["order"],
+                                check_convergence=False)[0]
         assert np.array_equal(scan.values, fixed.values)
         assert fixed.meta["order_doubling_delta"] is None
 
     def test_start_order_below_need_climbs(self):
         # order 2 is too coarse for SLITS; the gate climbs instead of failing
-        scan = fringe_profile(pump_for(0.6), CRYSTAL, SLITS, order=2)
+        scan = fringe_profiles([pump_for(0.6)], CRYSTAL, SLITS, order=2)[0]
         assert scan.meta["order"] > 2
         assert scan.meta["order_doubling_delta"] <= 1e-4
 
@@ -155,7 +151,7 @@ class TestFringeProfiles:
             assert scan.meta["A"] == coherence_from(pump).A
 
     def test_single_pump_call_is_batch_of_one(self):
-        one = fringe_profile(self.PUMPS[1], CRYSTAL, SLITS)
+        one = fringe_profiles([self.PUMPS[1]], CRYSTAL, SLITS)[0]
         batch = fringe_profiles(self.PUMPS, CRYSTAL, SLITS)
         assert np.array_equal(one.values, batch[1].values)
         assert one.meta == batch[1].meta
@@ -164,7 +160,7 @@ class TestFringeProfiles:
         batch = fringe_profiles(self.PUMPS, CRYSTAL, SLITS)
         order = batch[0].meta["order"]
         for pump, scan in zip(self.PUMPS, batch):
-            alone = fringe_profile(pump, CRYSTAL, SLITS, order=order)
+            alone = fringe_profiles([pump], CRYSTAL, SLITS, order=order)[0]
             assert alone.meta["order"] == order
             assert (scan.meta["order_doubling_delta"]
                     == alone.meta["order_doubling_delta"])
@@ -182,10 +178,10 @@ class TestFringeProfiles:
         order = 12
         deltas = []
         for pump in self.PUMPS:
-            base = fringe_profile(pump, CRYSTAL, SLITS, order=order,
-                                  check_convergence=False)
-            doubled = fringe_profile(pump, CRYSTAL, SLITS, order=2 * order,
-                                     check_convergence=False)
+            base = fringe_profiles([pump], CRYSTAL, SLITS, order=order,
+                                   check_convergence=False)[0]
+            doubled = fringe_profiles([pump], CRYSTAL, SLITS, order=2 * order,
+                                      check_convergence=False)[0]
             deltas.append(np.max(np.abs(base.values - doubled.values)))
         worst = int(np.argmax(deltas))
         others = [p for k, p in enumerate(self.PUMPS) if k != worst]
@@ -215,7 +211,7 @@ class TestSlitPlaneCoherence:
     def test_fitted_visibility_tracks_coherence(self):
         # the fitted fringe visibility should sit close to |mu| at the slits
         pump = pump_for(0.6)
-        scan = fringe_profile(pump, CRYSTAL, SLITS)
+        scan = fringe_profiles([pump], CRYSTAL, SLITS)[0]
         v = fitted_visibility(scan, SLITS)
         mu = slit_plane_coherence(pump, CRYSTAL, SLITS.z, SLITS.d)
         assert v == pytest.approx(mu, abs=0.02)
