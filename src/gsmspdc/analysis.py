@@ -117,7 +117,8 @@ def fit_gaussian(scan: Scan1D, weights=None, max_iter=200) -> GaussianFit:
     """Nonlinear least-squares Gaussian fit y = A exp(-(x-mu)^2/(2 s^2)) + c.
 
     The scan must be single-peaked with at least 5 samples, and its peak must
-    not sit on the boundary.
+    not sit on the boundary.  A fitted sigma below half the sample pitch is
+    a spike the samples cannot resolve, not a peak, and is rejected.
 
     Parameters
     ----------
@@ -127,8 +128,9 @@ def fit_gaussian(scan: Scan1D, weights=None, max_iter=200) -> GaussianFit:
     Raises
     ------
     FitError
-        If the data is degenerate (flat, too short, boundary peak) or the
-        optimizer fails to converge.
+        If the data is degenerate (flat, too short, boundary peak), the
+        optimizer fails to converge or the fitted peak is narrower than half
+        the sample pitch.
     """
     xs, ys = scan.xs, scan.values
     if xs.size < 5:
@@ -163,6 +165,10 @@ def fit_gaussian(scan: Scan1D, weights=None, max_iter=200) -> GaussianFit:
     if not converged:
         raise FitError(f"Gaussian fit did not converge in {max_nfev} evaluations")
     a, mu, s, c = theta
+    pitch = (xs[-1] - xs[0]) / (xs.size - 1)
+    if abs(s) < 0.5 * abs(pitch):
+        raise FitError(f"fitted sigma {abs(s):.3g} is below half the sample "
+                       f"pitch {abs(pitch):.3g}")
     rms = float(np.sqrt(np.mean((r / np.where(wts == 0, 1, wts)) ** 2)))
     return GaussianFit(amplitude=float(a), mean=float(mu), sigma=float(abs(s)),
                        offset=float(c), residual_rms=rms)

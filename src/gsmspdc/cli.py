@@ -41,6 +41,9 @@ MAX_GRID_SAMPLES = 2048        # profile side; a samples^2 float grid is 34 MB
 MAX_DETECTOR_SAMPLES = 10_000  # 4 KB of slit phases each at order 128: 41 MB
 MAX_FRAMES = 100_000           # five full-scale stacks, 4 n_px bytes a frame
 MAX_N_PX = 512                 # a 512 x 512 EMCCD's line; the joint is n_px^2
+# mean pairs a frame: 8 MB of position draws a frame, and 15 times the
+# counts one u16 pixel holds
+MAX_PAIRS_PER_FRAME = 1_000_000
 
 
 def _slits_values(res: Resolver):
@@ -201,9 +204,13 @@ def run_conditional(res: Resolver, out: Path):
 
 def _counting_params(res: Resolver):
     res.require_section("counting")
+    pairs_per_frame = res.get("counting", "pairs_per_frame", 20.0)
+    if pairs_per_frame > MAX_PAIRS_PER_FRAME:
+        raise ConfigError(f"[counting] pairs_per_frame must be <= "
+                          f"{MAX_PAIRS_PER_FRAME}, got {pairs_per_frame!r}")
     return {
         "n_frames": _int_within(res, "counting", "n_frames", 2000, 2, MAX_FRAMES),
-        "pairs_per_frame": res.get("counting", "pairs_per_frame", 20.0),
+        "pairs_per_frame": pairs_per_frame,
         "noise": res.get("counting", "noise", 1e-3),
         "seed": res.get("counting", "seed", 12345, cast=_integer),
         "n_px": _int_within(res, "counting", "n_px", 48, 2, MAX_N_PX),
@@ -268,12 +275,14 @@ def run_coincidence(res: Resolver, out: Path):
               [(int(j), c, e) for j, c, e in
                zip(scan.xs, scan.values, scan.meta["stderr"])])
     try:
+        if not np.any(scan.values > 0):  # no coincidence excess to fit
+            raise FitError("no covariance in the scan is positive")
         fit = analysis.fit_gaussian(scan)
         record = {"signal_px": signal_px, "amplitude": fit.amplitude,
                   "mean_px": fit.mean, "sigma_px": fit.sigma,
                   "fwhm_px": fit.fwhm, "offset": fit.offset,
                   "residual_rms": fit.residual_rms}
-    except FitError as exc:  # a featureless scan, e.g. a noise-only stack
+    except FitError as exc:  # a noise-only stack, or a featureless scan
         record = {"signal_px": signal_px, "skipped": str(exc)}
     summary = out / "coincidence_fit.json"
     write_json(summary, record)

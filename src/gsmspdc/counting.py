@@ -14,7 +14,9 @@ conditional distribution shape.
 
 Synthetic frames have shape (2, n_px): row 0 collects the signal photon of
 each pair, row 1 the idler photon.  The joint distribution is a 2-D matrix
-P[i, j] = P(signal at column i, idler at column j).
+P[i, j] = P(signal at column i, idler at column j).  A stack is drawn from
+three NumPy streams spawned from its seed (pair counts, pair positions, dark
+counts), so it depends on the seed alone.
 
 Serialized stack layout (all little-endian), documented for external readers:
 
@@ -34,8 +36,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import PCG64, Generator
-from numpy.random.bit_generator import ISeedSequence
 
 from .records import Scan1D
 
@@ -52,18 +52,9 @@ _HEADER = struct.Struct("<III Q d d")
 U16_MAX = np.iinfo(np.uint16).max
 # Doubles a block of frames may draw, a frame counting its mean pairs plus
 # its 2 n_px pixels: a block's draws stay near 256 KB at any rate, and from
-# 2**15 pairs per frame a block is one frame.
+# 2**15 pairs per frame a block is one frame.  A memory bound only: the
+# stack does not depend on it.
 BLOCK_DOUBLES = 2**15
-
-# numpy.random.SeedSequence's constants (pool of 4 uint32 words)
-_POOL_SIZE = 4
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_MASK32 = 0xFFFFFFFF
 
 
 @dataclass
@@ -92,65 +83,6 @@ class FrameStack:
         return self.frames.shape[1:]
 
 
-def _hashmix(value, const, mult=_MULT_A):
-    """SeedSequence's hashmix; returns the hash and the next hash constant.
-
-    value is a Python int or a uint32 array below 2**32, const a Python int.
-    """
-    const_next = const * mult & _MASK32
-    value = (value ^ const) * const_next & _MASK32
-    return value ^ (value >> 16), const_next
-
-
-def _mix(x, y):
-    value = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)
-    value &= _MASK32
-    return value ^ (value >> 16)
-
-
-def _spawned_states(seed: int, k0: int, k1: int) -> np.ndarray:
-    """Rows SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64).
-
-    One row for each k0 <= k < k1, by NumPy's SeedSequence algorithm: the
-    seed's words, zero-padded to the pool size as for any spawned child,
-    fill and mix the pool (Python ints, the same for every k); then the
-    spawn key k is mixed into every pool word and the eight output words are
-    drawn (uint32 arrays).  Needs 0 <= seed < 2**64 and k1 <= 2**32.
-    """
-    words = [seed >> shift & _MASK32
-             for shift in range(0, max(seed.bit_length(), 1), 32)]
-    const = _INIT_A
-    pool = []
-    for word in words + [0] * (_POOL_SIZE - len(words)):
-        hashed, const = _hashmix(word, const)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], hashed)
-    k = np.arange(k0, k1, dtype=np.uint32)
-    for dst in range(_POOL_SIZE):
-        hashed, const = _hashmix(k, const)
-        pool[dst] = _mix(pool[dst], hashed)
-    const = _INIT_B
-    state = np.empty((k1 - k0, 2 * _POOL_SIZE), dtype=np.uint32)
-    for i in range(2 * _POOL_SIZE):
-        state[:, i], const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
-    # pairs of words are little-endian uint64s, as in generate_state
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-class _Words(ISeedSequence):
-    """Precomputed state words for PCG64, which asks for 4 uint64s."""
-
-    def __init__(self, words):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
 def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
                  seed: int, pixel_pitch: float = 16e-6) -> FrameStack:
     """Draw a photon-counting frame stack from a joint pixel distribution.
@@ -158,12 +90,14 @@ def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
     Each frame receives a Poisson number of photon pairs (mean
     pairs_per_frame); each pair lands at (row 0, i) and (row 1, j) with
     probability P[i, j].  Dark counts are independent Bernoulli(noise) per
-    pixel per frame.  Frame k draws from the k-th child of
-    SeedSequence(seed).spawn(n_frames), so the result does not depend on
-    evaluation order; the children's PCG64 states are seeded in one
-    vectorized pass per block of frames, and each block is binned at once.
-    The seed must fit the format's u64.  Raises ValueError if a pixel's
-    count would not fit the u16 format.
+    pixel per frame.  np.random.default_rng(seed).spawn(3) gives three
+    streams: every frame's pair count is drawn from the first in one call,
+    the pair positions from the second and the dark-count uniforms from the
+    third.  Each stream is read in frame order, and NumPy's draws do not
+    depend on how a stream's reads are split, so the stack depends on the
+    seed alone; the frames are binned a block at a time.  The seed must fit
+    the format's u64.  Raises ValueError if a pixel's count would not fit
+    the u16 format.
     """
     P = np.asarray(joint, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -182,33 +116,23 @@ def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
     cdf = (P / total).ravel().cumsum()
     cdf /= cdf[-1]
     n_px = P.shape[0]
-    n_dark = 2 * n_px if noise > 0 else 0
+    count_rng, pair_rng, dark_rng = np.random.default_rng(seed).spawn(3)
+    n_pairs = count_rng.poisson(pairs_per_frame, n_frames)
     block = max(1, int(BLOCK_DOUBLES // (pairs_per_frame + 2 * n_px)))
 
     frames = np.empty((n_frames, 2, n_px), dtype=np.uint16)
     for k0 in range(0, n_frames, block):
         k1 = min(k0 + block, n_frames)
-        n_pairs = np.zeros(k1 - k0, dtype=np.intp)
-        pairs = []
-        dark = np.empty((k1 - k0, n_dark))
-        for f, words in enumerate(_spawned_states(seed, k0, k1)):
-            rng = Generator(PCG64(_Words(words)))
-            n = rng.poisson(pairs_per_frame) if pairs_per_frame > 0 else 0
-            # one draw: the pair positions, then the dark-count uniforms
-            draw = rng.random(n + n_dark)
-            n_pairs[f] = n
-            pairs.append(draw[:n])
-            dark[f] = draw[n:]
         # bin every pair of the block keyed by frame * n_px + column
-        base = np.repeat(np.arange(k1 - k0) * n_px, n_pairs)
-        i, j = np.divmod(cdf.searchsorted(np.concatenate(pairs), side="right"),
-                         n_px)
+        base = np.repeat(np.arange(k1 - k0) * n_px, n_pairs[k0:k1])
+        i, j = np.divmod(cdf.searchsorted(pair_rng.random(base.size),
+                                          side="right"), n_px)
         size = (k1 - k0) * n_px
         counts = np.empty((k1 - k0, 2, n_px), dtype=np.intp)
         counts[:, 0] = np.bincount(base + i, minlength=size).reshape(-1, n_px)
         counts[:, 1] = np.bincount(base + j, minlength=size).reshape(-1, n_px)
-        if n_dark:
-            counts += (dark < noise).reshape(k1 - k0, 2, n_px)
+        if noise > 0:
+            counts += dark_rng.random((k1 - k0, 2, n_px)) < noise
         if counts.max() > U16_MAX:
             peaks = counts.reshape(k1 - k0, -1).max(axis=1)
             f = int(np.argmax(peaks > U16_MAX))

@@ -82,6 +82,16 @@ class TestFitGaussian:
         with pytest.raises(FitError):
             fit_gaussian(Scan1D(xs=np.arange(4.0), values=np.array([0, 1, 2, 1.0])))
 
+    def test_spike_narrower_than_half_pitch_raises(self):
+        # one raised sample fits a sigma of about 0.12 pitches
+        xs = np.arange(20.0)
+        with pytest.raises(FitError, match="half the sample pitch"):
+            fit_gaussian(Scan1D(xs=xs, values=np.where(xs == 9.0, 1.0, 0.0)))
+        # a peak the samples resolve still fits
+        values = np.exp(-((xs - 9.0) ** 2) / (2 * 0.75**2))
+        fit = fit_gaussian(Scan1D(xs=xs, values=values))
+        assert fit.sigma == pytest.approx(0.75, abs=1e-6)
+
     def test_translation_equivariance(self):
         xs = np.linspace(-5, 5, 150)
         values = 2.0 * np.exp(-xs**2 / (2 * 1.3**2)) + 0.1

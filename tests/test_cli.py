@@ -19,10 +19,11 @@ import gsmspdc
 from gsmspdc import quadrature
 from gsmspdc.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_IO, EXIT_OK,
                          EXPERIMENTS, MAX_D12_SAMPLES, MAX_DETECTOR_SAMPLES,
-                         MAX_FRAMES, MAX_GRID_SAMPLES, MAX_N_PX, OUTPUT_DIR_ENV,
-                         _integer, main)
+                         MAX_FRAMES, MAX_GRID_SAMPLES, MAX_N_PX,
+                         MAX_PAIRS_PER_FRAME, OUTPUT_DIR_ENV, _integer, main)
 from gsmspdc.config import KEYS, load_config
-from gsmspdc.counting import load_frames, save_frames, synth_frames
+from gsmspdc.counting import (FrameStack, load_frames, save_frames,
+                              synth_frames)
 from gsmspdc.iofmt import read_pgm16
 
 BASE_CONFIG = """
@@ -172,6 +173,28 @@ class TestCountingPipeline:
         assert record["skipped"]
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert "coincidence_fit.json" in manifest["outputs"]
+
+    def test_scan_without_positive_covariance_records_skipped_fit(self,
+                                                                   tmp_path):
+        # the signal pixel fires on odd frames; idler column j on 20 even
+        # frames and on m_j odd ones, so C_j = (m_j - 20) / (2 n) <= 0, with
+        # a Gaussian bump where m_j is largest
+        n, n_px = 400, 12
+        frames = np.zeros((n, 2, n_px), dtype=np.uint16)
+        frames[1::2, 0, 0] = 1
+        for j in range(n_px):
+            m = 18 - round(16 * (1 - np.exp(-(j - 6) ** 2 / 8)))
+            frames[0:40:2, 1, j] = 1
+            frames[1:2 * m:2, 1, j] = 1
+        path = tmp_path / "frames.bin"
+        save_frames(FrameStack(frames=frames), path)
+        config = tmp_path / "anti.ini"
+        config.write_text(f"{BASE_CONFIG}frames_file = {path}\nsignal_px = 0\n")
+        out = tmp_path / "out"
+        assert run("coincidence", config, out) == EXIT_OK
+        record = json.loads((out / "coincidence_fit.json").read_text())
+        assert record == {"signal_px": 0,
+                          "skipped": "no covariance in the scan is positive"}
 
     def test_coincidence_ignores_synthesis_keys(self, config_file, tmp_path):
         out = tmp_path / "out"
@@ -452,6 +475,13 @@ MALFORMED = {
     "n-px-above-bound": ("frames-synth",
                          _edited("n_px = 24", f"n_px = {MAX_N_PX + 1}"),
                          [], EXIT_CONFIG),
+    "pair-rate-above-bound": ("frames-synth",
+                              _edited("pairs_per_frame = 10", "pairs_per_frame = "
+                                      f"{MAX_PAIRS_PER_FRAME + 1}"),
+                              [], EXIT_CONFIG),
+    "pair-rate-huge": ("frames-synth", _edited("pairs_per_frame = 10",
+                                               "pairs_per_frame = 1e13"),
+                       [], EXIT_CONFIG),
     # 2 pi / lambda_p overflows to inf
     **{f"lambda-p-tiny-{experiment}": (
         experiment, _edited("lambda_p = 405e-9", "lambda_p = 5e-324"),
@@ -478,6 +508,9 @@ MESSAGES = {
        for experiment in ("fringes", "visibility-curve", "conditional")},
     "n-frames-above-bound": f"[counting] n_frames must be <= {MAX_FRAMES}",
     "n-px-above-bound": f"[counting] n_px must be <= {MAX_N_PX}",
+    "pair-rate-above-bound": "[counting] pairs_per_frame must be <= "
+                             f"{MAX_PAIRS_PER_FRAME}",
+    "pair-rate-huge": "[counting] pairs_per_frame",
     **{f"lambda-p-tiny-{experiment}": "[pump] lambda_p"
        for experiment in LAMBDA_P_EXPERIMENTS},
 }
@@ -517,6 +550,10 @@ FUZZ_KEYS = {
                    + [("crystal", k) for k in
                       ("l", "alpha", "theta_nc_deg", "rho_p", "rho_i")]
                    + [("grid", "detector_samples")],
+    # then coincidence on the stack it wrote; n_frames and n_px have bound rows
+    "frames-synth": [("pump", k) for k in ("lambda_p", "w0", "a_values", "l_c")]
+                    + [("counting", k) for k in
+                       ("pairs_per_frame", "noise", "seed", "f_collim")],
 }
 _NUMBER = st.one_of(
     st.floats().map(repr),
@@ -534,9 +571,10 @@ _FUZZ_CASE = st.sampled_from(sorted(FUZZ_KEYS)).flatmap(
 
 
 def _config_with(edits):
-    """BASE_CONFIG at 41 detector samples, with edits {(section, key): text}."""
-    lines = BASE_CONFIG.replace("detector_samples = 601",
-                                "detector_samples = 41").splitlines()
+    """BASE_CONFIG at 41 detector samples and 20 frames, with edits
+    {(section, key): text}."""
+    lines = (BASE_CONFIG.replace("detector_samples = 601", "detector_samples = 41")
+             .replace("n_frames = 300", "n_frames = 20").splitlines())
     for (section, key), text in edits.items():
         line = f"{key} = {text}"
         found = [i for i, l in enumerate(lines)
@@ -552,20 +590,27 @@ def _config_with(edits):
           suppress_health_check=[HealthCheck.too_slow])
 @given(_FUZZ_CASE)
 def test_config_fuzz_exit_contract(case):
-    """Any value of a float, integer or list key exits 0, 2 or 3 cleanly."""
+    """Any value of a float, integer or list key exits 0, 2 or 3 cleanly,
+    and so does coincidence on a stack frames-synth wrote."""
     experiment, edits = case
+    runs = [experiment] + (["coincidence"] if experiment == "frames-synth"
+                           else [])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.ini"
         path.write_text(_config_with(edits), encoding="utf-8")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
-            code = main(["run", experiment, "--config", str(path),
-                         "--out", str(Path(tmp) / "out")])
-    err = err.getvalue()
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CONVERGENCE), err
-    assert "Traceback" not in err
-    assert len(err.strip().splitlines()) == (0 if code == EXIT_OK else 1), err
+        for name in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["run", name, "--config", str(path),
+                             "--out", str(Path(tmp) / "out")])
+            err = err.getvalue()
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CONVERGENCE), err
+            assert "Traceback" not in err
+            assert len(err.strip().splitlines()) == (0 if code == EXIT_OK
+                                                     else 1), err
+            if code != EXIT_OK:
+                break
 
 
 # finite values whose products overflow or vanish in the models

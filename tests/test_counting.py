@@ -4,8 +4,8 @@ import pytest
 from gsmspdc import counting
 from gsmspdc.analysis import fit_gaussian
 from gsmspdc.counting import (BLOCK_DOUBLES, U16_MAX, FrameStack,
-                              _spawned_states, conditional_map, load_frames,
-                              save_frames, synth_frames)
+                              conditional_map, load_frames, save_frames,
+                              synth_frames)
 
 
 def gaussian_joint(n_px=48, center=(24, 24), sigma=4.0):
@@ -17,22 +17,21 @@ def gaussian_joint(n_px=48, center=(24, 24), sigma=4.0):
 
 
 def reference_synth(joint, pairs_per_frame, noise, n_frames, seed):
-    """Frame synthesis as a spawned stream list, Generator.choice and np.add.at."""
+    """Frame synthesis frame by frame, with Generator.choice and np.add.at."""
     P = np.asarray(joint, dtype=float)
     flat = (P / P.sum()).ravel()
     n_px = P.shape[0]
     frames = np.zeros((n_frames, 2, n_px), dtype=np.uint16)
-    streams = np.random.SeedSequence(seed).spawn(n_frames)
+    count_rng, pair_rng, dark_rng = np.random.default_rng(seed).spawn(3)
     for k in range(n_frames):
-        rng = np.random.default_rng(streams[k])
-        n_pairs = rng.poisson(pairs_per_frame) if pairs_per_frame > 0 else 0
+        n_pairs = count_rng.poisson(pairs_per_frame)
         if n_pairs:
-            idx = rng.choice(flat.size, size=n_pairs, p=flat)
+            idx = pair_rng.choice(flat.size, size=n_pairs, p=flat)
             i, j = np.unravel_index(idx, P.shape)
             np.add.at(frames[k], (np.zeros(n_pairs, dtype=np.intp), i), 1)
             np.add.at(frames[k], (np.ones(n_pairs, dtype=np.intp), j), 1)
         if noise > 0:
-            frames[k] += (rng.random((2, n_px)) < noise).astype(np.uint16)
+            frames[k] += (dark_rng.random((2, n_px)) < noise).astype(np.uint16)
     return frames
 
 
@@ -55,25 +54,16 @@ class TestSynthStream:
         (gaussian_joint(8), 40000.0, 0.01, 3, 2**64 - 1),
     ], ids=["gaussian-noise", "zero-entries", "no-pairs", "one-frame",
             "block-boundary", "one-frame-blocks"])
-    def test_frames_match_reference(self, joint, pairs, noise, n_frames, seed):
-        stack = synth_frames(joint, pairs, noise, n_frames, seed=seed)
+    def test_frames_match_reference(self, joint, pairs, noise, n_frames, seed,
+                                    monkeypatch):
         ref = reference_synth(joint, pairs, noise, n_frames, seed)
-        assert stack.frames.dtype == ref.dtype
-        assert np.array_equal(stack.frames, ref)
-
-
-class TestSpawnedStates:
-    """The vectorized seeding must give SeedSequence's child states."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 17,
-                                      2**64 - 1])
-    @pytest.mark.parametrize("k0, k1", [(0, 700), (2**32 - 3, 2**32)])
-    def test_rows_match_seed_sequence(self, seed, k0, k1):
-        states = _spawned_states(seed, k0, k1)
-        assert states.shape == (k1 - k0, 4) and states.dtype == np.uint64
-        for k, row in zip(range(k0, k1), states):
-            ref = np.random.SeedSequence(seed, spawn_key=(k,))
-            assert np.array_equal(row, ref.generate_state(4, np.uint64))
+        # at one double a block holds one frame: the block size bounds
+        # memory and is no part of the stream
+        for block_doubles in (BLOCK_DOUBLES, 1):
+            monkeypatch.setattr(counting, "BLOCK_DOUBLES", block_doubles)
+            stack = synth_frames(joint, pairs, noise, n_frames, seed=seed)
+            assert stack.frames.dtype == ref.dtype
+            assert np.array_equal(stack.frames, ref)
 
 
 class TestSynthFrames:
@@ -134,8 +124,7 @@ class TestSynthFrames:
         joint = np.zeros((2, 2))
         joint[0, 1] = 1.0
         rate, seed = 65450.0, 18
-        children = np.random.SeedSequence(seed).spawn(5)
-        peaks = [np.random.default_rng(c).poisson(rate) for c in children]
+        peaks = np.random.default_rng(seed).spawn(3)[0].poisson(rate, 5)
         bad = next(k for k, n in enumerate(peaks) if n > U16_MAX)
         assert bad >= 2
         with pytest.raises(ValueError,
