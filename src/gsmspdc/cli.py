@@ -65,14 +65,15 @@ def run_pump_visibility(res: Resolver, out: Path):
     a_s_values = res.get_list("pump", "a_s_values", [0.25e-3, 0.5e-3, 1.0e-3])
     d12_max = res.get("pump", "d12_max", 2.0e-3)
     n_d12 = _int_within(res, "pump", "d12_samples", 64, 1, MAX_D12_SAMPLES)
-    rows = []
+    d12 = np.linspace(0.0, d12_max, n_d12)
     with section_errors("pump"):
-        for a_s in a_s_values:
-            for d12 in np.linspace(0.0, d12_max, n_d12):
-                setup = CharacterizationSetup(a_s=a_s, f=f_char, d12=float(d12))
-                rows.append((a_s, d12, pump_visibility(setup, lambda_p)))
+        visibility = [pump_visibility(CharacterizationSetup(a_s=a_s, f=f_char,
+                                                            d12=d12), lambda_p)
+                      for a_s in a_s_values]
     path = out / "pump_visibility.csv"
-    write_csv(path, ["a_s_m", "d12_m", "visibility"], rows)
+    write_csv(path, ["a_s_m", "d12_m", "visibility"],
+              [np.repeat(a_s_values, n_d12), np.tile(d12, len(a_s_values)),
+               np.concatenate(visibility)])
     return [path]
 
 
@@ -94,7 +95,7 @@ def run_pump_invariance(res: Resolver, out: Path):
             rows.append((a_s, l_c_lens, pump.w0, pump.l_c, coherence_from(pump).A))
     path = out / "pump_invariance.csv"
     write_csv(path, ["a_s_m", "l_c_lens_m", "w0_crystal_m", "l_c_crystal_m", "A"],
-              rows)
+              zip(*rows))
     return [path]
 
 
@@ -140,11 +141,15 @@ def run_fringes(res: Resolver, out: Path):
     samples = _detector_samples(res)
     d = d_values[0]
     slits = interference.SlitGeometry(a=a, d=d, z=z, z1=z1)
-    scans = interference.fringe_profiles(pumps, crystal, slits, samples=samples)
-    rows = [(scan.meta["A"], d, x, value)
-            for scan in scans for x, value in zip(scan.xs, scan.values)]
+    with section_errors("pump"):  # a lambda_p out of the fringe range
+        scans = interference.fringe_profiles(pumps, crystal, slits,
+                                             samples=samples)
     path = out / "fringes.csv"
-    write_csv(path, ["A", "d_m", "x_m", "intensity_norm"], rows)
+    write_csv(path, ["A", "d_m", "x_m", "intensity_norm"],
+              [np.repeat([scan.meta["A"] for scan in scans], samples),
+               np.full(len(scans) * samples, d),
+               np.concatenate([scan.xs for scan in scans]),
+               np.concatenate([scan.values for scan in scans])])
     sidecar = out / "fringes.json"
     write_json(sidecar, [scan.meta for scan in scans])
     return [path, sidecar]
@@ -155,12 +160,13 @@ def run_visibility_curve(res: Resolver, out: Path):
     crystal = crystal_from(res)
     a, d_values, z, z1 = _slits_values(res)
     samples = _detector_samples(res)
-    rows = interference.visibility_curve(pumps, d_values, a=a, z=z, z1=z1,
-                                         crystal=crystal, samples=samples)
+    with section_errors("pump"):  # a lambda_p out of the fringe range
+        rows = interference.visibility_curve(pumps, d_values, a=a, z=z, z1=z1,
+                                             crystal=crystal, samples=samples)
     columns = ["A", "d_m", "visibility", "fringe_period_m", "aperture_order",
                "order_doubling_delta"]
     path = out / "visibility_curve.csv"
-    write_csv(path, columns, [[r[c] for c in columns] for r in rows])
+    write_csv(path, columns, [[r[c] for r in rows] for c in columns])
     return [path]
 
 
@@ -190,15 +196,15 @@ def run_conditional(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     samples = _detector_samples(res)
-    rows = []
-    for pump in pumps:
-        q_s = profiles.overlap_point(crystal, pump.k_p)
-        scan = profiles.conditional_scan(pump, crystal, q_s, samples=samples)
-        A = scan.meta["A"]
-        for q, value in zip(scan.xs, scan.values):
-            rows.append((A, q, value))
+    with section_errors("pump"):  # a w0 too wide for the scan to resolve
+        scans = [profiles.conditional_scan(
+            pump, crystal, profiles.overlap_point(crystal, pump.k_p),
+            samples=samples) for pump in pumps]
     path = out / "conditional.csv"
-    write_csv(path, ["A", "q_ix_radpm", "density_per_radpm"], rows)
+    write_csv(path, ["A", "q_ix_radpm", "density_per_radpm"],
+              [np.repeat([scan.meta["A"] for scan in scans], samples),
+               np.concatenate([scan.xs for scan in scans]),
+               np.concatenate([scan.values for scan in scans])])
     return [path]
 
 
@@ -246,7 +252,7 @@ def run_frames_synth(res: Resolver, out: Path):
     counting.save_frames(stack, path)
     grid = out / "frames_grid.csv"
     write_csv(grid, ["j_px", "q_sx_radpm", "q_ix_radpm"],
-              [(k, qs[k], qi[k]) for k in range(params["n_px"])])
+              [np.arange(params["n_px"]), qs, qi])
     return [path, grid]
 
 
@@ -272,8 +278,7 @@ def run_coincidence(res: Resolver, out: Path):
         raise OSError(f"unusable frames file {frames_file}: {exc}") from exc
     path = out / "coincidence.csv"
     write_csv(path, ["j_px", "C_counts2", "stderr_counts2"],
-              [(int(j), c, e) for j, c, e in
-               zip(scan.xs, scan.values, scan.meta["stderr"])])
+              [scan.xs.astype(int), scan.values, scan.meta["stderr"]])
     try:
         if not np.any(scan.values > 0):  # no coincidence excess to fit
             raise FitError("no covariance in the scan is positive")

@@ -10,13 +10,17 @@ frames,
 with a standard error from a leave-one-frame-out jackknife.  For a Poisson
 pair process with joint pixel distribution P, C equals
 pairs_per_frame * P(i, j) exactly, so C-scans estimate the generating
-conditional distribution shape.
+conditional distribution shape.  Both are computed from the exact integer
+histogram of the per-frame count pairs (n_i, n_j), so they do not depend on
+the order of the frames.
 
 Synthetic frames have shape (2, n_px): row 0 collects the signal photon of
 each pair, row 1 the idler photon.  The joint distribution is a 2-D matrix
 P[i, j] = P(signal at column i, idler at column j).  A stack is drawn from
 three NumPy streams spawned from its seed (pair counts, pair positions, dark
-counts), so it depends on the seed alone.
+counts), so it depends on the seed alone.  A pair's cell is found through a
+guide table over the CDF (Chen & Asau's indexed search), which returns what
+cdf.searchsorted(u, side="right") returns.
 
 Serialized stack layout (all little-endian), documented for external readers:
 
@@ -55,6 +59,8 @@ U16_MAX = np.iinfo(np.uint16).max
 # 2**15 pairs per frame a block is one frame.  A memory bound only: the
 # stack does not depend on it.
 BLOCK_DOUBLES = 2**15
+# buckets of the guide table that maps a uniform draw to its CDF cell
+GUIDE_BUCKETS = 4096
 
 
 @dataclass
@@ -115,6 +121,7 @@ def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
     # the CDF and inverse-CDF draw of Generator.choice(p=...), built once
     cdf = (P / total).ravel().cumsum()
     cdf /= cdf[-1]
+    guide, crowded = _guide_table(cdf)
     n_px = P.shape[0]
     count_rng, pair_rng, dark_rng = np.random.default_rng(seed).spawn(3)
     n_pairs = count_rng.poisson(pairs_per_frame, n_frames)
@@ -125,8 +132,8 @@ def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
         k1 = min(k0 + block, n_frames)
         # bin every pair of the block keyed by frame * n_px + column
         base = np.repeat(np.arange(k1 - k0) * n_px, n_pairs[k0:k1])
-        i, j = np.divmod(cdf.searchsorted(pair_rng.random(base.size),
-                                          side="right"), n_px)
+        i, j = np.divmod(_lookup(cdf, guide, crowded,
+                                 pair_rng.random(base.size)), n_px)
         size = (k1 - k0) * n_px
         counts = np.empty((k1 - k0, 2, n_px), dtype=np.intp)
         counts[:, 0] = np.bincount(base + i, minlength=size).reshape(-1, n_px)
@@ -143,28 +150,64 @@ def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
     return FrameStack(frames=frames, pixel_pitch=pixel_pitch, seed=seed)
 
 
-def _jackknife_covariance(x: np.ndarray, y: np.ndarray):
+def _guide_table(cdf):
+    """Guide table of a CDF over GUIDE_BUCKETS equal buckets of [0, 1).
+
+    guide[b] is the cell cdf.searchsorted(b / GUIDE_BUCKETS, side="right")
+    of the bucket's lowest draw.  crowded[b] marks a bucket whose draws span
+    more than two cells (Chen & Asau's indexed search, 1974).
+    """
+    edges = np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS
+    guide = cdf.searchsorted(edges[:-1], side="right")
+    last = cdf.searchsorted(np.nextafter(edges[1:], 0.0), side="right")
+    return guide, last - guide > 1
+
+
+def _lookup(cdf, guide, crowded, u):
+    """cdf.searchsorted(u, side="right") for draws u in [0, 1), equal element
+    for element: a draw in an uncrowded bucket is in the bucket's first cell
+    or the next, and one comparison with that cell's CDF value decides.
+    """
+    bucket = (u * GUIDE_BUCKETS).astype(np.intp)  # exact: a power of two
+    cell = guide[bucket]
+    cell += u >= cdf[cell]
+    slow = crowded[bucket]
+    if slow.any():
+        cell[slow] = cdf.searchsorted(u[slow], side="right")
+    return cell
+
+
+def _jackknife_covariance(x, y, sx: int):
     """Covariance of two per-frame count series and its jackknife stderr.
 
-    Accumulation is order-independent: the moments are exact integer sums and
-    the float reductions run in canonical (sorted) order, so any frame
-    permutation gives bit-identical results.
+    x and y are integer counts and sx is the sum of x.  A frame's
+    leave-one-out covariance depends only on its count pair (x_k, y_k), so
+    the float sums run over the exact integer histogram of those pairs, in
+    the order of (leave-one-out value, count): any frame permutation, and
+    swapping x and y, gives bit-identical results.  The histogram is a
+    bincount while (max x + 1)(max y + 1) <= n, else np.unique, so its
+    memory stays O(n) at any count rate.
     """
     n = x.size
-    x64 = x.astype(np.int64)
-    y64 = y.astype(np.int64)
-    xy = x64 * y64
-    sx = int(x64.sum())
-    sy = int(y64.sum())
-    sxy = int(xy.sum())
+    ny = int(y.max()) + 1
+    keys = x * ny + y
+    size = (int(x.max()) + 1) * ny
+    if size <= n:
+        weight = np.bincount(keys, minlength=size)
+        keys = np.flatnonzero(weight)
+        weight = weight[keys]
+    else:
+        keys, weight = np.unique(keys, return_counts=True)
+    a, b = np.divmod(keys, ny)
+    ab = a * b
+    sy = int(weight @ b)
+    sxy = int(weight @ ab)
     C = sxy / n - (sx / n) * (sy / n)
-    mx = (sx - x64) / (n - 1)
-    my = (sy - y64) / (n - 1)
-    mxy = (sxy - xy) / (n - 1)
-    ck = np.sort(mxy - mx * my)
-    mean_ck = float(np.sum(ck)) / n
-    dev = np.sort((ck - mean_ck) ** 2)
-    stderr = float(np.sqrt((n - 1) / n * np.sum(dev)))
+    ck = (sxy - ab) / (n - 1) - ((sx - a) / (n - 1)) * ((sy - b) / (n - 1))
+    order = np.lexsort((weight, ck))
+    weight, ck = weight[order], ck[order]
+    mean_ck = float(np.sum(weight * ck)) / n
+    stderr = float(np.sqrt((n - 1) / n * np.sum(weight * (ck - mean_ck) ** 2)))
     return float(C), stderr
 
 
@@ -174,6 +217,9 @@ def conditional_map(stack: FrameStack, pixel, row: int) -> Scan1D:
     Returns a Scan1D over the column index; meta carries the stderr array.
     The fixed pixel's own column is included unless it lies on the scanned
     row, where the self-covariance is skipped (set to the neighbor average).
+    Each column's C and stderr come from the exact integer histogram of its
+    (fixed pixel, column) count pairs, so any frame order gives bit-identical
+    results.
     """
     pixel = tuple(int(v) for v in pixel)
     if stack.n_frames < 2:
@@ -182,7 +228,8 @@ def conditional_map(stack: FrameStack, pixel, row: int) -> Scan1D:
     if not (0 <= row < height) or not (0 <= pixel[0] < height
                                        and 0 <= pixel[1] < width):
         raise ValueError("row or pixel out of range")
-    x = stack.frames[:, pixel[0], pixel[1]].astype(float)
+    x = stack.frames[:, pixel[0], pixel[1]].astype(np.intp)
+    sx = int(x.sum())
     cols = np.arange(width)
     C = np.empty(width)
     err = np.empty(width)
@@ -191,7 +238,8 @@ def conditional_map(stack: FrameStack, pixel, row: int) -> Scan1D:
             C[jcol] = np.nan
             err[jcol] = np.nan
             continue
-        C[jcol], err[jcol] = _jackknife_covariance(x, stack.frames[:, row, jcol])
+        C[jcol], err[jcol] = _jackknife_covariance(
+            x, stack.frames[:, row, jcol].astype(np.intp), sx)
     bad = np.isnan(C)
     if np.any(bad):
         good = ~bad

@@ -32,6 +32,7 @@ The y dimension integrates out analytically (the kernel factorizes), so the
 computation is the 1-D reduction along the measured horizontal axis.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,9 @@ class SlitGeometry:
             raise ValueError("slit separation d must exceed the slit width a")
         if self.z <= 0 or self.z1 <= 0:
             raise ValueError("distances z and z1 must be positive")
+        ratio = self.z1 / self.d  # the detector span scales with it
+        if not math.isfinite(ratio * ratio):
+            raise ValueError(f"z1 / d = {ratio:g} is out of numerical range")
 
     def fringe_period(self, lambda_s: float) -> float:
         return lambda_s * self.z1 / self.d
@@ -121,21 +125,25 @@ def _slit_nodes(slits: SlitGeometry, order: int):
 
 def _unit_max_profiles(pumps, crystal, slits, xs, order):
     """p1 on xs by the order-point aperture rule, one unit-max row per pump;
-    the slit nodes and detector phases exp(-i k_s (x_s - x)^2 / 2 z1) serve
-    every pump, and each pump's slit-plane kernel is one matrix product.
+    the slit nodes, their squares and weight products, and the detector
+    phases exp(-i k_s (x_s - x)^2 / 2 z1) serve every pump, and each pump's
+    slit-plane kernel is one matrix product.
     """
     nodes, weights = _slit_nodes(slits, order)
     k_s = pumps[0].k_p / 2.0
     phases = np.exp(-1j * k_s * (xs[:, None] - nodes[None, :]) ** 2 / (2.0 * slits.z1))
+    conj_phases = np.conj(phases)
     X, Xp = np.meshgrid(nodes, nodes, indexing="ij")
+    X2, Xp2 = X**2, Xp**2
+    node_weights = weights[:, None] * weights[None, :]
     out = np.empty((len(pumps), xs.size))
     for row, pump in zip(out, pumps):
         a, c, delta = _kernel_constants(pump, crystal, slits.z)
-        w_slit = np.exp(-(np.pi**2) * (np.conj(a) * X**2 + a * Xp**2 - 2.0 * c * X * Xp)
+        w_slit = np.exp(-(np.pi**2) * (np.conj(a) * X2 + a * Xp2 - 2.0 * c * X * Xp)
                         / delta)
-        kernel = weights[:, None] * weights[None, :] * w_slit
+        kernel = node_weights * w_slit
         p1 = np.maximum(
-            np.einsum("sj,sj->s", phases @ kernel, np.conj(phases)).real, 0.0)
+            np.einsum("sj,sj->s", phases @ kernel, conj_phases).real, 0.0)
         peak = p1.max()
         if peak <= 0:
             raise ConvergenceError("fringe profile vanished everywhere")
@@ -163,6 +171,10 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
         raise ValueError("fringe_profiles needs at least one pump, all of one "
                          "lambda_p")
     lambda_s = 2.0 * pumps[0].lambda_p
+    # the detector span scales with lambda_s z1 / d and the phases square it
+    if not math.isfinite(lambda_s * lambda_s):
+        raise ValueError(f"lambda_p = {pumps[0].lambda_p!r} is out of "
+                         f"numerical range: the square of lambda_s overflows")
     period = slits.fringe_period(lambda_s)
     span = DEFAULT_SPAN_PERIODS * period
     xs = np.linspace(-span / 2.0, span / 2.0, samples)

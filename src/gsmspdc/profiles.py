@@ -13,6 +13,8 @@ Momenta are in rad/m.  A camera at the focal plane of a collimating lens maps
 position X to transverse momentum q = k X / f (helpers below).
 """
 
+import math
+
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.random import default_rng
@@ -213,8 +215,10 @@ def conditional_scan(pump: PumpParams, crystal: CrystalParams, q_s,
 
     q_s is the fixed signal momentum (pick an overlap point for type-II); the
     idler sits at the anti-correlated q_iy = -q_sy, and the scan spans
-    +-10 pair-sum widths around q_ix = -q_sx.  Raises FloatingPointError if
-    the scan does not resolve in floating point.
+    +-10 pair-sum widths around q_ix = -q_sx.  If the scan does not resolve
+    in floating point, raises ValueError naming w0 when the momenta square to
+    finite values (the pair-sum width, about 1 / w0, is then too narrow),
+    and FloatingPointError otherwise.
     """
     qsx, qsy = float(q_s[0]), float(q_s[1])
     q_iy = -qsy
@@ -222,9 +226,12 @@ def conditional_scan(pump: PumpParams, crystal: CrystalParams, q_s,
     center = -qsx
     qix = np.linspace(center - 10.0 * sigma, center + 10.0 * sigma, samples)
     if not np.all(np.diff(qix) > 0):  # nan, or a span below the float spacing
-        raise FloatingPointError(
-            f"conditional scan of +-10 x {sigma:g} rad/m around "
-            f"q_ix = {center:g} rad/m does not resolve")
+        scan = (f"scan of +-10 x {sigma:g} rad/m around q_ix = {center:g} "
+                f"rad/m does not resolve")
+        if math.isfinite(center * center):
+            raise ValueError(f"w0 = {pump.w0!r} is too wide for lambda_p = "
+                             f"{pump.lambda_p!r}: the {scan}")
+        raise FloatingPointError(f"conditional {scan}")
     rate = joint_momentum_rate((qsx, qsy), (qix, np.full_like(qix, q_iy)),
                                pump, crystal)
     area = np.trapezoid(rate, qix)

@@ -207,25 +207,30 @@ class CharacterizationSetup:
     """Geometry of the pump-coherence measurement.
 
     a_s: beam radius at the diffuser surface (m); f: collimating lens focal
-    length (m); d12: separation of the two probed points (m).
+    length (m); d12: separation of the two probed points (m), or an array of
+    separations.
     """
 
     a_s: float
     f: float
-    d12: float
+    d12: float | np.ndarray
 
     def __post_init__(self):
         _require_positive(a_s=self.a_s, f=self.f)
-        if self.d12 < 0:
+        if np.any(np.asarray(self.d12) < 0):
             raise ValueError("d12 must be >= 0")
 
 
-def pump_visibility(setup: CharacterizationSetup, lambda_p: float) -> float:
-    """Double-slit visibility of the characterized pump at separation d12."""
+def pump_visibility(setup: CharacterizationSetup, lambda_p: float):
+    """Double-slit visibility of the characterized pump at separation d12.
+
+    A float for a scalar d12; an array of the same shape for an array d12,
+    equal element for element to the scalar calls.
+    """
     _require_wavelength(lambda_p)
     k_p = 2.0 * np.pi / lambda_p
-    nu = k_p * setup.d12 * setup.a_s / setup.f
-    return float(bessel_visibility(nu))
+    nu = k_p * np.asarray(setup.d12, dtype=float) * setup.a_s / setup.f
+    return bessel_visibility(nu)
 
 
 def correlation_length(a_s: float, f: float, lambda_p: float) -> float:

@@ -482,6 +482,15 @@ MALFORMED = {
     "pair-rate-huge": ("frames-synth", _edited("pairs_per_frame = 10",
                                                "pairs_per_frame = 1e13"),
                        [], EXIT_CONFIG),
+    # a single key out of the range of the model it enters
+    "w0-too-wide-conditional": ("conditional", _edited("w0 = 0.5e-3", "w0 = 1e10"),
+                                [], EXIT_CONFIG),
+    **{f"lambda-p-huge-{experiment}": (
+        experiment, _edited("lambda_p = 405e-9", "lambda_p = 1e300"),
+        [], EXIT_CONFIG)
+       for experiment in ("fringes", "visibility-curve")},
+    "slits-z1-huge": ("fringes", _edited("z1 = 0.20", "z1 = 1e300"), [],
+                      EXIT_CONFIG),
     # 2 pi / lambda_p overflows to inf
     **{f"lambda-p-tiny-{experiment}": (
         experiment, _edited("lambda_p = 405e-9", "lambda_p = 5e-324"),
@@ -513,6 +522,10 @@ MESSAGES = {
     "pair-rate-huge": "[counting] pairs_per_frame",
     **{f"lambda-p-tiny-{experiment}": "[pump] lambda_p"
        for experiment in LAMBDA_P_EXPERIMENTS},
+    "w0-too-wide-conditional": "[pump] w0 = 10000000000.0 is too wide",
+    **{f"lambda-p-huge-{experiment}": "[pump] lambda_p = 1e+300 is out of "
+       for experiment in ("fringes", "visibility-curve")},
+    "slits-z1-huge": "[slits] z1 / d = ",
 }
 
 
@@ -616,7 +629,7 @@ def test_config_fuzz_exit_contract(case):
 # finite values whose products overflow or vanish in the models
 @pytest.mark.parametrize("experiment, edits", [
     ("fringes", {("pump", "w0"): "1.3407807929942597e+154"}),
-    ("fringes", {("pump", "lambda_p"): "1e300"}),
+    ("fringes", {("pump", "lambda_p"): "1e60", ("slits", "z1"): "1e100"}),
     ("pump-invariance", {("pump", "a_s_values"): "5e-324",
                          ("pump", "lambda_p"): "13.0"}),
     ("pump-visibility", {("pump", "d12_max"): "1e308"}),

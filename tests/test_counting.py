@@ -143,6 +143,113 @@ def pair_covariance(stack, i, j):
     return scan.values[j[1]], scan.meta["stderr"][j[1]]
 
 
+def searched_cdf(joint):
+    """The CDF synth_frames draws pair cells from."""
+    P = np.asarray(joint, dtype=float)
+    cdf = (P / P.sum()).ravel().cumsum()
+    return cdf / cdf[-1]
+
+
+def leading_zeros_joint():
+    joint = gaussian_joint(16, center=(10, 9), sigma=2.0)
+    joint[:6] = 0.0
+    return joint
+
+
+def trailing_zeros_joint():
+    joint = gaussian_joint(16, center=(4, 3), sigma=2.0)
+    joint[9:] = 0.0
+    joint[8, 5:] = 0.0
+    return joint
+
+
+def one_cell_joint():
+    joint = np.zeros((8, 8))
+    joint[3, 5] = 2.5
+    return joint
+
+
+class TestGuideLookup:
+    """The guide-table lookup must equal cdf.searchsorted(u, side="right")."""
+
+    @pytest.mark.parametrize("joint", [
+        gaussian_joint(48), sparse_joint(), leading_zeros_joint(),
+        trailing_zeros_joint(), one_cell_joint(),
+        gaussian_joint(512, center=(200, 300), sigma=60.0), np.ones((16, 16)),
+    ], ids=["gaussian", "zero-entries", "leading-zeros", "trailing-zeros",
+            "one-cell", "512x512", "steps-on-bucket-edges"])
+    def test_matches_searchsorted(self, joint):
+        cdf = searched_cdf(joint)
+        guide, crowded = counting._guide_table(cdf)
+        edges = np.arange(counting.GUIDE_BUCKETS) / counting.GUIDE_BUCKETS
+        steps = cdf[cdf < 1.0]
+        u = np.concatenate([
+            [0.0], edges, np.nextafter(edges[1:], 0.0),
+            [np.nextafter(1.0, 0.0)],
+            steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0),
+            np.random.default_rng(5).random(20000)])
+        assert np.array_equal(counting._lookup(cdf, guide, crowded, u),
+                              cdf.searchsorted(u, side="right"))
+
+    def test_most_buckets_need_one_comparison(self):
+        cdf = searched_cdf(gaussian_joint(48))
+        _, crowded = counting._guide_table(cdf)
+        assert crowded.mean() < 0.5
+
+
+def sorted_jackknife(x, y):
+    """The estimator conditional_map replaced: leave-one-frame-out terms
+    summed in sorted order over all n frames."""
+    n = x.size
+    x64 = x.astype(np.int64)
+    y64 = y.astype(np.int64)
+    xy = x64 * y64
+    sx, sy, sxy = int(x64.sum()), int(y64.sum()), int(xy.sum())
+    C = sxy / n - (sx / n) * (sy / n)
+    mx = (sx - x64) / (n - 1)
+    my = (sy - y64) / (n - 1)
+    mxy = (sxy - xy) / (n - 1)
+    ck = np.sort(mxy - mx * my)
+    mean_ck = float(np.sum(ck)) / n
+    dev = np.sort((ck - mean_ck) ** 2)
+    return float(C), float(np.sqrt((n - 1) / n * np.sum(dev)))
+
+
+class TestHistogramJackknife:
+    """conditional_map against the sorted sums over every frame: C equal,
+    stderr within 4 ulp, on the bincount and on the np.unique histogram."""
+
+    @pytest.mark.parametrize("joint, pairs, noise, n_frames, seed, bincount", [
+        (gaussian_joint(48, center=(20, 30), sigma=3.0), 20.0, 1e-3, 20000, 3,
+         True),
+        (gaussian_joint(16), 5.0, 0.05, 301, 8, True),
+        (np.ones((8, 8)), 0.0, 0.1, 3000, 11, True),
+        (gaussian_joint(16), 2000.0, 0.01, 300, 9, False),
+    ], ids=["full-scale", "small", "noise-only", "high-rate"])
+    def test_matches_sorted_sums(self, joint, pairs, noise, n_frames, seed,
+                                 bincount):
+        stack = synth_frames(joint, pairs, noise, n_frames, seed=seed)
+        pixel = (0, int(np.argmax(stack.frames[:, 0].sum(axis=0))))
+        x = stack.frames[:, pixel[0], pixel[1]]
+        scan = conditional_map(stack, pixel, row=1)
+        for j in range(stack.shape[1]):
+            y = stack.frames[:, 1, j]
+            assert ((int(x.max()) + 1) * (int(y.max()) + 1)
+                    <= n_frames) == bincount
+            C, stderr = sorted_jackknife(x, y)
+            assert scan.values[j] == C
+            assert abs(scan.meta["stderr"][j] - stderr) <= 4 * np.spacing(stderr)
+
+    def test_pixel_swap_bit_identical(self):
+        # the sums run in a canonical order, not in the histogram's key order
+        for seed in range(6):
+            stack = synth_frames(gaussian_joint(16), 5.0 + seed, 0.01,
+                                 300 + 37 * seed, seed=seed)
+            for i, j in [((0, 7), (1, 9)), ((0, 3), (1, 8)), ((0, 8), (1, 8))]:
+                assert (pair_covariance(stack, i, j)
+                        == pair_covariance(stack, j, i))
+
+
 class TestPixelCoincidence:
     def test_independent_pixels_consistent_with_zero(self):
         stack = synth_frames(np.ones((8, 8)), 0.0, 0.1, 3000, seed=11)

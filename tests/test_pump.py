@@ -155,6 +155,27 @@ class TestPumpVisibility:
                for a in np.linspace(0.01 * a_max, 0.999 * a_max, 40)]
         assert np.all(np.diff(vis) <= 0)
 
+    def test_array_d12_matches_scalar_calls(self):
+        # the Taylor branch, Bessel's integral and Hankel's series alike
+        lam, f = 405e-9, 0.150
+        k_p = 2.0 * np.pi / lam
+        d12 = np.concatenate([[0.0, 1e-12, 1e-10], np.linspace(0.0, 2e-3, 64),
+                              [5e-3, 0.05]])
+        for a_s in (0.25e-3, 0.5e-3, 1.0e-3, 0.7e-3):
+            vis = pump_visibility(CharacterizationSetup(a_s=a_s, f=f, d12=d12),
+                                  lam)
+            # the scalar loop the array replaced, one Python float per d12
+            scalar = [float(bessel_visibility(k_p * d * a_s / f))
+                      for d in d12.tolist()]
+            assert vis.shape == d12.shape
+            assert np.array_equal(vis, scalar)
+            assert type(pump_visibility(CharacterizationSetup(
+                a_s=a_s, f=f, d12=float(d12[5])), lam)) is float
+
+    def test_array_d12_rejects_negative(self):
+        with pytest.raises(ValueError):
+            CharacterizationSetup(a_s=1e-3, f=0.150, d12=np.array([0.0, -1e-4]))
+
     def test_zero_at_first_bessel_root(self):
         f, lam = 0.150, 405e-9
         k = 2 * np.pi / lam
