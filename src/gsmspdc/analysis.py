@@ -1,7 +1,8 @@
 """Curve fitting and figure-of-merit extraction.
 
-All fits use deterministic moment-based initialization (no random restarts)
-so repeated runs give identical results.  Both nonlinear fits share one
+All fits start from values computed from the scan (moments, and for the
+Gaussian also the half-maximum width; no random restarts), so repeated runs
+give identical results.  Both nonlinear fits share one
 Levenberg-Marquardt solver with analytic Jacobians.
 """
 
@@ -120,6 +121,12 @@ def fit_gaussian(scan: Scan1D, weights=None, max_iter=200) -> GaussianFit:
     not sit on the boundary.  A fitted sigma below half the sample pitch is
     a spike the samples cannot resolve, not a peak, and is rejected.
 
+    The fit runs from two starts of sigma, the width at half maximum above
+    the scan minimum and the second moment, and returns the accepted fit of
+    lower cost: on a noisy scan either start alone can slide into a
+    one-sample spike or fail to converge.  Where the scan does not fall to
+    half maximum on both sides, only the second moment is tried.
+
     Parameters
     ----------
     weights : array, optional
@@ -128,9 +135,9 @@ def fit_gaussian(scan: Scan1D, weights=None, max_iter=200) -> GaussianFit:
     Raises
     ------
     FitError
-        If the data is degenerate (flat, too short, boundary peak), the
-        optimizer fails to converge or the fitted peak is narrower than half
-        the sample pitch.
+        If the data is degenerate (flat, too short, boundary peak), or from
+        every start the optimizer fails to converge or the fitted peak is
+        narrower than half the sample pitch.
     """
     xs, ys = scan.xs, scan.values
     if xs.size < 5:
@@ -147,9 +154,13 @@ def fit_gaussian(scan: Scan1D, weights=None, max_iter=200) -> GaussianFit:
     w = np.clip(ys - offset0, 0.0, None)
     mu0 = float(np.sum(w * xs) / np.sum(w))
     var0 = float(np.sum(w * (xs - mu0) ** 2) / np.sum(w))
-    sigma0 = np.sqrt(var0) if var0 > 0 else (xs[-1] - xs[0]) / 6.0
+    sigma_starts = [np.sqrt(var0) if var0 > 0 else (xs[-1] - xs[0]) / 6.0]
+    left, right = (_half_crossing(xs, ys, i_max, offset0 + amp0 / 2.0, step)
+                   for step in (-1, 1))
+    if left is not None and right is not None:
+        sigma_starts.insert(0, abs(right - left) / FWHM_SIGMA_RATIO)
     wts = np.ones_like(ys) if weights is None else np.asarray(weights, dtype=float)
-
+    pitch = (xs[-1] - xs[0]) / (xs.size - 1)
     max_nfev = max_iter * 5
 
     def residuals(theta):
@@ -160,15 +171,20 @@ def fit_gaussian(scan: Scan1D, weights=None, max_iter=200) -> GaussianFit:
                         np.ones_like(xs)], axis=1)
         return wts * (a * bump + c - ys), wts[:, None] * jac
 
-    theta, r, converged = _levenberg_marquardt(
-        residuals, [amp0, mu0, sigma0, offset0], max_nfev)
-    if not converged:
-        raise FitError(f"Gaussian fit did not converge in {max_nfev} evaluations")
-    a, mu, s, c = theta
-    pitch = (xs[-1] - xs[0]) / (xs.size - 1)
-    if abs(s) < 0.5 * abs(pitch):
-        raise FitError(f"fitted sigma {abs(s):.3g} is below half the sample "
-                       f"pitch {abs(pitch):.3g}")
+    fits = []  # (cost, theta, r) of each accepted fit
+    for sigma0 in sigma_starts:  # if none is accepted, the last one's failure
+        theta, r, converged = _levenberg_marquardt(
+            residuals, [amp0, mu0, sigma0, offset0], max_nfev)
+        if not converged:
+            error = f"Gaussian fit did not converge in {max_nfev} evaluations"
+        elif abs(theta[2]) < 0.5 * abs(pitch):
+            error = (f"fitted sigma {abs(theta[2]):.3g} is below half the "
+                     f"sample pitch {abs(pitch):.3g}")
+        else:
+            fits.append((float(r @ r), theta, r))
+    if not fits:
+        raise FitError(error)
+    _, (a, mu, s, c), r = min(fits, key=lambda fit: fit[0])
     rms = float(np.sqrt(np.mean((r / np.where(wts == 0, 1, wts)) ** 2)))
     return GaussianFit(amplitude=float(a), mean=float(mu), sigma=float(abs(s)),
                        offset=float(c), residual_rms=rms)
@@ -243,6 +259,17 @@ def fit_visibility(scan: Scan1D, period_hint: float, window=None) -> VisibilityF
                          residual_rms=rms)
 
 
+def _half_crossing(xs, ys, i_max, half, step):
+    """x where ys first falls below half, walking from i_max by step (+-1),
+    linearly interpolated; None if it never does inside the scan."""
+    for i in range(i_max + step, xs.size if step > 0 else -1, step):
+        if ys[i] < half:
+            x0, x1 = xs[i - step], xs[i]
+            y0, y1 = ys[i - step], ys[i]
+            return x0 + (half - y0) * (x1 - x0) / (y1 - y0)
+    return None
+
+
 def scan_fwhm(scan: Scan1D) -> float:
     """Full width at half maximum of a single-peaked scan, linearly interpolated."""
     xs, ys = scan.xs, scan.values
@@ -250,17 +277,8 @@ def scan_fwhm(scan: Scan1D) -> float:
     if i_max in (0, xs.size - 1):
         raise FitError("peak sits on the scan boundary")
     half = ys[i_max] / 2.0
-
-    def crossing(i_from, i_to, step):
-        prev = i_from
-        for i in range(i_from + step, i_to, step):
-            if ys[i] < half:
-                x0, x1 = xs[prev], xs[i]
-                y0, y1 = ys[prev], ys[i]
-                return x0 + (half - y0) * (x1 - x0) / (y1 - y0)
-            prev = i
+    right = _half_crossing(xs, ys, i_max, half, +1)
+    left = _half_crossing(xs, ys, i_max, half, -1)
+    if right is None or left is None:
         raise FitError("half-maximum level not reached inside the scan")
-
-    right = crossing(i_max, xs.size, +1)
-    left = crossing(i_max, -1, -1)
     return float(right - left)

@@ -35,23 +35,10 @@ EXIT_CONVERGENCE = 3
 EXIT_IO = 4
 
 OUTPUT_DIR_ENV = "GSMSPDC_OUT"
-# Upper bounds of the sample counts, checked before anything is allocated
-MAX_D12_SAMPLES = 10_000       # per a_s, each a row and a J1 evaluation
-MAX_GRID_SAMPLES = 2048        # profile side; a samples^2 float grid is 34 MB
-MAX_DETECTOR_SAMPLES = 10_000  # 4 KB of slit phases each at order 128: 41 MB
-MAX_FRAMES = 100_000           # five full-scale stacks, 4 n_px bytes a frame
-MAX_N_PX = 512                 # a 512 x 512 EMCCD's line; the joint is n_px^2
-# mean pairs a frame: 8 MB of position draws a frame, and 15 times the
-# counts one u16 pixel holds
-MAX_PAIRS_PER_FRAME = 1_000_000
 
 
 def _slits_values(res: Resolver):
-    res.require_section("slits")
-    a = res.get("slits", "a", 0.15e-3)
-    d_values = res.get_list("slits", "d_values", [0.25e-3, 0.5e-3, 0.75e-3])
-    z = res.get("slits", "z", 0.10)
-    z1 = res.get("slits", "z1", 0.20)
+    a, d_values, z, z1 = res.section("slits", "a", "d_values", "z", "z1")
     with section_errors("slits"):
         for d in d_values:
             interference.SlitGeometry(a=a, d=d, z=z, z1=z1)
@@ -59,12 +46,8 @@ def _slits_values(res: Resolver):
 
 
 def run_pump_visibility(res: Resolver, out: Path):
-    res.require_section("pump")
-    lambda_p = res.get("pump", "lambda_p", 405e-9)
-    f_char = res.get("pump", "f_char", 0.150)
-    a_s_values = res.get_list("pump", "a_s_values", [0.25e-3, 0.5e-3, 1.0e-3])
-    d12_max = res.get("pump", "d12_max", 2.0e-3)
-    n_d12 = _int_within(res, "pump", "d12_samples", 64, 1, MAX_D12_SAMPLES)
+    lambda_p, f_char, a_s_values, d12_max, n_d12 = res.section(
+        "pump", "lambda_p", "f_char", "a_s_values", "d12_max", "d12_samples")
     d12 = np.linspace(0.0, d12_max, n_d12)
     with section_errors("pump"):
         visibility = [pump_visibility(CharacterizationSetup(a_s=a_s, f=f_char,
@@ -78,12 +61,8 @@ def run_pump_visibility(res: Resolver, out: Path):
 
 
 def run_pump_invariance(res: Resolver, out: Path):
-    res.require_section("pump")
-    lambda_p = res.get("pump", "lambda_p", 405e-9)
-    w0 = res.get("pump", "w0", 0.5e-3)
-    f_char = res.get("pump", "f_char", 0.150)
-    demag = res.get("pump", "demag", 8.0)
-    a_s_values = res.get_list("pump", "a_s_values", [0.25e-3, 0.5e-3, 1.0e-3])
+    lambda_p, w0, f_char, demag, a_s_values = res.section(
+        "pump", "lambda_p", "w0", "f_char", "demag", "a_s_values")
     if w0 <= 0:  # else reported as the derived w_at_lens = w0 * demag
         raise ConfigError(f"[pump] w0 must be positive and finite, got {w0!r}")
     w_at_lens = w0 * demag
@@ -99,46 +78,11 @@ def run_pump_invariance(res: Resolver, out: Path):
     return [path]
 
 
-def _integer(text: str) -> int:
-    """An integer config value: "2000" and "2e3" read as 2000, "2000.7" fails."""
-    try:
-        return int(text)
-    except ValueError:
-        value = float(text)
-        if not value.is_integer():
-            raise ValueError(f"{text!r} is not an integer") from None
-        return int(value)
-
-
-def _column_index(text: str) -> int:
-    """A configured column index; the default -1 (auto) is never cast."""
-    value = _integer(text)
-    if value < 0:
-        raise ValueError(f"{text!r} is negative")
-    return value
-
-
-def _int_within(res: Resolver, section: str, key: str, default: int,
-                minimum: int, maximum: int) -> int:
-    value = res.get(section, key, default, cast=_integer)
-    if value < minimum:
-        raise ConfigError(f"[{section}] {key} must be >= {minimum}, got {value}")
-    if value > maximum:
-        raise ConfigError(f"[{section}] {key} must be <= {maximum}, got {value}")
-    return value
-
-
-def _detector_samples(res: Resolver) -> int:
-    """[grid] detector_samples of the fringe and conditional scans."""
-    return _int_within(res, "grid", "detector_samples", 1001, 2,
-                       MAX_DETECTOR_SAMPLES)
-
-
 def run_fringes(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     a, d_values, z, z1 = _slits_values(res)
-    samples = _detector_samples(res)
+    samples = res.get("grid", "detector_samples")
     d = d_values[0]
     slits = interference.SlitGeometry(a=a, d=d, z=z, z1=z1)
     with section_errors("pump"):  # a lambda_p out of the fringe range
@@ -159,7 +103,7 @@ def run_visibility_curve(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     a, d_values, z, z1 = _slits_values(res)
-    samples = _detector_samples(res)
+    samples = res.get("grid", "detector_samples")
     with section_errors("pump"):  # a lambda_p out of the fringe range
         rows = interference.visibility_curve(pumps, d_values, a=a, z=z, z1=z1,
                                              crystal=crystal, samples=samples)
@@ -173,9 +117,7 @@ def run_visibility_curve(res: Resolver, out: Path):
 def run_profile(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
-    res.require_section("grid")
-    samples = _int_within(res, "grid", "samples", 256, 2, MAX_GRID_SAMPLES)
-    extent = res.get("grid", "extent", 0.0)
+    samples, extent = res.section("grid", "samples", "extent")
     with section_errors("grid"):  # an extent that does not cover the ring
         computed = [profiles.singles_profile(
             pump, crystal, which="both",
@@ -195,7 +137,7 @@ def run_profile(res: Resolver, out: Path):
 def run_conditional(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
-    samples = _detector_samples(res)
+    samples = res.get("grid", "detector_samples")
     with section_errors("pump"):  # a w0 too wide for the scan to resolve
         scans = [profiles.conditional_scan(
             pump, crystal, profiles.overlap_point(crystal, pump.k_p),
@@ -209,19 +151,8 @@ def run_conditional(res: Resolver, out: Path):
 
 
 def _counting_params(res: Resolver):
-    res.require_section("counting")
-    pairs_per_frame = res.get("counting", "pairs_per_frame", 20.0)
-    if pairs_per_frame > MAX_PAIRS_PER_FRAME:
-        raise ConfigError(f"[counting] pairs_per_frame must be <= "
-                          f"{MAX_PAIRS_PER_FRAME}, got {pairs_per_frame!r}")
-    return {
-        "n_frames": _int_within(res, "counting", "n_frames", 2000, 2, MAX_FRAMES),
-        "pairs_per_frame": pairs_per_frame,
-        "noise": res.get("counting", "noise", 1e-3),
-        "seed": res.get("counting", "seed", 12345, cast=_integer),
-        "n_px": _int_within(res, "counting", "n_px", 48, 2, MAX_N_PX),
-        "f_collim": res.get("counting", "f_collim", 0.200),
-    }
+    keys = ("pairs_per_frame", "n_frames", "noise", "seed", "n_px", "f_collim")
+    return dict(zip(keys, res.section("counting", *keys)))
 
 
 def _synthesis_joint(pump, crystal, n_px):
@@ -257,10 +188,8 @@ def run_frames_synth(res: Resolver, out: Path):
 
 
 def run_coincidence(res: Resolver, out: Path):
-    frames_file = res.get("counting", "frames_file", str(out / "frames.bin"),
-                          cast=str)
-    # left out, signal_px resolves to -1: the brightest column
-    signal_px = res.get("counting", "signal_px", -1, cast=_column_index)
+    frames_file = res.get("counting", "frames_file", str(out / "frames.bin"))
+    signal_px = res.get("counting", "signal_px")
     try:
         stack = counting.load_frames(frames_file)
     except ValueError as exc:

@@ -270,6 +270,8 @@ def load_frames(path) -> FrameStack:
         if len(header) != _HEADER.size:
             raise ValueError("truncated frame-stack header")
         n_frames, h, w, seed, pitch, exposure = _HEADER.unpack(header)
+        if h == 0 or w == 0:
+            raise ValueError(f"empty {h} x {w} frames")
         count = n_frames * h * w
         # checked before reading, so a corrupt header allocates nothing
         if os.fstat(fh.fileno()).st_size - fh.tell() < 2 * count:

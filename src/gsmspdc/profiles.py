@@ -218,7 +218,8 @@ def conditional_scan(pump: PumpParams, crystal: CrystalParams, q_s,
     +-10 pair-sum widths around q_ix = -q_sx.  If the scan does not resolve
     in floating point, raises ValueError naming w0 when the momenta square to
     finite values (the pair-sum width, about 1 / w0, is then too narrow),
-    and FloatingPointError otherwise.
+    ValueError naming lambda_p when k_p squared overflows too, and
+    FloatingPointError otherwise.
     """
     qsx, qsy = float(q_s[0]), float(q_s[1])
     q_iy = -qsy
@@ -231,6 +232,9 @@ def conditional_scan(pump: PumpParams, crystal: CrystalParams, q_s,
         if math.isfinite(center * center):
             raise ValueError(f"w0 = {pump.w0!r} is too wide for lambda_p = "
                              f"{pump.lambda_p!r}: the {scan}")
+        if not math.isfinite(float(pump.k_p) * float(pump.k_p)):
+            raise ValueError(f"lambda_p = {pump.lambda_p!r} is out of "
+                             f"numerical range: the {scan}")
         raise FloatingPointError(f"conditional {scan}")
     rate = joint_momentum_rate((qsx, qsy), (qix, np.full_like(qix, q_iy)),
                                pump, crystal)

@@ -174,8 +174,14 @@ def csd_coefficients(pump: PumpParams) -> GsmCsdCoefficients:
 
     The amplitude normalization uses a unit proportionality constant; all
     intensities downstream are reported in arbitrary units and re-normalized
-    per scan.
+    per scan.  Raises ValueError naming w0 and l_c if (l_c + 2 w0)^2, which
+    b1 holds, overflows.
     """
+    width = float(pump.l_c) + 2.0 * float(pump.w0)
+    if not np.isfinite(width * width):
+        raise ValueError(f"w0 = {float(pump.w0)!r} and l_c = "
+                         f"{float(pump.l_c)!r} are out of numerical range: "
+                         f"(l_c + 2 w0)^2 overflows")
     ratio = pump.l_c / (2.0 * pump.w0)
     b0 = 1.0 + ratio * ratio
     b1 = (pump.l_c + 2.0 * pump.w0) ** 2 / (4.0 * b0)
@@ -225,11 +231,20 @@ def pump_visibility(setup: CharacterizationSetup, lambda_p: float):
     """Double-slit visibility of the characterized pump at separation d12.
 
     A float for a scalar d12; an array of the same shape for an array d12,
-    equal element for element to the scalar calls.
+    equal element for element to the scalar calls.  Raises ValueError naming
+    the largest d12, a_s and f if nu = k_p d12 a_s / f overflows.
     """
     _require_wavelength(lambda_p)
     k_p = 2.0 * np.pi / lambda_p
-    nu = k_p * np.asarray(setup.d12, dtype=float) * setup.a_s / setup.f
+    d12 = np.asarray(setup.d12, dtype=float)
+    d12_max = float(d12.max(initial=0.0))  # nu overflows there first
+    # in Python floats, which give inf where NumPy would raise
+    nu_max = float(k_p) * d12_max * float(setup.a_s) / float(setup.f)
+    if not np.isfinite(nu_max):
+        raise ValueError(f"d12_max = {d12_max!r}, a_s = {float(setup.a_s)!r} "
+                         f"and f = {float(setup.f)!r} are out of numerical "
+                         f"range: nu = k_p d12 a_s / f overflows")
+    nu = k_p * d12 * setup.a_s / setup.f
     return bessel_visibility(nu)
 
 

@@ -92,6 +92,15 @@ class TestFitGaussian:
         fit = fit_gaussian(Scan1D(xs=xs, values=values))
         assert fit.sigma == pytest.approx(0.75, abs=1e-6)
 
+    def test_lower_cost_start_wins(self):
+        # a one-sample spike on a broad peak: the half-maximum start fits the
+        # spike (sigma 0.72), the second-moment start the broad peak, which
+        # leaves the smaller residual
+        xs = np.arange(40.0)
+        values = np.exp(-((xs - 20.0) ** 2) / (2 * 6.0**2)) + 1.5 * (xs == 20.0)
+        fit = fit_gaussian(Scan1D(xs=xs, values=values))
+        assert fit.sigma == pytest.approx(4.776, abs=1e-3)
+
     def test_translation_equivariance(self):
         xs = np.linspace(-5, 5, 150)
         values = 2.0 * np.exp(-xs**2 / (2 * 1.3**2)) + 0.1

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 import gsmspdc
 from gsmspdc import quadrature
 from gsmspdc.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_IO, EXIT_OK,
-                         EXPERIMENTS, MAX_D12_SAMPLES, MAX_DETECTOR_SAMPLES,
-                         MAX_FRAMES, MAX_GRID_SAMPLES, MAX_N_PX,
-                         MAX_PAIRS_PER_FRAME, OUTPUT_DIR_ENV, _integer, main)
-from gsmspdc.config import KEYS, load_config
+                         EXPERIMENTS, OUTPUT_DIR_ENV, main)
+from gsmspdc.config import (KEYS, MAX_D12_SAMPLES, MAX_DETECTOR_SAMPLES,
+                            MAX_FRAMES, MAX_GRID_SAMPLES, MAX_N_PX,
+                            MAX_PAIRS_PER_FRAME, _integer, load_config)
 from gsmspdc.counting import (FrameStack, load_frames, save_frames,
                               synth_frames)
 from gsmspdc.iofmt import read_pgm16
@@ -244,6 +244,40 @@ class TestErrorPaths:
         assert run("fringes", config_file, tmp_path / "o") == EXIT_CONVERGENCE
         assert run("profile", config_file, tmp_path / "p") == EXIT_OK
 
+    # the sections each experiment requires; coincidence reads its stack
+    # from frames-synth's output directory
+    REQUIRED_SECTIONS = {
+        "pump-visibility": ["pump"], "pump-invariance": ["pump"],
+        "fringes": ["pump", "crystal", "slits"],
+        "visibility-curve": ["pump", "crystal", "slits"],
+        "profile": ["pump", "crystal", "grid"],
+        "conditional": ["pump", "crystal"],
+        "frames-synth": ["pump", "crystal", "counting"], "coincidence": [],
+    }
+
+    @pytest.mark.parametrize("experiment", sorted(REQUIRED_SECTIONS))
+    def test_manifest_records_table_defaults(self, experiment, tmp_path):
+        out = tmp_path / "out"
+        runs = (["frames-synth"] if experiment == "coincidence" else []) + [
+            experiment]
+        for name in runs:
+            path = tmp_path / f"{name}.ini"
+            path.write_text("".join(f"[{section}]\n" for section
+                                    in self.REQUIRED_SECTIONS[name]))
+            assert run(name, path, out) == EXIT_OK
+        parameters = json.loads((out / "run_manifest.json").read_text())[
+            "parameters"]
+        assert parameters.pop("output.directory") == str(out)
+        if experiment == "coincidence":  # its default depends on --out
+            assert parameters.pop("counting.frames_file") == str(
+                out / "frames.bin")
+        assert parameters
+        for name, value in parameters.items():
+            section, key = name.split(".")
+            default = KEYS[section][key].default
+            assert value == (list(default) if isinstance(default, tuple)
+                             else default), name
+
     def test_grid_order_key_ignored(self, config_file, tmp_path):
         # the aperture order is measured; a config that still sets it runs
         # as if it did not
@@ -278,7 +312,18 @@ class TestErrorPaths:
 
     def test_shipped_and_benchmark_configs_load(self, tmp_path):
         root = Path(__file__).resolve().parents[1]
-        load_config(root / "configs" / "default.ini")
+        shipped = root / "configs" / "default.ini"
+        load_config(shipped)
+        # default.ini names every key, set or commented out
+        named, section = set(), None
+        for line in shipped.read_text().splitlines():
+            header = re.match(r"\[(\w+)\]", line)
+            key = re.match(r"#?\s*(\w+)\s*=", line)
+            if header:
+                section = header.group(1)
+            elif key and section:
+                named.add((section, key.group(1).lower()))
+        assert {(s, k) for s in KEYS for k in KEYS[s]} <= named
         spec = importlib.util.spec_from_file_location(
             "perfbench_workloads", root / "perfbench" / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
@@ -438,6 +483,11 @@ MALFORMED = {
                          _frames_file(b"NOTAFRAME" + b"\x00" * 64), [], EXIT_IO),
     "frames-truncated-body": ("coincidence", _truncated_stack, [], EXIT_IO),
     "frames-one-frame": ("coincidence", _one_frame_stack, [], EXIT_IO),
+    # a header of 5 frames with no rows, or no columns, and so no body
+    "frames-zero-height": ("coincidence", _frames_file(b"GSMFRAM1" + struct.pack(
+        "<III Q d d", 5, 0, 4, 1, 1e-5, 0.02)), [], EXIT_IO),
+    "frames-zero-width": ("coincidence", _frames_file(b"GSMFRAM1" + struct.pack(
+        "<III Q d d", 5, 2, 0, 1, 1e-5, 0.02)), [], EXIT_IO),
     "seed-beyond-u64": ("frames-synth",
                         _edited("seed = 777", "seed = 18446744073709551616"),
                         [], EXIT_CONFIG),
@@ -491,6 +541,19 @@ MALFORMED = {
        for experiment in ("fringes", "visibility-curve")},
     "slits-z1-huge": ("fringes", _edited("z1 = 0.20", "z1 = 1e300"), [],
                       EXIT_CONFIG),
+    # (l_c + 2 w0)^2 overflows in the pump CSD of every experiment with pumps
+    **{f"w0-huge-{experiment}": (
+        experiment, _edited("w0 = 0.5e-3", "w0 = 1.3407807929942597e+154"),
+        [], EXIT_CONFIG)
+       for experiment in ("fringes", "visibility-curve", "profile",
+                          "conditional", "frames-synth")},
+    "d12-max-huge": ("pump-visibility",
+                     _edited("w0 = 0.5e-3", "w0 = 0.5e-3\nd12_max = 1e308"),
+                     [], EXIT_CONFIG),
+    "lambda-p-tiny-scan-conditional": ("conditional",
+                                       _edited("lambda_p = 405e-9",
+                                               "lambda_p = 1e-300"),
+                                       [], EXIT_CONFIG),
     # 2 pi / lambda_p overflows to inf
     **{f"lambda-p-tiny-{experiment}": (
         experiment, _edited("lambda_p = 405e-9", "lambda_p = 5e-324"),
@@ -526,6 +589,13 @@ MESSAGES = {
     **{f"lambda-p-huge-{experiment}": "[pump] lambda_p = 1e+300 is out of "
        for experiment in ("fringes", "visibility-curve")},
     "slits-z1-huge": "[slits] z1 / d = ",
+    **{f"w0-huge-{experiment}": "[pump] w0 = 1.3407807929942597e+154 and l_c = "
+       for experiment in ("fringes", "visibility-curve", "profile",
+                          "conditional", "frames-synth")},
+    "d12-max-huge": "[pump] d12_max = 1e+308, ",
+    "lambda-p-tiny-scan-conditional": "[pump] lambda_p = 1e-300 is out of ",
+    "frames-zero-height": "empty 0 x 4 frames",
+    "frames-zero-width": "empty 2 x 0 frames",
 }
 
 
@@ -559,10 +629,20 @@ FUZZ_KEYS = {
                + [("crystal", k) for k in
                   ("l", "alpha", "theta_nc_deg", "rho_p", "rho_i")]
                + [("slits", k) for k in ("a", "d_values", "z", "z1")],
+    "visibility-curve": [("pump", k) for k in ("lambda_p", "w0", "a_values",
+                                               "l_c")]
+                        + [("crystal", k) for k in
+                           ("l", "alpha", "theta_nc_deg", "rho_p", "rho_i")]
+                        + [("slits", k) for k in ("a", "d_values", "z", "z1")],
     "conditional": [("pump", k) for k in ("lambda_p", "w0", "a_values", "l_c")]
                    + [("crystal", k) for k in
                       ("l", "alpha", "theta_nc_deg", "rho_p", "rho_i")]
                    + [("grid", "detector_samples")],
+    # samples has bound rows, and its upper bound costs minutes a run
+    "profile": [("pump", k) for k in ("lambda_p", "w0", "a_values", "l_c")]
+               + [("crystal", k) for k in
+                  ("l", "alpha", "theta_nc_deg", "rho_p", "rho_i")]
+               + [("grid", "extent")],
     # then coincidence on the stack it wrote; n_frames and n_px have bound rows
     "frames-synth": [("pump", k) for k in ("lambda_p", "w0", "a_values", "l_c")]
                     + [("counting", k) for k in
@@ -584,9 +664,10 @@ _FUZZ_CASE = st.sampled_from(sorted(FUZZ_KEYS)).flatmap(
 
 
 def _config_with(edits):
-    """BASE_CONFIG at 41 detector samples and 20 frames, with edits
-    {(section, key): text}."""
-    lines = (BASE_CONFIG.replace("detector_samples = 601", "detector_samples = 41")
+    """BASE_CONFIG at 8 x 8 profile samples, 41 detector samples and 20
+    frames, with edits {(section, key): text}."""
+    lines = (BASE_CONFIG.replace("samples = 48", "samples = 8")
+             .replace("detector_samples = 601", "detector_samples = 41")
              .replace("n_frames = 300", "n_frames = 20").splitlines())
     for (section, key), text in edits.items():
         line = f"{key} = {text}"
@@ -627,13 +708,13 @@ def test_config_fuzz_exit_contract(case):
 
 
 # finite values whose products overflow or vanish in the models
+# (the ids keep the names these rows have always run under)
 @pytest.mark.parametrize("experiment, edits", [
-    ("fringes", {("pump", "w0"): "1.3407807929942597e+154"}),
-    ("fringes", {("pump", "lambda_p"): "1e60", ("slits", "z1"): "1e100"}),
-    ("pump-invariance", {("pump", "a_s_values"): "5e-324",
-                         ("pump", "lambda_p"): "13.0"}),
-    ("pump-visibility", {("pump", "d12_max"): "1e308"}),
-    ("conditional", {("pump", "lambda_p"): "1e-300"}),
+    pytest.param("fringes", {("pump", "lambda_p"): "1e60",
+                             ("slits", "z1"): "1e100"}, id="fringes-edits1"),
+    pytest.param("pump-invariance", {("pump", "a_s_values"): "5e-324",
+                                     ("pump", "lambda_p"): "13.0"},
+                 id="pump-invariance-edits2"),
 ])
 def test_out_of_range_values_are_config_errors(experiment, edits, tmp_path,
                                                capsys):

@@ -116,6 +116,32 @@ def test_fit_gaussian_matches_scipy(case, weighted):
                                   rel=1e-10, abs=0)
 
 
+def test_fit_gaussian_finds_the_peak_past_a_one_sample_spike():
+    """On this noisy scan a fit started from the second moment (11 px) slides
+    into a one-sample spike of sigma 0.0015 px.  From the half-maximum start
+    (3.28 px) it reaches the peak, at a point where SciPy finds J^T r = 0, and
+    agrees with the jackknife-weighted fit."""
+    scan = coincidence_scan(0.7, 3 + 23 * 1000003)
+    fit = fit_gaussian(scan)
+    xs, ys = scan.xs, scan.values
+
+    def gradient(theta):
+        a, mu, s, c = theta
+        dx = xs - mu
+        bump = np.exp(-dx * dx / (2 * s * s))
+        jac = np.stack([bump, a * bump * dx / s**2, a * bump * dx * dx / s**3,
+                        np.ones_like(xs)], axis=1)
+        return jac.T @ (a * bump + c - ys)
+
+    stationary = root(gradient, [fit.amplitude, fit.mean, fit.sigma, fit.offset],
+                      method="hybr", options={"xtol": 1e-15})
+    assert fit.sigma == pytest.approx(abs(stationary.x[2]), rel=1e-10, abs=0)
+    weights = 1.0 / np.clip(scan.meta["stderr"], 1e-12, None)
+    assert fit.sigma == pytest.approx(fit_gaussian(scan, weights=weights).sigma,
+                                      rel=0.05)
+    assert fit.sigma > 3.0
+
+
 # -------------------------------------------------------------- visibility
 
 def reference_visibility(scan, period_hint, window=None):
