@@ -85,7 +85,7 @@ def run_fringes(res: Resolver, out: Path):
     samples = res.get("grid", "detector_samples")
     d = d_values[0]
     slits = interference.SlitGeometry(a=a, d=d, z=z, z1=z1)
-    with section_errors("pump"):  # a lambda_p out of the fringe range
+    with section_errors("pump", alpha="crystal"):  # out of the fringe range
         scans = interference.fringe_profiles(pumps, crystal, slits,
                                              samples=samples)
     path = out / "fringes.csv"
@@ -104,11 +104,11 @@ def run_visibility_curve(res: Resolver, out: Path):
     crystal = crystal_from(res)
     a, d_values, z, z1 = _slits_values(res)
     samples = res.get("grid", "detector_samples")
-    with section_errors("pump"):  # a lambda_p out of the fringe range
+    with section_errors("pump", alpha="crystal"):  # out of the fringe range
         rows = interference.visibility_curve(pumps, d_values, a=a, z=z, z1=z1,
                                              crystal=crystal, samples=samples)
     columns = ["A", "d_m", "visibility", "fringe_period_m", "aperture_order",
-               "order_doubling_delta"]
+               "order_doubling_delta", "residual_rms"]
     path = out / "visibility_curve.csv"
     write_csv(path, columns, [[r[c] for r in rows] for c in columns])
     return [path]

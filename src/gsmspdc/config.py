@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ConfigError, section_errors
 from .interference import DEFAULT_SAMPLES
-from .pump import PumpParams, csd_coefficients
+from .pump import PumpParams, csd_coefficients, require_coherence_range
 from .spdc import DEFAULT_ALPHA, CrystalParams
 
 __all__ = ["load_config", "Resolver", "pumps_from", "crystal_from", "KEYS",
@@ -181,15 +181,17 @@ class Resolver:
 def pumps_from(res: Resolver) -> list[PumpParams]:
     """Pump parameter set for each configured degree of coherence.
 
-    [pump] accepts either `A_values` (list) or a single `l_c`.  Each pump's
-    CSD coefficients are computed once here, so that a w0 out of their range
-    is named before any model overflows on it.
+    [pump] accepts either `A_values` (list) or a single `l_c`.  The coherence
+    width's 1 / w0^2 and 1 / l_c^2 are checked, and each pump's CSD
+    coefficients computed once, here, so that a w0, l_c or A out of their
+    range is named before any model overflows on it.
     """
     lambda_p, w0 = res.section("pump", "lambda_p", "w0")
     with section_errors("pump"):
         if "l_c" in res.raw["pump"]:
             l_c = res.get("pump", "l_c")
             pumps = [PumpParams(lambda_p=lambda_p, w0=w0, l_c=l_c)]
+            require_coherence_range(w0=w0, l_c=l_c)
         else:
             pumps = [PumpParams.from_coherence(lambda_p, w0, a)
                      for a in res.get("pump", "a_values")]

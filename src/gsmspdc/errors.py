@@ -8,14 +8,16 @@ class ConfigError(ValueError):
 
 
 @contextmanager
-def section_errors(section: str):
-    """Report a model's ValueError as a ConfigError that names [section]."""
+def section_errors(section: str, **key_sections):
+    """Report a model's ValueError as a ConfigError that names [section], or
+    the section key_sections gives the key the message starts with."""
     try:
         yield
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {exc}") from exc
+        key = str(exc).split(" ", 1)[0]
+        raise ConfigError(f"[{key_sections.get(key, section)}] {exc}") from exc
 
 
 class ConvergenceError(RuntimeError):

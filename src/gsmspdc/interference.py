@@ -28,10 +28,22 @@ with the exact Fresnel propagator from slit to detector:
     p1(x_s) = Re  int dx dx' t(x) t(x') W(x, x')
                   exp(-i k_s [(x_s - x)^2 - (x_s - x')^2] / (2 z1)) .
 
+With kappa = k_s / z1 the propagator factors as
+
+    exp(-i kappa (x_s - x)^2 / 2)
+        = exp(-i kappa x_s^2 / 2) exp(i kappa x_s x) exp(-i kappa x^2 / 2) :
+
+the x_s^2 factor cancels between x and x', the x^2 factor is a diagonal
+phase of each pump's node-by-node kernel, and the detector phase table
+exp(i kappa x_s x) is one cosine and one sine per right-slit node, whose
+conjugate serves the mirrored left slit.  One table serves every pump, and
+each pump's kernel then takes one matrix product.
+
 The y dimension integrates out analytically (the kernel factorizes), so the
 computation is the 1-D reduction along the measured horizontal axis.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -94,7 +106,11 @@ def slit_transmission(x, slits: SlitGeometry):
 def _kernel_constants(pump: PumpParams, crystal: CrystalParams, z: float):
     coeffs = csd_coefficients(pump)
     lambda_s = 2.0 * pump.lambda_p
-    beta = np.pi**2 * crystal.alpha * crystal.L / pump.k_p
+    beta = np.pi**2 * crystal.alpha * crystal.L / pump.k_p  # in Python floats
+    if not math.isfinite(beta * beta):  # Delta = |a|^2 - c^2 would be nan
+        raise ValueError(f"alpha = {crystal.alpha!r} and L = {crystal.L!r} are "
+                         f"out of numerical range: the phase-matching blur "
+                         f"pi^2 alpha L / k_p of the signal kernel overflows")
     a = (coeffs.b1 + beta) + 1j * np.pi * lambda_s * z
     c = coeffs.b2 + beta
     delta = abs(a) ** 2 - c * c
@@ -112,8 +128,18 @@ def slit_plane_coherence(pump: PumpParams, crystal: CrystalParams, z: float,
     return float(np.exp(-np.pi**2 * c * separation**2 / delta))
 
 
+@functools.lru_cache(maxsize=16)  # the gate's orders, 4 to 128, and a few starts
+def _legendre_rule(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only: leggauss is an
+    eigenvalue solve, and visibility_curve asks for the same orders at every d."""
+    rule = leggauss(order)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def _slit_nodes(slits: SlitGeometry, order: int):
-    xg, wg = leggauss(order)
+    xg, wg = _legendre_rule(order)
     lo = (slits.d - slits.a) / 2.0
     hi = (slits.d + slits.a) / 2.0
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
@@ -123,27 +149,38 @@ def _slit_nodes(slits: SlitGeometry, order: int):
     return nodes, weights
 
 
-def _unit_max_profiles(pumps, crystal, slits, xs, order):
-    """p1 on xs by the order-point aperture rule, one unit-max row per pump;
-    the slit nodes, their squares and weight products, and the detector
-    phases exp(-i k_s (x_s - x)^2 / 2 z1) serve every pump, and each pump's
-    slit-plane kernel is one matrix product.
+def _unit_max_profiles(kernels, k_s, slits, xs, order):
+    """p1 on xs by the order-point aperture rule, one unit-max row per pump
+    kernel (a, c, Delta).
+
+    With kappa = k_s / z1 the propagator factors as
+    exp(-i kappa x_s^2 / 2) exp(i kappa x_s x) exp(-i kappa x^2 / 2).  The
+    first factor cancels in p1's Hermitian form and the last goes into each
+    pump's slit-plane kernel as a diagonal phase, so the detector phase table
+    exp(i kappa x_s x) is a cosine and a sine on the right slit's nodes, and
+    its conjugate on the mirrored left slit.  The table and the nodes' weight
+    products serve every pump, and each pump's kernel is one matrix product.
     """
     nodes, weights = _slit_nodes(slits, order)
-    k_s = pumps[0].k_p / 2.0
-    phases = np.exp(-1j * k_s * (xs[:, None] - nodes[None, :]) ** 2 / (2.0 * slits.z1))
-    conj_phases = np.conj(phases)
+    kappa = k_s / slits.z1
+    arg = (kappa * xs)[:, None] * nodes[None, :order]
+    cos, sin = np.cos(arg), np.sin(arg)
+    table = np.empty((xs.size, 2 * order), dtype=complex)
+    table.real[:, :order] = table.real[:, order:] = cos
+    table.imag[:, :order] = sin
+    np.negative(sin, out=table.imag[:, order:])
+    conj_table = np.conj(table)
     X, Xp = np.meshgrid(nodes, nodes, indexing="ij")
     X2, Xp2 = X**2, Xp**2
+    spin = -0.5j * kappa * (X2 - Xp2)  # exp(-i kappa x^2 / 2) on each side
     node_weights = weights[:, None] * weights[None, :]
-    out = np.empty((len(pumps), xs.size))
-    for row, pump in zip(out, pumps):
-        a, c, delta = _kernel_constants(pump, crystal, slits.z)
+    out = np.empty((len(kernels), xs.size))
+    for row, (a, c, delta) in zip(out, kernels):
         w_slit = np.exp(-(np.pi**2) * (np.conj(a) * X2 + a * Xp2 - 2.0 * c * X * Xp)
-                        / delta)
+                        / delta + spin)
         kernel = node_weights * w_slit
         p1 = np.maximum(
-            np.einsum("sj,sj->s", phases @ kernel, conj_phases).real, 0.0)
+            np.einsum("sj,sj->s", table @ kernel, conj_table).real, 0.0)
         peak = p1.max()
         if peak <= 0:
             raise ConvergenceError("fringe profile vanished everywhere")
@@ -178,11 +215,17 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
     period = slits.fringe_period(lambda_s)
     span = DEFAULT_SPAN_PERIODS * period
     xs = np.linspace(-span / 2.0, span / 2.0, samples)
+    # p1 is defined by the propagator phase k_s (x_s - x)^2 / 2 z1, which the
+    # factored product never forms; where the edge sample's (x_s - x)^2
+    # overflows, the model is out of numerical range all the same
+    with np.errstate(over="raise"):
+        np.square(xs[-1] + (slits.d + slits.a) / 2.0)
 
+    kernels = [_kernel_constants(pump, crystal, slits.z) for pump in pumps]
     rows = {}  # order -> unit-max profiles, for each pump's own delta
 
     def evaluate(n):
-        rows[n] = _unit_max_profiles(pumps, crystal, slits, xs, n)
+        rows[n] = _unit_max_profiles(kernels, pumps[0].k_p / 2.0, slits, xs, n)
         return rows[n]
     values, order, delta = doubling_gate(evaluate, "aperture", order, check_convergence)
     # every row peaks at exactly 1, so the gate's delta is the largest of these
@@ -209,24 +252,26 @@ def visibility_curve(pumps, d_values, a: float, z: float, z1: float,
     """Fitted fringe visibility over a (pump, slit-separation) lattice.
 
     Returns a list of dicts with keys A, d_m, visibility, fringe_period_m,
-    aperture_order, order_doubling_delta, pump-major: every d of the first
-    pump, then of the next.  The fit is
-    anchored with the known fringe period and restricted to the central four
-    periods, where the log-quadratic envelope model holds.
+    residual_rms, aperture_order, order_doubling_delta, pump-major: every d
+    of the first pump, then of the next.  The profiles of one d share their
+    detector axis, so their fits are one stack; each fit is anchored with
+    the known fringe period and restricted to the central four periods,
+    where the log-quadratic envelope model holds.
     """
     pumps = list(pumps)
     per_pump = [[] for _ in pumps]
     for d in d_values:
         slits = SlitGeometry(a=a, d=d, z=z, z1=z1)
         scans = fringe_profiles(pumps, crystal, slits, samples=samples)
-        for rows, scan in zip(per_pump, scans):
-            period = scan.meta["fringe_period_m"]
-            fit = fit_visibility(scan, period_hint=period, window=2.0 * period)
+        period = scans[0].meta["fringe_period_m"]
+        fits = fit_visibility(scans, period_hint=period, window=2.0 * period)
+        for rows, scan, fit in zip(per_pump, scans, fits):
             rows.append({
                 "A": scan.meta["A"],
                 "d_m": d,
                 "visibility": fit.visibility,
                 "fringe_period_m": fit.fringe_period,
+                "residual_rms": fit.residual_rms,
                 "aperture_order": scan.meta["order"],
                 "order_doubling_delta": scan.meta["order_doubling_delta"],
             })

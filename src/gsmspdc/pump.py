@@ -43,6 +43,7 @@ __all__ = [
     "pump_visibility",
     "correlation_length",
     "propagate_to_crystal",
+    "require_coherence_range",
 ]
 
 # l_c / w0 ratio standing in for a fully coherent pump (error in A below 1e-6)
@@ -90,6 +91,17 @@ def _require_positive(**kwargs):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def require_coherence_range(**lengths):
+    """Raise ValueError naming the first of lengths (w0, l_c) whose 1 / x^2,
+    which the coherence width delta sums, overflows; the pumps a config
+    builds are checked so before any model divides by their squares."""
+    for name, value in lengths.items():
+        square = float(value) * float(value)
+        if square == 0.0 or np.isinf(1.0 / square):
+            raise ValueError(f"{name} = {value!r} is out of numerical range: "
+                             f"1 / {name}^2 overflows")
+
+
 def _require_wavelength(lambda_p):
     """A positive wavelength whose wave number 2 pi / lambda_p is finite."""
     _require_positive(lambda_p=lambda_p)
@@ -119,9 +131,16 @@ class PumpParams:
         """Build pump parameters from a target degree of coherence A in (0, 1]."""
         _require_wavelength(lambda_p)
         _require_positive(w0=w0, A=A)
+        require_coherence_range(w0=w0)
         if A > 1.0:
             raise ValueError(f"A must be <= 1, got {A}")
         l_c = correlation_length_for(A, w0)
+        try:
+            require_coherence_range(l_c=l_c)
+        except ValueError:
+            raise ValueError(f"A = {A!r} is out of numerical range for w0 = "
+                             f"{w0!r}: 1 / l_c^2 of its correlation length "
+                             f"{float(l_c)!r} overflows") from None
         return cls(lambda_p, w0, l_c)
 
 

@@ -37,7 +37,7 @@ def report(criterion, text):
 
 def fitted_visibility(scan, slits):
     period = slits.fringe_period(LAMBDA_S)
-    return fit_visibility(scan, period_hint=period, window=2 * period).visibility
+    return fit_visibility([scan], period_hint=period, window=2 * period)[0].visibility
 
 
 def j1_series(nu, terms=60):

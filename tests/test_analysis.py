@@ -17,30 +17,30 @@ def raised_cosine(i_max, i_min, periods=6.0, n=600, phase=0.3):
 class TestFitVisibility:
     def test_constant_scan(self):
         scan = Scan1D(xs=np.linspace(0, 1, 100), values=np.full(100, 2.5))
-        assert fit_visibility(scan, period_hint=0.1).visibility == 0.0
+        assert fit_visibility([scan], period_hint=0.1)[0].visibility == 0.0
 
     def test_pure_raised_cosine(self):
-        fit = fit_visibility(raised_cosine(1.0, 0.0), period_hint=1.0)
+        fit = fit_visibility([raised_cosine(1.0, 0.0)], period_hint=1.0)[0]
         assert fit.visibility == pytest.approx(1.0, abs=1e-6)
         assert fit.fringe_period == pytest.approx(1.0, rel=1e-6)
 
     def test_three_to_one_contrast(self):
-        fit = fit_visibility(raised_cosine(3.0, 1.0), period_hint=1.0)
+        fit = fit_visibility([raised_cosine(3.0, 1.0)], period_hint=1.0)[0]
         assert fit.visibility == pytest.approx(0.5, abs=1e-6)
 
     def test_scale_invariance(self):
         scan = raised_cosine(3.0, 1.0)
-        base = fit_visibility(scan, period_hint=1.0).visibility
+        base = fit_visibility([scan], period_hint=1.0)[0].visibility
         for scale in (1e-6, 7.3, 1e4):
             scaled = Scan1D(xs=scan.xs, values=scale * scan.values)
-            assert fit_visibility(scaled, period_hint=1.0).visibility == pytest.approx(
+            assert fit_visibility([scaled], period_hint=1.0)[0].visibility == pytest.approx(
                 base, abs=1e-9)
 
     def test_gaussian_envelope_recovered(self):
         xs = np.linspace(-3, 3, 1200)
         env = np.exp(-xs**2 / 2.0)
         values = env * (1 + 0.62 * np.cos(2 * np.pi * xs / 0.8 + 0.1))
-        fit = fit_visibility(Scan1D(xs=xs, values=values), period_hint=0.8)
+        fit = fit_visibility([Scan1D(xs=xs, values=values)], period_hint=0.8)[0]
         assert fit.visibility == pytest.approx(0.62, abs=1e-6)
 
     def test_residual_threshold_reports_failure(self):
@@ -48,7 +48,7 @@ class TestFitVisibility:
         xs = np.linspace(0, 6, 600)
         values = np.where(np.mod(xs, 1.0) < 0.15, 1.0, 0.02)
         with pytest.raises(FitError):
-            fit_visibility(Scan1D(xs=xs, values=values), period_hint=1.0)
+            fit_visibility([Scan1D(xs=xs, values=values)], period_hint=1.0)[0]
 
 
 class TestFitGaussian:

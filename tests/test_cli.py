@@ -126,11 +126,12 @@ class TestRunVisibilityCurve:
         assert run("visibility-curve", config_file, out) == EXIT_OK
         lines = (out / "visibility_curve.csv").read_text().splitlines()
         assert lines[0] == ("A,d_m,visibility,fringe_period_m,aperture_order,"
-                            "order_doubling_delta")
+                            "order_doubling_delta,residual_rms")
         for line in lines[1:]:
-            order, delta = line.split(",")[4:]
+            order, delta, rms = line.split(",")[4:]
             assert int(order) >= 4
             assert 0.0 <= float(delta) <= 1e-4
+            assert 0.0 <= float(rms) <= 0.20
 
 
 class TestRunProfile:
@@ -554,6 +555,21 @@ MALFORMED = {
                                        _edited("lambda_p = 405e-9",
                                                "lambda_p = 1e-300"),
                                        [], EXIT_CONFIG),
+    # the phase-matching blur pi^2 alpha L / k_p of the fringe kernel squares
+    **{f"alpha-huge-{experiment}": (
+        experiment, _edited("theta_nc_deg = 3.0",
+                            "theta_nc_deg = 3.0\nalpha = 1e308"),
+        [], EXIT_CONFIG)
+       for experiment in ("fringes", "visibility-curve")},
+    # 1 / l_c^2 + 1 / (4 w0^2) of the coherence width, in every pump
+    # experiment; a_values enters as the l_c it implies
+    **{f"{key}-tiny-{experiment}": (experiment, _edited(old, new), [],
+                                    EXIT_CONFIG)
+       for key, old, new in (
+           ("w0", "w0 = 0.5e-3", "w0 = 1e-300"),
+           ("l-c", "a_values = 0.9, 0.3", "l_c = 1e-300"),
+           ("a-values", "a_values = 0.9, 0.3", "a_values = 0.9, 1e-300"))
+       for experiment in ("profile", "visibility-curve")},
     # 2 pi / lambda_p overflows to inf
     **{f"lambda-p-tiny-{experiment}": (
         experiment, _edited("lambda_p = 405e-9", "lambda_p = 5e-324"),
@@ -594,6 +610,14 @@ MESSAGES = {
                           "conditional", "frames-synth")},
     "d12-max-huge": "[pump] d12_max = 1e+308, ",
     "lambda-p-tiny-scan-conditional": "[pump] lambda_p = 1e-300 is out of ",
+    **{f"alpha-huge-{experiment}": "[crystal] alpha = 1e+308 and L = 0.002 "
+       for experiment in ("fringes", "visibility-curve")},
+    **{f"w0-tiny-{experiment}": "[pump] w0 = 1e-300 is out of numerical range"
+       for experiment in ("profile", "visibility-curve")},
+    **{f"l-c-tiny-{experiment}": "[pump] l_c = 1e-300 is out of numerical range"
+       for experiment in ("profile", "visibility-curve")},
+    **{f"a-values-tiny-{experiment}": "[pump] A = 1e-300 is out of numerical "
+       for experiment in ("profile", "visibility-curve")},
     "frames-zero-height": "empty 0 x 4 frames",
     "frames-zero-width": "empty 2 x 0 frames",
 }

@@ -30,7 +30,7 @@ def coherent_oracle_pattern(slits, xs):
 
 def fitted_visibility(scan, slits):
     period = slits.fringe_period(LAMBDA_S)
-    return fit_visibility(scan, period_hint=period, window=2 * period).visibility
+    return fit_visibility([scan], period_hint=period, window=2 * period)[0].visibility
 
 
 class TestSlitTransmission:
@@ -139,6 +139,17 @@ def reference_profile(pump, slits, xs, order):
 
 class TestFringeProfiles:
     PUMPS = [pump_for(A) for A in (0.9, 0.6, 0.3)]
+
+    @pytest.mark.parametrize("samples", [601, 1001])
+    @pytest.mark.parametrize("order", [2, 4, 8, 16, 32, 64])
+    def test_factored_propagator_matches_direct_phases(self, order, samples):
+        # the detector phase table and the kernel's diagonal phase stand for
+        # the direct exp(-i k_s (x_s - x)^2 / 2 z1) of reference_profile
+        scans = fringe_profiles(self.PUMPS, CRYSTAL, SLITS, samples=samples,
+                                order=order, check_convergence=False)
+        for pump, scan in zip(self.PUMPS, scans):
+            ref = reference_profile(pump, SLITS, scan.xs, order)
+            assert np.max(np.abs(scan.values - ref)) <= 2e-13
 
     @pytest.mark.parametrize("order", [24, 48])
     def test_batch_matches_per_pump_einsum(self, order):

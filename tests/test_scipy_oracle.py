@@ -12,6 +12,7 @@ from scipy.optimize import least_squares, root
 from scipy.special import j1
 
 from gsmspdc.analysis import fit_gaussian, fit_visibility
+from gsmspdc.errors import FitError
 from gsmspdc.counting import conditional_map, synth_frames
 from gsmspdc.interference import SlitGeometry, fringe_profiles
 from gsmspdc.profiles import overlap_point
@@ -204,5 +205,50 @@ VISIBILITY_CORPUS = visibility_corpus()
 @pytest.mark.parametrize("case", sorted(VISIBILITY_CORPUS))
 def test_fit_visibility_matches_scipy(case):
     scan, kwargs = VISIBILITY_CORPUS[case]
-    assert fit_visibility(scan, **kwargs).visibility == pytest.approx(
+    assert fit_visibility([scan], **kwargs)[0].visibility == pytest.approx(
         reference_visibility(scan, **kwargs), abs=1e-10)
+
+
+def fringe_batches():
+    """The corpus's fringe scans grouped by slit separation, one xs each."""
+    batches = {}
+    for case, (scan, kwargs) in sorted(VISIBILITY_CORPUS.items()):
+        if case.startswith("fringes-"):
+            batches.setdefault(case.rsplit("-", 1)[1], []).append((scan, kwargs))
+    return batches
+
+
+@pytest.mark.parametrize("d", sorted(fringe_batches()))
+def test_fit_visibility_batch_equals_each_scan_alone(d):
+    scans, kwargs = zip(*fringe_batches()[d])
+    assert len(scans) == 3 and all(k == kwargs[0] for k in kwargs)
+    alone = [fit_visibility([scan], **kwargs[0])[0] for scan in scans]
+    assert fit_visibility(scans, **kwargs[0]) == alone  # bit for bit
+    assert fit_visibility(scans[::-1], **kwargs[0]) == alone[::-1]
+
+
+def test_fit_visibility_batch_raises_what_its_failing_scan_raises():
+    # narrow periodic pulses leave > 20% residual under the fringe model,
+    # while the raised cosines beside them fit
+    xs = np.linspace(0.0, 6.0, 600)
+    pulses = Scan1D(xs=xs, values=np.where(np.mod(xs, 1.0) < 0.15, 1.0, 0.02))
+    good = [VISIBILITY_CORPUS[case][0] for case in ("raised-cosine",
+                                                    "three-to-one")]
+    with pytest.raises(FitError) as alone:
+        fit_visibility([pulses], period_hint=1.0)
+    assert "exceeds 20% of max" in str(alone.value)
+    for batch in ([good[0], pulses, good[1]], [good[1], pulses, good[0]]):
+        with pytest.raises(FitError) as batched:
+            fit_visibility(batch, period_hint=1.0)
+        assert str(batched.value) == str(alone.value)
+    assert fit_visibility(good, period_hint=1.0) == [
+        fit_visibility([scan], period_hint=1.0)[0] for scan in good]
+
+
+def test_fit_visibility_rejects_scans_on_different_axes():
+    scan = VISIBILITY_CORPUS["raised-cosine"][0]
+    shifted = Scan1D(xs=scan.xs + 0.5, values=scan.values)
+    with pytest.raises(ValueError, match="one xs"):
+        fit_visibility([scan, shifted], period_hint=1.0)
+    with pytest.raises(ValueError, match="one xs"):
+        fit_visibility([], period_hint=1.0)
