@@ -5,9 +5,13 @@ Gaussian also the half-maximum width; no random restarts), so repeated runs
 give identical results.  Both nonlinear fits share one
 Levenberg-Marquardt solver with analytic Jacobians, which solves a stack of
 problems at once: fit_visibility's scans on one detector axis, or
-fit_gaussian's starts.  Each problem keeps its own scaling, damping,
+fit_gaussian's starts.  At each new point of a long residual it takes one
+QR, then an SVD of the scaled triangle, as MINPACK's solver works on the
+triangle R of J = QR (More, LNM 630, 1978); a short one's Jacobian costs
+less to decompose whole.  Each problem keeps its own scaling, damping,
 evaluation count and stopping rule, and the stack only shares the residual
-evaluations and SVDs, so a problem's fit is bit for bit its fit alone.
+evaluations and factorizations, so a problem's fit is bit for bit its fit
+alone.
 """
 
 from dataclasses import dataclass
@@ -36,6 +40,12 @@ _LM_XTOL = 1e-12
 _LM_GTOL = 1e-15
 _LM_FLAT = 1e-12
 _LM_DAMPING0 = 1e-3     # initial damping, relative to the largest scaled J^T J entry
+# rows per parameter from which the QR of [J r] pays for itself: below it one
+# SVD of the scaled n x p Jacobian costs less than that QR and the SVD of its
+# p x p triangle together (about 200 rows at p = 4 and 6, measured on 2 vCPU
+# with OpenBLAS 0.3.31; fit_gaussian's 48 x 4 stays below, and
+# fit_visibility's four central periods of 1001 samples, 501 x 6, above)
+_LM_QR_ROWS = 32
 _TINY = np.finfo(float).tiny
 
 
@@ -86,16 +96,22 @@ def _levenberg_marquardt(fun, theta0, max_nfev):
     J = dr/dtheta (len(rows), n, p).  Each parameter is measured in units of
     the largest norm its Jacobian column has reached (Marquardt scaling), so
     the damping does not depend on the parameters' units.  A trial step
-    solves the damped normal equations through one SVD of the scaled
-    Jacobian, without forming J^T J; the damping follows Nielsen's update.
+    solves the damped normal equations without forming J^T J, through an
+    SVD of the scaled Jacobian.  With n >= _LM_QR_ROWS p residual rows, it
+    takes one QR, then an SVD of the scaled triangle: at each new point the
+    n x (p + 1) QR of [J r] gives R of J = Q R and Q^T r, the column norms
+    of J are those of R, the gradient J^T r is R^T (Q^T r), and the SVD of
+    the p x p R / scale = U_R S V^T gives U^T r = U_R^T (Q^T r), the same
+    step as the SVD of the scaled n x p Jacobian in exact arithmetic, with
+    only the QR reading the n rows.  The damping follows Nielsen's update.
 
     Each problem keeps its own scale, damping, evaluation count, accepted
-    steps and stopping rule; only the evaluations and SVDs of the problems
-    still running are done together, and every reduction is taken row by row
-    the way a stack of one takes it, so a problem's result does not depend on
-    the others in its stack.  Returns (theta, r, converged) stacks, where
-    converged[k] is False when problem k spent max_nfev evaluations before
-    its stopping rule held.
+    steps and stopping rule; only the evaluations and factorizations of the
+    problems still running are done together, and every reduction is taken
+    row by row the way a stack of one takes it, so a problem's result does
+    not depend on the others in its stack.  Returns (theta, r, converged)
+    stacks, where converged[k] is False when problem k spent max_nfev
+    evaluations before its stopping rule held.
     """
     theta = np.array(theta0, dtype=float)
     count, p = theta.shape
@@ -119,6 +135,12 @@ def _levenberg_marquardt(fun, theta0, max_nfev):
             running[fresh[stop]] = False
             if stop.any():
                 fresh, jac, rf = fresh[~stop], jac[~stop], rf[~stop]
+            if rf.shape[1] >= _LM_QR_ROWS * p:
+                # R of [J r] is [[R, Q^T r], [0, |r - Q Q^T r|]] for J = Q R,
+                # and (R, Q^T r) stand for (J, r) in every product below
+                tri = np.linalg.qr(np.concatenate([jac, rf[:, :, None]],
+                                                  axis=2), mode="r")
+                jac, rf = tri[:, :p, :p], tri[:, :p, p]
             norms = np.linalg.norm(jac, axis=1)
             g = _matvec(jac.transpose(0, 2, 1), rf)
             stop = np.all(np.abs(g) <= _LM_GTOL * norms

@@ -26,7 +26,8 @@ from .config import Resolver, crystal_from, load_config, pumps_from
 from .errors import ConfigError, ConvergenceError, FitError, section_errors
 from .iofmt import write_csv, write_json, write_manifest, write_pgm16
 from .pump import (CharacterizationSetup, coherence_from, correlation_length,
-                   csd_coefficients, propagate_to_crystal, pump_visibility)
+                   csd_coefficients, propagate_to_crystal, pump_visibility,
+                   require_coherence_range)
 from .spdc import joint_momentum_rate
 
 EXIT_OK = 0
@@ -71,6 +72,14 @@ def run_pump_invariance(res: Resolver, out: Path):
         for a_s in a_s_values:
             l_c_lens = correlation_length(a_s, f_char, lambda_p)
             pump = propagate_to_crystal(l_c_lens, w_at_lens, demag, lambda_p)
+            require_coherence_range(w0=pump.w0)
+            try:
+                require_coherence_range(l_c=pump.l_c)
+            except ValueError:
+                raise ValueError(f"a_s_values entry {a_s!r} is out of "
+                                 f"numerical range: 1 / l_c^2 of its "
+                                 f"crystal-plane correlation length "
+                                 f"{float(pump.l_c)!r} overflows") from None
             rows.append((a_s, l_c_lens, pump.w0, pump.l_c, coherence_from(pump).A))
     path = out / "pump_invariance.csv"
     write_csv(path, ["a_s_m", "l_c_lens_m", "w0_crystal_m", "l_c_crystal_m", "A"],
@@ -118,7 +127,8 @@ def run_profile(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     samples, extent = res.section("grid", "samples", "extent")
-    with section_errors("grid"):  # an extent that does not cover the ring
+    # an extent that does not cover the ring, or a lambda_p out of its range
+    with section_errors("grid", lambda_p="pump"):
         computed = [profiles.singles_profile(
             pump, crystal, which="both",
             extent=None if extent <= 0 else extent,
@@ -138,7 +148,8 @@ def run_conditional(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     samples = res.get("grid", "detector_samples")
-    with section_errors("pump"):  # a w0 too wide for the scan to resolve
+    # a w0 too wide for the scan to resolve, or a rho_i out of its range
+    with section_errors("pump", rho_i="crystal"):
         scans = [profiles.conditional_scan(
             pump, crystal, profiles.overlap_point(crystal, pump.k_p),
             samples=samples) for pump in pumps]
@@ -171,7 +182,8 @@ def run_frames_synth(res: Resolver, out: Path):
     crystal = crystal_from(res)
     params = _counting_params(res)
     pump = pumps[0]
-    joint, qs, qi = _synthesis_joint(pump, crystal, params["n_px"])
+    with section_errors("crystal"):  # a rho_i out of its range
+        joint, qs, qi = _synthesis_joint(pump, crystal, params["n_px"])
     lambda_s = 2.0 * pump.lambda_p
     pitch = float(profiles.momentum_to_position(qi[1] - qi[0],
                                                 params["f_collim"], lambda_s))
@@ -270,7 +282,8 @@ def main(argv=None) -> int:
         # finite config values can still overflow the models' arithmetic
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             written = EXPERIMENTS[args.experiment](res, out)
-        write_manifest(out, args.experiment, res.resolved, written)
+        write_manifest(out, args.experiment, res.resolved, written,
+                       sys.argv[1:] if argv is None else argv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -33,11 +33,29 @@ With kappa = k_s / z1 the propagator factors as
     exp(-i kappa (x_s - x)^2 / 2)
         = exp(-i kappa x_s^2 / 2) exp(i kappa x_s x) exp(-i kappa x^2 / 2) :
 
-the x_s^2 factor cancels between x and x', the x^2 factor is a diagonal
-phase of each pump's node-by-node kernel, and the detector phase table
-exp(i kappa x_s x) is one cosine and one sine per right-slit node, whose
-conjugate serves the mirrored left slit.  One table serves every pump, and
-each pump's kernel then takes one matrix product.
+the x_s^2 factor cancels between x and x', and the x^2 factor joins the
+node kernel
+
+    K(x, x') = w w' W(x, x') exp(-i kappa (x^2 - x'^2) / 2) ,
+
+so that p1(x_s) = Re sum K(x, x') exp(i kappa x_s (x - x')) over the nodes
+of both slits.  K depends on x and x' only through x^2, x'^2 and x x', so it
+is even: K(-x, -x') = K(x, x').  The left slit's nodes are the right slit's
+nodes r mirrored, with equal weights, so each quadrant of the sum pairs with
+its mirror image: left-left with right-right, whose phases
+exp(+-i kappa x_s (r - r')) add to 2 cos, and left-right with right-left,
+whose phases exp(+-i kappa x_s (r + r')) add to 2 cos.  With the row
+vectors c = cos(kappa x_s r) and s = sin(kappa x_s r) over the right slit's
+n nodes (tables, not the kernel's c), cos(u -+ v) = cos u cos v +- sin u sin v
+gives at each x_s
+
+    p1 = 2 [c M+ c^T + s M- s^T] ,   M+- = Re K_RR +- Re K_RL ,
+
+two real n x n matrices per pump, where K_RR holds K(r, r') and K_RL holds
+K(r, -r').  Only the real part of K enters, so each is a Gaussian times
+cos((r^2 - r'^2)(pi^2 Im a / Delta - kappa / 2)).  Over S detector samples
+that is two real (S x n)(n x n) products per pump, where the unfolded sum
+takes one complex (S x 2n)(2n x 2n) product: 8 times fewer multiply-adds.
 
 The y dimension integrates out analytically (the kernel factorizes), so the
 computation is the 1-D reduction along the measured horizontal axis.
@@ -153,39 +171,33 @@ def _unit_max_profiles(kernels, k_s, slits, xs, order):
     """p1 on xs by the order-point aperture rule, one unit-max row per pump
     kernel (a, c, Delta).
 
-    With kappa = k_s / z1 the propagator factors as
-    exp(-i kappa x_s^2 / 2) exp(i kappa x_s x) exp(-i kappa x^2 / 2).  The
-    first factor cancels in p1's Hermitian form and the last goes into each
-    pump's slit-plane kernel as a diagonal phase, so the detector phase table
-    exp(i kappa x_s x) is a cosine and a sine on the right slit's nodes, and
-    its conjugate on the mirrored left slit.  The table and the nodes' weight
-    products serve every pump, and each pump's kernel is one matrix product.
+    The mirror form of the module docstring: the detector table is a cosine
+    and a sine per right-slit node, each pump's M+- are built in one
+    broadcast over the pumps, and each pump then takes two real
+    (S x n)(n x n) products; the factor 2 cancels in the unit maximum.
     """
     nodes, weights = _slit_nodes(slits, order)
+    right, w = nodes[:order], weights[:order]
     kappa = k_s / slits.z1
-    arg = (kappa * xs)[:, None] * nodes[None, :order]
+    arg = (kappa * xs)[:, None] * right[None, :]
     cos, sin = np.cos(arg), np.sin(arg)
-    table = np.empty((xs.size, 2 * order), dtype=complex)
-    table.real[:, :order] = table.real[:, order:] = cos
-    table.imag[:, :order] = sin
-    np.negative(sin, out=table.imag[:, order:])
-    conj_table = np.conj(table)
-    X, Xp = np.meshgrid(nodes, nodes, indexing="ij")
-    X2, Xp2 = X**2, Xp**2
-    spin = -0.5j * kappa * (X2 - Xp2)  # exp(-i kappa x^2 / 2) on each side
-    node_weights = weights[:, None] * weights[None, :]
-    out = np.empty((len(kernels), xs.size))
-    for row, (a, c, delta) in zip(out, kernels):
-        w_slit = np.exp(-(np.pi**2) * (np.conj(a) * X2 + a * Xp2 - 2.0 * c * X * Xp)
-                        / delta + spin)
-        kernel = node_weights * w_slit
-        p1 = np.maximum(
-            np.einsum("sj,sj->s", table @ kernel, conj_table).real, 0.0)
-        peak = p1.max()
-        if peak <= 0:
-            raise ConvergenceError("fringe profile vanished everywhere")
-        row[:] = p1 / peak
-    return out
+    a, c, delta = (np.array(v)[:, None, None] for v in zip(*kernels))
+    r2 = right * right
+    g = np.pi**2 / delta
+    # Re K(r, +-r') = w w' exp(-g (Re a (r^2 + r'^2) -+ 2 c r r')) cos(phase)
+    square = g * (a.real * (r2[:, None] + r2[None, :]))
+    cross = g * (2.0 * c * (right[:, None] * right[None, :]))
+    phase = (r2[:, None] - r2[None, :]) * (g * a.imag - 0.5 * kappa)
+    weighted = (w[:, None] * w[None, :]) * np.cos(phase)
+    same, mirrored = np.exp(cross - square), np.exp(-cross - square)
+    m_plus, m_minus = weighted * (same + mirrored), weighted * (same - mirrored)
+    # (P, S, n) @ (P, n, n): one product per pump, as a batch of one takes it
+    p1 = np.vecdot(cos @ m_plus, cos) + np.vecdot(sin @ m_minus, sin)
+    np.maximum(p1, 0.0, out=p1)
+    peak = p1.max(axis=1, keepdims=True)
+    if np.any(peak <= 0):
+        raise ConvergenceError("fringe profile vanished everywhere")
+    return p1 / peak
 
 
 def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,

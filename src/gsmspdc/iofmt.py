@@ -6,8 +6,8 @@ every other float as %.12g, so identical runs are byte-identical.  The writer
 takes whole columns and formats a block of rows per % call.  Profiles are
 written as binary 16-bit PGM (portable graymap, maxval 65535, row-major,
 max-normalized) with a JSON sidecar holding the full parameter set.  The run
-manifest lists every resolved parameter, the seed, and SHA-256 hashes of all
-written files.
+manifest lists the command-line arguments, the gsmspdc and NumPy versions,
+every resolved parameter, the seed, and SHA-256 hashes of all written files.
 """
 
 import hashlib
@@ -15,6 +15,8 @@ import json
 from pathlib import Path
 
 import numpy as np
+
+from . import __version__
 
 __all__ = [
     "write_csv",
@@ -118,9 +120,12 @@ def sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(out_dir, experiment, resolved, outputs):
-    """Write run_manifest.json: resolved parameters plus output hashes."""
+def write_manifest(out_dir, experiment, resolved, outputs, argv):
+    """Write run_manifest.json: the command-line arguments, the gsmspdc and
+    NumPy versions, the resolved parameters and the output hashes."""
     manifest = {
+        "argv": list(argv),
+        "versions": {"gsmspdc": __version__, "numpy": np.__version__},
         "experiment": experiment,
         "parameters": _jsonable(resolved),
         "outputs": {Path(p).name: sha256_file(p) for p in outputs},

@@ -21,7 +21,7 @@ from numpy.random import default_rng
 
 from .errors import ConvergenceError
 from .pump import PumpParams, coherence_from, csd_coefficients
-from .quadrature import INITIAL_ORDER, doubling_gate
+from .quadrature import INITIAL_ORDER, MAX_ORDER, doubling_gate
 from .records import Profile2D, Scan1D
 from .spdc import (CrystalParams, _sinc, joint_momentum_rate,
                    noncollinear_mismatch)
@@ -51,6 +51,10 @@ def overlap_point(crystal: CrystalParams, k_p: float):
     overlap.
     """
     # 2 q^2 / k_p - rho_i q - k_p theta^2 / 2 = 0
+    if not math.isfinite(float(crystal.rho_i) * float(crystal.rho_i)):
+        raise ValueError(f"rho_i = {crystal.rho_i!r} is out of numerical range: "
+                         f"its square in the overlap point's quadratic "
+                         f"overflows")
     aa = 2.0 / k_p
     bb = -crystal.rho_i
     cc = -k_p * crystal.theta_nc**2 / 2.0
@@ -165,6 +169,20 @@ def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both
         selected = [rings[which]]
     else:
         raise ValueError(f"unknown ring selector {which!r} for type-{crystal.kind}")
+
+    # lambda_p enters as k_p: the ring radius k_p theta_nc / 2 sets the
+    # default extent, and the mismatch divides |q_s - q_i|^2 by 2 k_p; on the
+    # grid |q_s - q_i| stays below reach, with the pair-sum nodes inside
+    # sqrt(2 (2 MAX_ORDER + 1)) sigma, the largest Hermite node's bound
+    sigma = float(csd_coefficients(pump).sum_sigma)
+    # in Python floats, which give inf where NumPy would raise
+    reach = (float(extent) + 2.0 * float(q_offset)
+             + math.sqrt(4 * MAX_ORDER + 2) * sigma)
+    if not math.isfinite(reach * reach / float(pump.k_p)):
+        raise ValueError(f"lambda_p = {pump.lambda_p!r} is out of numerical "
+                         f"range: the phase mismatch divides |q_s - q_i|^2, "
+                         f"up to ({reach:g} rad/m)^2 on this grid, by 2 k_p "
+                         f"= {2.0 * pump.k_p:g} rad/m and overflows")
 
     mc_err = None
     if method == "quadrature":

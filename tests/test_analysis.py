@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gsmspdc.analysis import (FWHM_SIGMA_RATIO, fit_gaussian, fit_visibility,
-                              scan_fwhm)
+from gsmspdc.analysis import (_LM_QR_ROWS, FWHM_SIGMA_RATIO,
+                              _levenberg_marquardt, fit_gaussian,
+                              fit_visibility, scan_fwhm)
 from gsmspdc.errors import FitError
 from gsmspdc.records import Scan1D
 
@@ -49,6 +50,69 @@ class TestFitVisibility:
         values = np.where(np.mod(xs, 1.0) < 0.15, 1.0, 0.02)
         with pytest.raises(FitError):
             fit_visibility([Scan1D(xs=xs, values=values)], period_hint=1.0)[0]
+
+
+class TestSingularJacobian:
+    """Stacks with a problem whose Jacobian is (nearly) singular: each
+    problem's factorization stays its own, on both sides of _LM_QR_ROWS
+    (one SVD of J below it, a QR then the SVD of R above)."""
+
+    PERIOD = 3.2e-4
+
+    def fit(self, scans):
+        return fit_visibility(scans, period_hint=self.PERIOD,
+                              window=2 * self.PERIOD)
+
+    def test_cases_straddle_the_qr_threshold(self):
+        assert 81 < _LM_QR_ROWS * 6 <= 301  # visibility rows, p = 6
+        assert 40 < _LM_QR_ROWS * 3 <= 400  # linear rows, p = 3
+
+    # 81 and 301 rows in the fitted window
+    @pytest.mark.parametrize("samples", [161, 601])
+    def test_pair_fits_as_each_scan_alone(self, samples):
+        xs = np.linspace(-4 * self.PERIOD, 4 * self.PERIOD, samples)
+        envelope = np.exp(-(xs / (3 * self.PERIOD)) ** 2)
+        # fringe-free: as V -> 0 the period and phase columns vanish
+        flat_scan = Scan1D(xs=xs, values=envelope)
+        fringe_scan = Scan1D(xs=xs, values=envelope * (
+            1 + 0.6 * np.cos(2 * np.pi * xs / (1.02 * self.PERIOD) + 0.3)))
+        flat, = self.fit([flat_scan])
+        fringe, = self.fit([fringe_scan])
+        assert self.fit([flat_scan, fringe_scan]) == [flat, fringe]
+        assert self.fit([fringe_scan, flat_scan]) == [fringe, flat]
+        # each keeps the fit the SVD of the full Jacobian gave it
+        assert flat.visibility < 1e-12 and flat.residual_rms < 1e-12
+        assert fringe.visibility == pytest.approx(0.6, abs=1e-12)
+        assert fringe.fringe_period == pytest.approx(1.02 * self.PERIOD,
+                                                     rel=1e-12)
+        assert fringe.phase == pytest.approx(0.3, abs=1e-12)
+        assert fringe.residual_rms < 1e-12
+
+    @pytest.mark.parametrize("rows", [40, 400])
+    def test_zero_column_stays_still(self, rows):
+        # r = A theta - y with an all-zero third column in the first problem
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(2, rows, 3))
+        a[0, :, 2] = 0.0
+        y = rng.normal(size=(2, rows))
+        theta0 = np.array([[0.5, -0.5, 0.25], [0.5, -0.5, 0.25]])
+
+        def fun(theta, rows):
+            return (a[rows] @ theta[:, :, None])[:, :, 0] - y[rows], a[rows]
+
+        stacked = _levenberg_marquardt(fun, theta0, 200)
+        for k in range(2):
+            alone = _levenberg_marquardt(
+                lambda theta, rows: fun(theta, rows + k), theta0[k:k + 1], 200)
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[k], want[0])
+        theta, _, converged = stacked
+        assert converged.all()
+        assert theta[0, 2] == theta0[0, 2]
+        ols = [np.linalg.lstsq(a[0, :, :2], y[0])[0],
+               np.linalg.lstsq(a[1], y[1])[0]]
+        assert np.allclose(theta[0, :2], ols[0], rtol=0, atol=1e-9)
+        assert np.allclose(theta[1], ols[1], rtol=0, atol=1e-9)
 
 
 class TestFitGaussian:

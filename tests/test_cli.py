@@ -551,6 +551,22 @@ MALFORMED = {
     "d12-max-huge": ("pump-visibility",
                      _edited("w0 = 0.5e-3", "w0 = 0.5e-3\nd12_max = 1e308"),
                      [], EXIT_CONFIG),
+    # a crystal-plane l_c whose 1 / l_c^2 overflows in the coherence width
+    "a-s-values-huge-invariance": ("pump-invariance",
+                                   _edited("w0 = 0.5e-3", "w0 = 0.5e-3\n"
+                                           "a_s_values = 0.25e-3, 1e150"),
+                                   [], EXIT_CONFIG),
+    "w0-tiny-invariance": ("pump-invariance", _edited("w0 = 0.5e-3", "w0 = 1e-300"),
+                           [], EXIT_CONFIG),
+    # |q_s - q_i|^2 / (2 k_p) of the phase mismatch on the profile grid
+    **{f"lambda-p-{size}-grid-profile": (
+        "profile", _edited("lambda_p = 405e-9", f"lambda_p = {value}"),
+        [], EXIT_CONFIG)
+       for size, value in (("tiny", "1e-300"), ("huge", "1e308"))},
+    # rho_i^2 of the overlap point
+    **{f"rho-i-huge-{experiment}": (
+        experiment, _edited("rho_i = 0.07", "rho_i = 1e200"), [], EXIT_CONFIG)
+       for experiment in ("conditional", "frames-synth")},
     "lambda-p-tiny-scan-conditional": ("conditional",
                                        _edited("lambda_p = 405e-9",
                                                "lambda_p = 1e-300"),
@@ -610,6 +626,15 @@ MESSAGES = {
                           "conditional", "frames-synth")},
     "d12-max-huge": "[pump] d12_max = 1e+308, ",
     "lambda-p-tiny-scan-conditional": "[pump] lambda_p = 1e-300 is out of ",
+    "a-s-values-huge-invariance": "[pump] a_s_values entry 1e+150 is out of "
+                                  "numerical range",
+    "w0-tiny-invariance": "[pump] w0 = 1e-300 is out of numerical range",
+    "lambda-p-tiny-grid-profile": "[pump] lambda_p = 1e-300 is out of "
+                                  "numerical range: the phase mismatch",
+    "lambda-p-huge-grid-profile": "[pump] lambda_p = 1e+308 is out of "
+                                  "numerical range: the phase mismatch",
+    **{f"rho-i-huge-{experiment}": "[crystal] rho_i = 1e+200 is out of "
+       for experiment in ("conditional", "frames-synth")},
     **{f"alpha-huge-{experiment}": "[crystal] alpha = 1e+308 and L = 0.002 "
        for experiment in ("fringes", "visibility-curve")},
     **{f"w0-tiny-{experiment}": "[pump] w0 = 1e-300 is out of numerical range"
@@ -832,6 +857,28 @@ class TestReproducibility:
             if path1.name == "run_manifest.json":
                 continue  # manifest embeds the output directory path
             assert path1.read_bytes() == path2.read_bytes(), path1.name
+
+    def test_manifest_records_versions_and_argv(self, config_file, tmp_path,
+                                                monkeypatch):
+        # acceptance 8d: a rerun with the same arguments rewrites every file,
+        # the manifest included, byte for byte
+        out = tmp_path / "out"
+        argv = ["run", "fringes", "--config", str(config_file), "--out", str(out)]
+        snapshots = []
+        for _ in range(2):
+            assert main(argv) == EXIT_OK
+            snapshots.append({p.name: p.read_bytes()
+                              for p in sorted(out.iterdir())})
+        assert snapshots[0] == snapshots[1]
+        manifest = json.loads(snapshots[0]["run_manifest.json"])
+        assert manifest["argv"] == argv
+        assert manifest["versions"] == {"gsmspdc": gsmspdc.__version__,
+                                        "numpy": np.__version__}
+        # without an argv, main reads the command line
+        monkeypatch.setattr(sys, "argv", ["gsmspdc", *argv])
+        assert main() == EXIT_OK
+        assert (out / "run_manifest.json").read_bytes() == snapshots[0][
+            "run_manifest.json"]
 
     def test_env_var_default_output(self, config_file, tmp_path, monkeypatch):
         target = tmp_path / "envout"

@@ -151,6 +151,20 @@ class TestFringeProfiles:
             ref = reference_profile(pump, SLITS, scan.xs, order)
             assert np.max(np.abs(scan.values - ref)) <= 2e-13
 
+    @pytest.mark.parametrize("d", [0.25e-3, 0.5e-3, 0.75e-3])
+    def test_mirror_form_matches_direct_phases_at_accepted_orders(self, d):
+        # the order the gate accepts for each pump alone, and the doubled
+        # order that checked it
+        slits = SlitGeometry(a=0.15e-3, d=d, z=0.10, z1=0.20)
+        for A in (0.3, 0.6, 0.99):
+            pump = pump_for(A)
+            order = fringe_profiles([pump], CRYSTAL, slits)[0].meta["order"]
+            for n in (order, 2 * order):
+                scan = fringe_profiles([pump], CRYSTAL, slits, order=n,
+                                       check_convergence=False)[0]
+                ref = reference_profile(pump, slits, scan.xs, n)
+                assert np.max(np.abs(scan.values - ref)) <= 1e-14, (A, n)
+
     @pytest.mark.parametrize("order", [24, 48])
     def test_batch_matches_per_pump_einsum(self, order):
         scans = fringe_profiles(self.PUMPS, CRYSTAL, SLITS, order=order,
