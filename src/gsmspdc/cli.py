@@ -26,8 +26,7 @@ from .config import Resolver, crystal_from, load_config, pumps_from
 from .errors import ConfigError, ConvergenceError, FitError, section_errors
 from .iofmt import write_csv, write_json, write_manifest, write_pgm16
 from .pump import (CharacterizationSetup, coherence_from, correlation_length,
-                   csd_coefficients, propagate_to_crystal, pump_visibility,
-                   require_coherence_range)
+                   csd_coefficients, propagate_to_crystal, pump_visibility)
 from .spdc import joint_momentum_rate
 
 EXIT_OK = 0
@@ -50,10 +49,9 @@ def run_pump_visibility(res: Resolver, out: Path):
     lambda_p, f_char, a_s_values, d12_max, n_d12 = res.section(
         "pump", "lambda_p", "f_char", "a_s_values", "d12_max", "d12_samples")
     d12 = np.linspace(0.0, d12_max, n_d12)
-    with section_errors("pump"):
-        visibility = [pump_visibility(CharacterizationSetup(a_s=a_s, f=f_char,
-                                                            d12=d12), lambda_p)
-                      for a_s in a_s_values]
+    visibility = [pump_visibility(CharacterizationSetup(a_s=a_s, f=f_char,
+                                                        d12=d12), lambda_p)
+                  for a_s in a_s_values]
     path = out / "pump_visibility.csv"
     write_csv(path, ["a_s_m", "d12_m", "visibility"],
               [np.repeat(a_s_values, n_d12), np.tile(d12, len(a_s_values)),
@@ -64,23 +62,12 @@ def run_pump_visibility(res: Resolver, out: Path):
 def run_pump_invariance(res: Resolver, out: Path):
     lambda_p, w0, f_char, demag, a_s_values = res.section(
         "pump", "lambda_p", "w0", "f_char", "demag", "a_s_values")
-    if w0 <= 0:  # else reported as the derived w_at_lens = w0 * demag
-        raise ConfigError(f"[pump] w0 must be positive and finite, got {w0!r}")
     w_at_lens = w0 * demag
     rows = []
-    with section_errors("pump"):
-        for a_s in a_s_values:
-            l_c_lens = correlation_length(a_s, f_char, lambda_p)
-            pump = propagate_to_crystal(l_c_lens, w_at_lens, demag, lambda_p)
-            require_coherence_range(w0=pump.w0)
-            try:
-                require_coherence_range(l_c=pump.l_c)
-            except ValueError:
-                raise ValueError(f"a_s_values entry {a_s!r} is out of "
-                                 f"numerical range: 1 / l_c^2 of its "
-                                 f"crystal-plane correlation length "
-                                 f"{float(pump.l_c)!r} overflows") from None
-            rows.append((a_s, l_c_lens, pump.w0, pump.l_c, coherence_from(pump).A))
+    for a_s in a_s_values:
+        l_c_lens = correlation_length(a_s, f_char, lambda_p)
+        pump = propagate_to_crystal(l_c_lens, w_at_lens, demag, lambda_p)
+        rows.append((a_s, l_c_lens, pump.w0, pump.l_c, coherence_from(pump).A))
     path = out / "pump_invariance.csv"
     write_csv(path, ["a_s_m", "l_c_lens_m", "w0_crystal_m", "l_c_crystal_m", "A"],
               zip(*rows))
@@ -94,9 +81,7 @@ def run_fringes(res: Resolver, out: Path):
     samples = res.get("grid", "detector_samples")
     d = d_values[0]
     slits = interference.SlitGeometry(a=a, d=d, z=z, z1=z1)
-    with section_errors("pump", alpha="crystal"):  # out of the fringe range
-        scans = interference.fringe_profiles(pumps, crystal, slits,
-                                             samples=samples)
+    scans = interference.fringe_profiles(pumps, crystal, slits, samples=samples)
     path = out / "fringes.csv"
     write_csv(path, ["A", "d_m", "x_m", "intensity_norm"],
               [np.repeat([scan.meta["A"] for scan in scans], samples),
@@ -113,9 +98,8 @@ def run_visibility_curve(res: Resolver, out: Path):
     crystal = crystal_from(res)
     a, d_values, z, z1 = _slits_values(res)
     samples = res.get("grid", "detector_samples")
-    with section_errors("pump", alpha="crystal"):  # out of the fringe range
-        rows = interference.visibility_curve(pumps, d_values, a=a, z=z, z1=z1,
-                                             crystal=crystal, samples=samples)
+    rows = interference.visibility_curve(pumps, d_values, a=a, z=z, z1=z1,
+                                         crystal=crystal, samples=samples)
     columns = ["A", "d_m", "visibility", "fringe_period_m", "aperture_order",
                "order_doubling_delta", "residual_rms"]
     path = out / "visibility_curve.csv"
@@ -127,11 +111,10 @@ def run_profile(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     samples, extent = res.section("grid", "samples", "extent")
-    # an extent that does not cover the ring, or a lambda_p out of its range
-    with section_errors("grid", lambda_p="pump"):
+    with section_errors("grid"):  # an extent that does not cover the ring
         computed = [profiles.singles_profile(
             pump, crystal, which="both",
-            extent=None if extent <= 0 else extent,
+            extent=None if extent == 0 else extent,
             samples=samples) for pump in pumps]
     paths = []
     for prof in computed:
@@ -148,11 +131,9 @@ def run_conditional(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     samples = res.get("grid", "detector_samples")
-    # a w0 too wide for the scan to resolve, or a rho_i out of its range
-    with section_errors("pump", rho_i="crystal"):
-        scans = [profiles.conditional_scan(
-            pump, crystal, profiles.overlap_point(crystal, pump.k_p),
-            samples=samples) for pump in pumps]
+    scans = [profiles.conditional_scan(
+        pump, crystal, profiles.overlap_point(crystal, pump.k_p),
+        samples=samples) for pump in pumps]
     path = out / "conditional.csv"
     write_csv(path, ["A", "q_ix_radpm", "density_per_radpm"],
               [np.repeat([scan.meta["A"] for scan in scans], samples),
@@ -182,8 +163,7 @@ def run_frames_synth(res: Resolver, out: Path):
     crystal = crystal_from(res)
     params = _counting_params(res)
     pump = pumps[0]
-    with section_errors("crystal"):  # a rho_i out of its range
-        joint, qs, qi = _synthesis_joint(pump, crystal, params["n_px"])
+    joint, qs, qi = _synthesis_joint(pump, crystal, params["n_px"])
     lambda_s = 2.0 * pump.lambda_p
     pitch = float(profiles.momentum_to_position(qi[1] - qi[0],
                                                 params["f_collim"], lambda_s))

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ConfigError, section_errors
 from .interference import DEFAULT_SAMPLES
-from .pump import PumpParams, csd_coefficients, require_coherence_range
+from .pump import PumpParams
 from .spdc import DEFAULT_ALPHA, CrystalParams
 
 __all__ = ["load_config", "Resolver", "pumps_from", "crystal_from", "KEYS",
@@ -58,10 +58,11 @@ def _column_index(text: str) -> int:
 
 
 class Key(NamedTuple):
-    """A key's default (_REQUIRED: none), reader and inclusive bounds."""
+    """A key's default (_REQUIRED: none), reader and inclusive bounds, which
+    a list key's every entry must meet."""
 
     default: object
-    read: Callable[[str], object] = _finite
+    read: Callable[[str], object]
     low: float | None = None
     high: float | None = None
 
@@ -76,32 +77,56 @@ MAX_N_PX = 512                 # a 512 x 512 EMCCD's line; the joint is n_px^2
 # counts one u16 pixel holds
 MAX_PAIRS_PER_FRAME = 1_000_000
 
+# Inclusive domains of the float keys, each entry of a list key included:
+# decades wider than desk optics (a 405 nm pump, mm beams, cm optics) on
+# either side, and narrow enough that no model's arithmetic overflows inside
+WAVELENGTH = (1e-8, 1e-4)  # m: extreme ultraviolet to far infrared
+LENGTH = (1e-7, 1e3)       # m: a quarter wavelength to a kilometre
+RATIO = (1e-3, 1e3)        # three decades either side of 1
+
 # Every key some experiment reads, per section; configparser lower-cases keys.
 # Without a default: l_c, read only in place of a_values; frames_file, whose
 # default (frames.bin in the output directory) coincidence passes; and the
 # output directory, which the CLI resolves.  w0's default is a configuration
 # choice, not a measured value; signal_px = -1 picks the brightest column.
 KEYS = {
-    "pump": {"lambda_p": Key(405e-9), "w0": Key(0.5e-3),
-             "a_values": Key((0.9, 0.6, 0.3), _finite_list),
-             "l_c": Key(_REQUIRED), "demag": Key(8.0), "f_char": Key(0.150),
-             "a_s_values": Key((0.25e-3, 0.5e-3, 1.0e-3), _finite_list),
-             "d12_max": Key(2.0e-3),
+    "pump": {"lambda_p": Key(405e-9, _finite, *WAVELENGTH),
+             "w0": Key(0.5e-3, _finite, *LENGTH),
+             # A = 1 is coherent, 1e-6 a million modes a dimension
+             "a_values": Key((0.9, 0.6, 0.3), _finite_list, 1e-6, 1.0),
+             "l_c": Key(_REQUIRED, _finite, *LENGTH),
+             "demag": Key(8.0, _finite, *RATIO),
+             "f_char": Key(0.150, _finite, *LENGTH),
+             "a_s_values": Key((0.25e-3, 0.5e-3, 1.0e-3), _finite_list,
+                               *LENGTH),
+             "d12_max": Key(2.0e-3, _finite, 0.0, LENGTH[1]),  # 0: d12 = 0 only
              "d12_samples": Key(64, _integer, 1, MAX_D12_SAMPLES)},
-    "crystal": {"l": Key(2e-3), "kind": Key("II", str),
-                "alpha": Key(DEFAULT_ALPHA), "theta_nc_deg": Key(3.0),
-                "rho_p": Key(0.0), "rho_i": Key(0.0)},
-    "slits": {"a": Key(0.15e-3),
-              "d_values": Key((0.25e-3, 0.5e-3, 0.75e-3), _finite_list),
-              "z": Key(0.10), "z1": Key(0.20)},
+    "crystal": {"l": Key(2e-3, _finite, *LENGTH),
+                "kind": Key("II", str),
+                # about the Gaussian fit 0.455 to sinc^2
+                "alpha": Key(DEFAULT_ALPHA, _finite, *RATIO),
+                # deg: collinear to grazing; the paraxial model wants a few
+                "theta_nc_deg": Key(3.0, _finite, 0.0, 89.0),
+                # rad: walk-off in a birefringent crystal is below 0.1 rad
+                "rho_p": Key(0.0, _finite, -1.0, 1.0),
+                "rho_i": Key(0.0, _finite, -1.0, 1.0)},
+    "slits": {"a": Key(0.15e-3, _finite, *LENGTH),
+              "d_values": Key((0.25e-3, 0.5e-3, 0.75e-3), _finite_list,
+                              *LENGTH),
+              "z": Key(0.10, _finite, *LENGTH),
+              "z1": Key(0.20, _finite, *LENGTH)},
     "grid": {"samples": Key(256, _integer, 2, MAX_GRID_SAMPLES),
              "detector_samples": Key(DEFAULT_SAMPLES, _integer, 2,
                                      MAX_DETECTOR_SAMPLES),
-             "extent": Key(0.0)},
+             # rad/m: 0 picks the span; 1e12 is over 1000 times the largest k_p
+             "extent": Key(0.0, _finite, 0.0, 1e12)},
     "counting": {"n_frames": Key(2000, _integer, 2, MAX_FRAMES),
-                 "pairs_per_frame": Key(20.0, high=MAX_PAIRS_PER_FRAME),
-                 "noise": Key(1e-3), "seed": Key(12345, _integer),
-                 "n_px": Key(48, _integer, 2, MAX_N_PX), "f_collim": Key(0.200),
+                 "pairs_per_frame": Key(20.0, _finite, 0.0,
+                                        MAX_PAIRS_PER_FRAME),
+                 "noise": Key(1e-3, _finite, 0.0, 1.0),  # a probability
+                 "seed": Key(12345, _integer),
+                 "n_px": Key(48, _integer, 2, MAX_N_PX),
+                 "f_collim": Key(0.200, _finite, *LENGTH),
                  "frames_file": Key(_REQUIRED, str),
                  "signal_px": Key(-1, _column_index)},
     "output": {"directory": Key(_REQUIRED, str)},
@@ -139,6 +164,13 @@ def load_config(path) -> dict:
     return raw
 
 
+def _require_within(row: Key, name: str, value):
+    if row.low is not None and value < row.low:
+        raise ConfigError(f"{name} must be >= {row.low}, got {value!r}")
+    if row.high is not None and value > row.high:
+        raise ConfigError(f"{name} must be <= {row.high}, got {value!r}")
+
+
 class Resolver:
     """Typed access to the raw config that records every resolved value."""
 
@@ -168,12 +200,11 @@ class Resolver:
             if value is _REQUIRED:
                 raise ConfigError(
                     f"missing required config key [{section}] {key}")
-        if row.low is not None and value < row.low:
-            raise ConfigError(f"[{section}] {key} must be >= {row.low}, "
-                              f"got {value!r}")
-        if row.high is not None and value > row.high:
-            raise ConfigError(f"[{section}] {key} must be <= {row.high}, "
-                              f"got {value!r}")
+        if isinstance(value, (list, tuple)):
+            for number, entry in enumerate(value, 1):
+                _require_within(row, f"[{section}] {key} entry {number}", entry)
+        else:
+            _require_within(row, f"[{section}] {key}", value)
         self.resolved[f"{section}.{key}"] = value
         return value
 
@@ -181,23 +212,13 @@ class Resolver:
 def pumps_from(res: Resolver) -> list[PumpParams]:
     """Pump parameter set for each configured degree of coherence.
 
-    [pump] accepts either `A_values` (list) or a single `l_c`.  The coherence
-    width's 1 / w0^2 and 1 / l_c^2 are checked, and each pump's CSD
-    coefficients computed once, here, so that a w0, l_c or A out of their
-    range is named before any model overflows on it.
+    [pump] accepts either `A_values` (list) or a single `l_c`.
     """
     lambda_p, w0 = res.section("pump", "lambda_p", "w0")
-    with section_errors("pump"):
-        if "l_c" in res.raw["pump"]:
-            l_c = res.get("pump", "l_c")
-            pumps = [PumpParams(lambda_p=lambda_p, w0=w0, l_c=l_c)]
-            require_coherence_range(w0=w0, l_c=l_c)
-        else:
-            pumps = [PumpParams.from_coherence(lambda_p, w0, a)
-                     for a in res.get("pump", "a_values")]
-        for pump in pumps:
-            csd_coefficients(pump)
-    return pumps
+    if "l_c" in res.raw["pump"]:
+        return [PumpParams(lambda_p=lambda_p, w0=w0, l_c=res.get("pump", "l_c"))]
+    return [PumpParams.from_coherence(lambda_p, w0, a)
+            for a in res.get("pump", "a_values")]
 
 
 def crystal_from(res: Resolver) -> CrystalParams:

@@ -13,15 +13,13 @@ Momenta are in rad/m.  A camera at the focal plane of a collimating lens maps
 position X to transverse momentum q = k X / f (helpers below).
 """
 
-import math
-
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.random import default_rng
 
 from .errors import ConvergenceError
 from .pump import PumpParams, coherence_from, csd_coefficients
-from .quadrature import INITIAL_ORDER, MAX_ORDER, doubling_gate
+from .quadrature import INITIAL_ORDER, doubling_gate
 from .records import Profile2D, Scan1D
 from .spdc import (CrystalParams, _sinc, joint_momentum_rate,
                    noncollinear_mismatch)
@@ -51,10 +49,6 @@ def overlap_point(crystal: CrystalParams, k_p: float):
     overlap.
     """
     # 2 q^2 / k_p - rho_i q - k_p theta^2 / 2 = 0
-    if not math.isfinite(float(crystal.rho_i) * float(crystal.rho_i)):
-        raise ValueError(f"rho_i = {crystal.rho_i!r} is out of numerical range: "
-                         f"its square in the overlap point's quadratic "
-                         f"overflows")
     aa = 2.0 / k_p
     bb = -crystal.rho_i
     cc = -k_p * crystal.theta_nc**2 / 2.0
@@ -170,20 +164,6 @@ def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both
     else:
         raise ValueError(f"unknown ring selector {which!r} for type-{crystal.kind}")
 
-    # lambda_p enters as k_p: the ring radius k_p theta_nc / 2 sets the
-    # default extent, and the mismatch divides |q_s - q_i|^2 by 2 k_p; on the
-    # grid |q_s - q_i| stays below reach, with the pair-sum nodes inside
-    # sqrt(2 (2 MAX_ORDER + 1)) sigma, the largest Hermite node's bound
-    sigma = float(csd_coefficients(pump).sum_sigma)
-    # in Python floats, which give inf where NumPy would raise
-    reach = (float(extent) + 2.0 * float(q_offset)
-             + math.sqrt(4 * MAX_ORDER + 2) * sigma)
-    if not math.isfinite(reach * reach / float(pump.k_p)):
-        raise ValueError(f"lambda_p = {pump.lambda_p!r} is out of numerical "
-                         f"range: the phase mismatch divides |q_s - q_i|^2, "
-                         f"up to ({reach:g} rad/m)^2 on this grid, by 2 k_p "
-                         f"= {2.0 * pump.k_p:g} rad/m and overflows")
-
     mc_err = None
     if method == "quadrature":
         def evaluate(n):
@@ -233,27 +213,13 @@ def conditional_scan(pump: PumpParams, crystal: CrystalParams, q_s,
 
     q_s is the fixed signal momentum (pick an overlap point for type-II); the
     idler sits at the anti-correlated q_iy = -q_sy, and the scan spans
-    +-10 pair-sum widths around q_ix = -q_sx.  If the scan does not resolve
-    in floating point, raises ValueError naming w0 when the momenta square to
-    finite values (the pair-sum width, about 1 / w0, is then too narrow),
-    ValueError naming lambda_p when k_p squared overflows too, and
-    FloatingPointError otherwise.
+    +-10 pair-sum widths around q_ix = -q_sx.
     """
     qsx, qsy = float(q_s[0]), float(q_s[1])
     q_iy = -qsy
     sigma = csd_coefficients(pump).sum_sigma
     center = -qsx
     qix = np.linspace(center - 10.0 * sigma, center + 10.0 * sigma, samples)
-    if not np.all(np.diff(qix) > 0):  # nan, or a span below the float spacing
-        scan = (f"scan of +-10 x {sigma:g} rad/m around q_ix = {center:g} "
-                f"rad/m does not resolve")
-        if math.isfinite(center * center):
-            raise ValueError(f"w0 = {pump.w0!r} is too wide for lambda_p = "
-                             f"{pump.lambda_p!r}: the {scan}")
-        if not math.isfinite(float(pump.k_p) * float(pump.k_p)):
-            raise ValueError(f"lambda_p = {pump.lambda_p!r} is out of "
-                             f"numerical range: the {scan}")
-        raise FloatingPointError(f"conditional {scan}")
     rate = joint_momentum_rate((qsx, qsy), (qix, np.full_like(qix, q_iy)),
                                pump, crystal)
     area = np.trapezoid(rate, qix)

@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import struct
@@ -21,7 +22,8 @@ from gsmspdc.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_IO, EXIT_OK,
                          EXPERIMENTS, OUTPUT_DIR_ENV, main)
 from gsmspdc.config import (KEYS, MAX_D12_SAMPLES, MAX_DETECTOR_SAMPLES,
                             MAX_FRAMES, MAX_GRID_SAMPLES, MAX_N_PX,
-                            MAX_PAIRS_PER_FRAME, _integer, load_config)
+                            MAX_PAIRS_PER_FRAME, _finite, _finite_list,
+                            _integer, load_config)
 from gsmspdc.counting import (FrameStack, load_frames, save_frames,
                               synth_frames)
 from gsmspdc.iofmt import read_pgm16
@@ -300,7 +302,8 @@ class TestErrorPaths:
             assert manifests[0]["parameters"] == manifests[1]["parameters"]
 
     def test_resolved_keys_are_accepted(self, config_file, tmp_path):
-        # a key some experiment reads but KEYS lacks could not be set
+        # a key some experiment reads but KEYS lacks could not be set, and
+        # one the domain fuzz does not draw would go unfuzzed
         out = tmp_path / "out"
         for experiment in sorted(EXPERIMENTS):
             if experiment == "coincidence":
@@ -310,6 +313,8 @@ class TestErrorPaths:
             for name in manifest["parameters"]:
                 section, key = name.split(".")
                 assert key in KEYS[section], name
+                if KEYS[section][key].read in (_finite, _finite_list):
+                    assert (section, key) in DOMAIN_KEYS[experiment], name
 
     def test_shipped_and_benchmark_configs_load(self, tmp_path):
         root = Path(__file__).resolve().parents[1]
@@ -344,6 +349,23 @@ class TestErrorPaths:
 def _edited(old, new):
     assert old in BASE_CONFIG
     return lambda tmp_path: BASE_CONFIG.replace(old, new)
+
+
+def _config_with(edits):
+    """BASE_CONFIG at 8 x 8 profile samples, 41 detector samples and 20
+    frames, with edits {(section, key): text}."""
+    lines = (BASE_CONFIG.replace("samples = 48", "samples = 8")
+             .replace("detector_samples = 601", "detector_samples = 41")
+             .replace("n_frames = 300", "n_frames = 20").splitlines())
+    for (section, key), text in edits.items():
+        line = f"{key} = {text}"
+        found = [i for i, l in enumerate(lines)
+                 if l.split("=")[0].strip().lower() == key]
+        if found:
+            lines[found[0]] = line
+        else:
+            lines.insert(lines.index(f"[{section}]") + 1, line)
+    return "\n".join(lines) + "\n"
 
 
 def _frames_file(body):
@@ -533,7 +555,25 @@ MALFORMED = {
     "pair-rate-huge": ("frames-synth", _edited("pairs_per_frame = 10",
                                                "pairs_per_frame = 1e13"),
                        [], EXIT_CONFIG),
-    # a single key out of the range of the model it enters
+    # one key outside its bounds in KEYS, each a value once run silently
+    "extent-negative": ("profile", _edited("samples = 48",
+                                           "samples = 48\nextent = -1"),
+                        [], EXIT_CONFIG),
+    "noise-above-one": ("frames-synth", _edited("noise = 1e-3", "noise = 2"),
+                        [], EXIT_CONFIG),
+    "theta-nc-above-bound": ("conditional", _edited("theta_nc_deg = 3.0",
+                                                    "theta_nc_deg = 400"),
+                             [], EXIT_CONFIG),
+    "rho-p-below-bound": ("conditional", _edited("rho_p = 0.07", "rho_p = -50"),
+                          [], EXIT_CONFIG),
+    # keys outside their bounds whose products overflow the models
+    "lambda-p-z1-huge-fringes": ("fringes", lambda tmp_path: _config_with(
+        {("pump", "lambda_p"): "1e60", ("slits", "z1"): "1e100"}), [],
+                                 EXIT_CONFIG),
+    "a-s-values-tiny-invariance": ("pump-invariance", lambda tmp_path: _config_with(
+        {("pump", "a_s_values"): "5e-324", ("pump", "lambda_p"): "13.0"}), [],
+                                   EXIT_CONFIG),
+    # a single key beyond its bounds and the range of the model it enters
     "w0-too-wide-conditional": ("conditional", _edited("w0 = 0.5e-3", "w0 = 1e10"),
                                 [], EXIT_CONFIG),
     **{f"lambda-p-huge-{experiment}": (
@@ -615,34 +655,41 @@ MESSAGES = {
     "pair-rate-above-bound": "[counting] pairs_per_frame must be <= "
                              f"{MAX_PAIRS_PER_FRAME}",
     "pair-rate-huge": "[counting] pairs_per_frame",
-    **{f"lambda-p-tiny-{experiment}": "[pump] lambda_p"
-       for experiment in LAMBDA_P_EXPERIMENTS},
-    "w0-too-wide-conditional": "[pump] w0 = 10000000000.0 is too wide",
-    **{f"lambda-p-huge-{experiment}": "[pump] lambda_p = 1e+300 is out of "
-       for experiment in ("fringes", "visibility-curve")},
-    "slits-z1-huge": "[slits] z1 / d = ",
-    **{f"w0-huge-{experiment}": "[pump] w0 = 1.3407807929942597e+154 and l_c = "
+    **{f"lambda-p-tiny-{experiment}": "[pump] lambda_p must be >= 1e-08, "
+       "got 5e-324" for experiment in LAMBDA_P_EXPERIMENTS},
+    "extent-negative": "[grid] extent must be >= 0.0, got -1.0",
+    "noise-above-one": "[counting] noise must be <= 1.0, got 2.0",
+    "theta-nc-above-bound": "[crystal] theta_nc_deg must be <= 89.0, got 400.0",
+    "rho-p-below-bound": "[crystal] rho_p must be >= -1.0, got -50.0",
+    "lambda-p-z1-huge-fringes": "[pump] lambda_p must be <= 0.0001, got 1e+60",
+    "a-s-values-tiny-invariance": "[pump] lambda_p must be <= 0.0001, got 13.0",
+    "w0-too-wide-conditional": "[pump] w0 must be <= 1000.0, got 10000000000.0",
+    **{f"lambda-p-huge-{experiment}": "[pump] lambda_p must be <= 0.0001, "
+       "got 1e+300" for experiment in ("fringes", "visibility-curve")},
+    "slits-z1-huge": "[slits] z1 must be <= 1000.0, got 1e+300",
+    **{f"w0-huge-{experiment}": "[pump] w0 must be <= 1000.0, "
+       "got 1.3407807929942597e+154"
        for experiment in ("fringes", "visibility-curve", "profile",
                           "conditional", "frames-synth")},
-    "d12-max-huge": "[pump] d12_max = 1e+308, ",
-    "lambda-p-tiny-scan-conditional": "[pump] lambda_p = 1e-300 is out of ",
-    "a-s-values-huge-invariance": "[pump] a_s_values entry 1e+150 is out of "
-                                  "numerical range",
-    "w0-tiny-invariance": "[pump] w0 = 1e-300 is out of numerical range",
-    "lambda-p-tiny-grid-profile": "[pump] lambda_p = 1e-300 is out of "
-                                  "numerical range: the phase mismatch",
-    "lambda-p-huge-grid-profile": "[pump] lambda_p = 1e+308 is out of "
-                                  "numerical range: the phase mismatch",
-    **{f"rho-i-huge-{experiment}": "[crystal] rho_i = 1e+200 is out of "
+    "d12-max-huge": "[pump] d12_max must be <= 1000.0, got 1e+308",
+    "lambda-p-tiny-scan-conditional": "[pump] lambda_p must be >= 1e-08, "
+                                      "got 1e-300",
+    "a-s-values-huge-invariance": "[pump] a_s_values entry 2 must be <= "
+                                  "1000.0, got 1e+150",
+    "w0-tiny-invariance": "[pump] w0 must be >= 1e-07, got 1e-300",
+    **{f"lambda-p-{size}-grid-profile": f"[pump] lambda_p must be {bound}"
+       for size, bound in (("tiny", ">= 1e-08, got 1e-300"),
+                           ("huge", "<= 0.0001, got 1e+308"))},
+    **{f"rho-i-huge-{experiment}": "[crystal] rho_i must be <= 1.0, got 1e+200"
        for experiment in ("conditional", "frames-synth")},
-    **{f"alpha-huge-{experiment}": "[crystal] alpha = 1e+308 and L = 0.002 "
-       for experiment in ("fringes", "visibility-curve")},
-    **{f"w0-tiny-{experiment}": "[pump] w0 = 1e-300 is out of numerical range"
+    **{f"alpha-huge-{experiment}": "[crystal] alpha must be <= 1000.0, "
+       "got 1e+308" for experiment in ("fringes", "visibility-curve")},
+    **{f"w0-tiny-{experiment}": "[pump] w0 must be >= 1e-07, got 1e-300"
        for experiment in ("profile", "visibility-curve")},
-    **{f"l-c-tiny-{experiment}": "[pump] l_c = 1e-300 is out of numerical range"
+    **{f"l-c-tiny-{experiment}": "[pump] l_c must be >= 1e-07, got 1e-300"
        for experiment in ("profile", "visibility-curve")},
-    **{f"a-values-tiny-{experiment}": "[pump] A = 1e-300 is out of numerical "
-       for experiment in ("profile", "visibility-curve")},
+    **{f"a-values-tiny-{experiment}": "[pump] a_values entry 2 must be >= "
+       "1e-06, got 1e-300" for experiment in ("profile", "visibility-curve")},
     "frames-zero-height": "empty 0 x 4 frames",
     "frames-zero-width": "empty 2 x 0 frames",
 }
@@ -712,32 +759,12 @@ _FUZZ_CASE = st.sampled_from(sorted(FUZZ_KEYS)).flatmap(
                         min_size=1, max_size=3)))
 
 
-def _config_with(edits):
-    """BASE_CONFIG at 8 x 8 profile samples, 41 detector samples and 20
-    frames, with edits {(section, key): text}."""
-    lines = (BASE_CONFIG.replace("samples = 48", "samples = 8")
-             .replace("detector_samples = 601", "detector_samples = 41")
-             .replace("n_frames = 300", "n_frames = 20").splitlines())
-    for (section, key), text in edits.items():
-        line = f"{key} = {text}"
-        found = [i for i, l in enumerate(lines)
-                 if l.split("=")[0].strip().lower() == key]
-        if found:
-            lines[found[0]] = line
-        else:
-            lines.insert(lines.index(f"[{section}]") + 1, line)
-    return "\n".join(lines) + "\n"
-
-
-@settings(max_examples=200, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(_FUZZ_CASE)
-def test_config_fuzz_exit_contract(case):
-    """Any value of a float, integer or list key exits 0, 2 or 3 cleanly,
-    and so does coincidence on a stack frames-synth wrote."""
-    experiment, edits = case
+def _fuzz_runs(experiment, edits):
+    """(exit code, stderr) of experiment at _config_with(edits), then of
+    coincidence on the stack frames-synth wrote, until one fails."""
     runs = [experiment] + (["coincidence"] if experiment == "frames-synth"
                            else [])
+    results = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.ini"
         path.write_text(_config_with(edits), encoding="utf-8")
@@ -747,32 +774,130 @@ def test_config_fuzz_exit_contract(case):
                     contextlib.redirect_stdout(io.StringIO()):
                 code = main(["run", name, "--config", str(path),
                              "--out", str(Path(tmp) / "out")])
-            err = err.getvalue()
-            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CONVERGENCE), err
-            assert "Traceback" not in err
-            assert len(err.strip().splitlines()) == (0 if code == EXIT_OK
-                                                     else 1), err
+            results.append((code, err.getvalue()))
             if code != EXIT_OK:
                 break
+    return results
 
 
-# finite values whose products overflow or vanish in the models
-# (the ids keep the names these rows have always run under)
-@pytest.mark.parametrize("experiment, edits", [
-    pytest.param("fringes", {("pump", "lambda_p"): "1e60",
-                             ("slits", "z1"): "1e100"}, id="fringes-edits1"),
-    pytest.param("pump-invariance", {("pump", "a_s_values"): "5e-324",
-                                     ("pump", "lambda_p"): "13.0"},
-                 id="pump-invariance-edits2"),
-])
-def test_out_of_range_values_are_config_errors(experiment, edits, tmp_path,
-                                               capsys):
-    path = tmp_path / "bad.ini"
-    path.write_text(_config_with(edits))
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_FUZZ_CASE)
+def test_config_fuzz_exit_contract(case):
+    """Any value of a float, integer or list key exits 0, 2 or 3 cleanly,
+    and so does coincidence on a stack frames-synth wrote."""
+    for code, err in _fuzz_runs(*case):
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CONVERGENCE), err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == (0 if code == EXIT_OK
+                                                 else 1), err
+
+
+def test_float_keys_have_finite_bounds():
+    """Every float key, and every entry of a list key, has a domain."""
+    for section, rows in KEYS.items():
+        for key, row in rows.items():
+            if row.read in (_finite, _finite_list):
+                assert row.low is not None and row.high is not None, key
+                assert -math.inf < row.low < row.high < math.inf, key
+
+
+# the float and list keys each experiment reads: the any-text fuzz's, and
+# the [crystal] of frames-synth; the sample counts stay at _config_with's
+DOMAIN_KEYS = {experiment: [(section, key) for section, key in keys
+                            if KEYS[section][key].read in (_finite,
+                                                           _finite_list)]
+               for experiment, keys in FUZZ_KEYS.items()}
+DOMAIN_KEYS["frames-synth"] += [key for key in DOMAIN_KEYS["profile"]
+                                if key[0] == "crystal"]
+# the exit-2 messages of the rules that join keys or depend on drawn data
+JOINT_RULES = ("slit separation d must exceed the slit width a",
+               "grid extent must cover the ring",
+               "more than the u16 format's")
+
+
+def _log_uniform(low, high):
+    """Floats spread evenly in log10 over [low, high], 0 < low < high."""
+    return st.floats(math.log10(low), math.log10(high)).map(
+        lambda e: min(max(10.0 ** e, low), high))
+
+
+def _in_domain(row):
+    """An entry of [row.low, row.high]: an edge (or 0 inside), half the
+    time, else log-uniform, in magnitude over twelve decades where 0 is in."""
+    edges = [row.low, row.high] + ([0.0] if row.low < 0 < row.high else [])
+    if row.low > 0:
+        spread = _log_uniform(row.low, row.high)
+    else:
+        top = max(-row.low, row.high)
+        spread = _log_uniform(1e-12 * top, top)
+        if row.low < 0:
+            spread = st.tuples(st.sampled_from([-1.0, 1.0]), spread).map(
+                lambda pair: pair[0] * pair[1])
+    return st.one_of(st.sampled_from(edges), spread)
+
+
+@st.composite
+def _domain_edits(draw, experiment):
+    """A value within its domain for each key of DOMAIN_KEYS[experiment]."""
+    values = {}
+    for section, key in DOMAIN_KEYS[experiment]:
+        row = KEYS[section][key]
+        entry = _in_domain(row)
+        values[section, key] = draw(st.lists(entry, min_size=1, max_size=3)
+                                    if row.read is _finite_list else entry)
+    if ("slits", "d_values") in values:  # past a, so that the models run
+        a, high = values["slits", "a"], KEYS["slits"]["d_values"].high
+        factors = draw(st.lists(_log_uniform(1e-6, 1e3), min_size=1,
+                                max_size=3))
+        values["slits", "d_values"] = [min(a * (1.0 + f), high)
+                                       for f in factors]
+    if draw(st.booleans()):  # a_values sets the pumps, else l_c does
+        values.pop(("pump", "l_c"), None)
+    return {name: ", ".join(map(repr, value)) if isinstance(value, list)
+            else repr(value) for name, value in values.items()}
+
+
+def _check_domain(experiment, data):
+    """Within the domain only a rule that joins keys or depends on the drawn
+    data exits 2, and no model's arithmetic overflows."""
+    for code, err in _fuzz_runs(experiment,
+                                data.draw(_domain_edits(experiment))):
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CONVERGENCE), err
+        assert code != EXIT_CONFIG or any(rule in err for rule in JOINT_RULES), err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == (0 if code == EXIT_OK
+                                                 else 1), err
+
+
+@pytest.mark.parametrize("experiment", sorted(DOMAIN_KEYS))
+@settings(max_examples=6, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_config_domain_fuzz(experiment, data):
+    _check_domain(experiment, data)
+
+
+# 3010 examples in all, about four minutes on two vCPUs
+@pytest.mark.slow
+@pytest.mark.parametrize("experiment", sorted(DOMAIN_KEYS))
+@settings(max_examples=430, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_config_domain_fuzz_long(experiment, data):
+    _check_domain(experiment, data)
+
+
+def test_arithmetic_error_is_config_error(config_file, tmp_path, capsys,
+                                          monkeypatch):
+    """An overflow that no bound in KEYS caught exits 2 in one line."""
+    monkeypatch.setitem(EXPERIMENTS, "fringes",
+                        lambda res, out: np.multiply(1e308, 10.0))
     out = tmp_path / "out"
-    assert run(experiment, path, out) == EXIT_CONFIG
+    assert run("fringes", config_file, out) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error: a config value is out of numerical")
+    assert err.startswith("config error: a config value is out of numerical "
+                          "range (overflow encountered in multiply)")
     assert len(err.strip().splitlines()) == 1
     assert not (out / "run_manifest.json").exists()
 
