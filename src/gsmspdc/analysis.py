@@ -1,14 +1,15 @@
 """Curve fitting and figure-of-merit extraction.
 
-All fits start from values computed from the scan (moments, and for the
-Gaussian also the half-maximum width; no random restarts), so repeated runs
-give identical results.  Both nonlinear fits share one
-Levenberg-Marquardt solver with analytic Jacobians, which solves a stack of
-problems at once: fit_visibility's scans on one detector axis, or
-fit_gaussian's starts.  At each new point of a long residual it takes one
-QR, then an SVD of the scaled triangle, as MINPACK's solver works on the
-triangle R of J = QR (More, LNM 630, 1978); a short one's Jacobian costs
-less to decompose whole.  Each problem keeps its own scaling, damping,
+Every fit starts from values computed from the scan, with no random
+restarts, so repeated runs give identical results.  fit_gaussian starts from
+the best cell of a grid over (mu, sigma), at which its linear amplitude and
+offset are solved in closed form (variable projection: Golub & Pereyra, SIAM
+J. Numer. Anal. 10, 413, 1973); fit_visibility starts from the fringe period
+it is given.  Both nonlinear fits share one Levenberg-Marquardt solver with
+analytic Jacobians, which solves a stack of problems at once (fit_visibility's
+scans on one detector axis).  At each new point it takes one QR of [J r], then
+an SVD of the scaled triangle, as MINPACK's solver works on the triangle R of
+J = QR (More, LNM 630, 1978).  Each problem keeps its own scaling, damping,
 evaluation count and stopping rule, and the stack only shares the residual
 evaluations and factorizations, so a problem's fit is bit for bit its fit
 alone.
@@ -40,12 +41,9 @@ _LM_XTOL = 1e-12
 _LM_GTOL = 1e-15
 _LM_FLAT = 1e-12
 _LM_DAMPING0 = 1e-3     # initial damping, relative to the largest scaled J^T J entry
-# rows per parameter from which the QR of [J r] pays for itself: below it one
-# SVD of the scaled n x p Jacobian costs less than that QR and the SVD of its
-# p x p triangle together (about 200 rows at p = 4 and 6, measured on 2 vCPU
-# with OpenBLAS 0.3.31; fit_gaussian's 48 x 4 stays below, and
-# fit_visibility's four central periods of 1001 samples, 501 x 6, above)
-_LM_QR_ROWS = 32
+# fit_gaussian's start grid: sigmas per mu, log-spaced from half the sample
+# pitch to half the span
+_GRID_SIGMAS = 12
 _TINY = np.finfo(float).tiny
 
 
@@ -70,12 +68,6 @@ class VisibilityFit:
     residual_rms: float
 
 
-def _scalar_pow(values, exponent):
-    """values ** exponent in NumPy's scalar pow, element by element: its
-    vectorized pow rounds some of them differently."""
-    return np.array([x**exponent for x in values.ravel()]).reshape(values.shape)
-
-
 def _rowdot(a, b):
     """Dot product of each row pair of two (B, n) stacks, each by the BLAS
     dot a 1-D a @ b calls."""
@@ -96,14 +88,13 @@ def _levenberg_marquardt(fun, theta0, max_nfev):
     J = dr/dtheta (len(rows), n, p).  Each parameter is measured in units of
     the largest norm its Jacobian column has reached (Marquardt scaling), so
     the damping does not depend on the parameters' units.  A trial step
-    solves the damped normal equations without forming J^T J, through an
-    SVD of the scaled Jacobian.  With n >= _LM_QR_ROWS p residual rows, it
-    takes one QR, then an SVD of the scaled triangle: at each new point the
-    n x (p + 1) QR of [J r] gives R of J = Q R and Q^T r, the column norms
-    of J are those of R, the gradient J^T r is R^T (Q^T r), and the SVD of
-    the p x p R / scale = U_R S V^T gives U^T r = U_R^T (Q^T r), the same
-    step as the SVD of the scaled n x p Jacobian in exact arithmetic, with
-    only the QR reading the n rows.  The damping follows Nielsen's update.
+    solves the damped normal equations without forming J^T J: at each new
+    point the n x (p + 1) QR of [J r] gives R of J = Q R and Q^T r, the
+    column norms of J are those of R, the gradient J^T r is R^T (Q^T r), and
+    the SVD of the p x p R / scale = U_R S V^T gives U^T r = U_R^T (Q^T r),
+    the same step as the SVD of the scaled n x p Jacobian in exact
+    arithmetic, with only the QR reading the n rows.  The damping follows
+    Nielsen's update.
 
     Each problem keeps its own scale, damping, evaluation count, accepted
     steps and stopping rule; only the evaluations and factorizations of the
@@ -135,12 +126,11 @@ def _levenberg_marquardt(fun, theta0, max_nfev):
             running[fresh[stop]] = False
             if stop.any():
                 fresh, jac, rf = fresh[~stop], jac[~stop], rf[~stop]
-            if rf.shape[1] >= _LM_QR_ROWS * p:
-                # R of [J r] is [[R, Q^T r], [0, |r - Q Q^T r|]] for J = Q R,
-                # and (R, Q^T r) stand for (J, r) in every product below
-                tri = np.linalg.qr(np.concatenate([jac, rf[:, :, None]],
-                                                  axis=2), mode="r")
-                jac, rf = tri[:, :p, :p], tri[:, :p, p]
+            # R of [J r] is [[R, Q^T r], [0, |r - Q Q^T r|]] for J = Q R,
+            # and (R, Q^T r) stand for (J, r) in every product below
+            tri = np.linalg.qr(np.concatenate([jac, rf[:, :, None]], axis=2),
+                               mode="r")
+            jac, rf = tri[:, :p, :p], tri[:, :p, p]
             norms = np.linalg.norm(jac, axis=1)
             g = _matvec(jac.transpose(0, 2, 1), rf)
             stop = np.all(np.abs(g) <= _LM_GTOL * norms
@@ -158,7 +148,8 @@ def _levenberg_marquardt(fun, theta0, max_nfev):
                                                    full_matrices=False)
             ur[fresh] = _matvec(u.transpose(0, 2, 1), rf)
             first = fresh[np.isnan(damping[fresh])]
-            damping[first] = _LM_DAMPING0 * _scalar_pow(s[first, 0], 2)
+            s0 = s[first, 0]
+            damping[first] = _LM_DAMPING0 * (s0 * s0)
             size[fresh] = np.sqrt(_rowdot(sc * theta[fresh], sc * theta[fresh]))
         rows = np.flatnonzero(running)
         if rows.size == 0:
@@ -183,10 +174,10 @@ def _levenberg_marquardt(fun, theta0, max_nfev):
         predicted = _rowdot(ur[rows] * ur[rows], 1.0 - shrink * shrink)
         actual = _rowdot(r[rows] - r_trial, r[rows] + r_trial)  # no cancellation
         accept = actual > 0.0  # False for a non-finite trial residual too
-        # in Python floats, whose cube the factor has always been rounded by
-        factor = np.array([max(1.0 / 3.0, 1.0 - (2.0 * a / q - 1.0) ** 3)
-                           if a > 0.0 else 0.0
-                           for a, q in zip(actual.tolist(), predicted.tolist())])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t = 2.0 * actual / predicted - 1.0
+            factor = np.where(accept, np.maximum(1.0 / 3.0, 1.0 - t * t * t),
+                              0.0)
         valley = np.flatnonzero(~accept & (predicted <= _LM_FLAT * cost[rows]))
         if valley.size:
             k = rows[valley]
@@ -217,11 +208,11 @@ def fit_gaussian(scan: Scan1D, weights=None, max_iter=200) -> GaussianFit:
     not sit on the boundary.  A fitted sigma below half the sample pitch is
     a spike the samples cannot resolve, not a peak, and is rejected.
 
-    The fit runs from two starts of sigma, the width at half maximum above
-    the scan minimum and the second moment, solved as one stack, and returns
-    the accepted fit of lower cost: on a noisy scan either start alone can slide into a
-    one-sample spike or fail to converge.  Where the scan does not fall to
-    half maximum on both sides, only the second moment is tried.
+    The fit starts from a grid: mu on the scan's samples, and sigma on
+    _GRID_SIGMAS log-spaced values from half the sample pitch to half the
+    span.  A and c enter linearly, so at each cell they solve the weighted
+    2 x 2 normal equations in closed form; one Levenberg-Marquardt fit runs
+    from the cell of lowest cost with A > 0.
 
     Parameters
     ----------
@@ -231,9 +222,9 @@ def fit_gaussian(scan: Scan1D, weights=None, max_iter=200) -> GaussianFit:
     Raises
     ------
     FitError
-        If the data is degenerate (flat, too short, boundary peak), or from
-        every start the optimizer fails to converge or the fitted peak is
-        narrower than half the sample pitch.
+        If the data is degenerate (flat, too short, boundary peak), no cell
+        of the grid has A > 0, the optimizer fails to converge, or the fitted
+        peak is narrower than half the sample pitch.
     """
     xs, ys = scan.xs, scan.values
     if xs.size < 5:
@@ -245,44 +236,51 @@ def fit_gaussian(scan: Scan1D, weights=None, max_iter=200) -> GaussianFit:
     if i_max in (0, xs.size - 1):
         raise FitError("peak sits on the scan boundary")
 
-    offset0 = float(ys.min())
-    amp0 = float(ys[i_max] - offset0)
-    w = np.clip(ys - offset0, 0.0, None)
-    mu0 = float(np.sum(w * xs) / np.sum(w))
-    var0 = float(np.sum(w * (xs - mu0) ** 2) / np.sum(w))
-    sigma_starts = [np.sqrt(var0) if var0 > 0 else (xs[-1] - xs[0]) / 6.0]
-    left, right = (_half_crossing(xs, ys, i_max, offset0 + amp0 / 2.0, step)
-                   for step in (-1, 1))
-    if left is not None and right is not None:
-        sigma_starts.insert(0, abs(right - left) / FWHM_SIGMA_RATIO)
     wts = np.ones_like(ys) if weights is None else np.asarray(weights, dtype=float)
     pitch = (xs[-1] - xs[0]) / (xs.size - 1)
     max_nfev = max_iter * 5
+
+    # at each (sigma, mu) cell, g = exp(-(x - mu)^2 / (2 sigma^2)) and
+    # [[S_gg, S_g], [S_g, S_1]] (A, c) = (S_gy, S_y), every sum weighted by
+    # w^2; one sigma at a time, so the grid holds n^2 values, not 12 n^2
+    w2 = wts * wts
+    s1, sy, syy = w2.sum(), w2 @ ys, w2 @ (ys * ys)
+    dx2 = (xs[:, None] - xs) ** 2
+    best = (np.inf, None)
+    with np.errstate(divide="ignore", invalid="ignore"):  # singular cells
+        for sigma in abs(pitch) * np.geomspace(0.5, 0.5 * (xs.size - 1),
+                                               _GRID_SIGMAS):
+            g = np.exp(-dx2 / (2.0 * sigma * sigma))    # (mu, x)
+            sgg, sg, sgy = (g * g) @ w2, g @ w2, g @ (w2 * ys)
+            det = sgg * s1 - sg * sg
+            amp = (s1 * sgy - sg * sy) / det
+            offset = (sgg * sy - sg * sgy) / det
+            cost = np.where((amp > 0) & (det > 0),
+                            syy - amp * sgy - offset * sy, np.inf)
+            i = int(np.argmin(cost))
+            if cost[i] < best[0]:
+                best = (cost[i], [amp[i], xs[i], sigma, offset[i]])
+    if best[1] is None:
+        raise FitError("no Gaussian of positive amplitude fits the scan")
 
     def residuals(theta, rows):
         a, mu, s, c = theta.T[:, :, None]
         dx = xs - mu
         bump = np.exp(-dx * dx / (2.0 * s * s))
-        jac = np.stack([bump, a * bump * dx / _scalar_pow(s, 2),
-                        a * bump * dx * dx / _scalar_pow(s, 3),
+        jac = np.stack([bump, a * bump * dx / (s * s),
+                        a * bump * dx * dx / (s * s * s),
                         np.ones_like(bump)], axis=2)
         return wts * (a * bump + c - ys), wts[:, None] * jac
 
-    thetas, rs, converged = _levenberg_marquardt(
-        residuals, [[amp0, mu0, sigma0, offset0] for sigma0 in sigma_starts],
-        max_nfev)
-    fits = []  # (cost, theta, r) of each accepted fit
-    for theta, r, ok in zip(thetas, rs, converged):
-        if not ok:  # if none is accepted, the last start's failure is raised
-            error = f"Gaussian fit did not converge in {max_nfev} evaluations"
-        elif abs(theta[2]) < 0.5 * abs(pitch):
-            error = (f"fitted sigma {abs(theta[2]):.3g} is below half the "
-                     f"sample pitch {abs(pitch):.3g}")
-        else:
-            fits.append((float(r @ r), theta, r))
-    if not fits:
-        raise FitError(error)
-    _, (a, mu, s, c), r = min(fits, key=lambda fit: fit[0])
+    (theta,), (r,), (converged,) = _levenberg_marquardt(residuals, [best[1]],
+                                                        max_nfev)
+    a, mu, s, c = theta
+    if not converged:
+        raise FitError(f"Gaussian fit did not converge in {max_nfev} "
+                       "evaluations")
+    if abs(s) < 0.5 * abs(pitch):
+        raise FitError(f"fitted sigma {abs(s):.3g} is below half the "
+                       f"sample pitch {abs(pitch):.3g}")
     rms = float(np.sqrt(np.mean((r / np.where(wts == 0, 1, wts)) ** 2)))
     return GaussianFit(amplitude=float(a), mean=float(mu), sigma=float(abs(s)),
                        offset=float(c), residual_rms=rms)
@@ -355,7 +353,7 @@ def fit_visibility(scans, period_hint: float, window=None) -> list[VisibilityFit
         cos, sin = np.cos(arg), np.sin(arg)
         model = env * (1.0 + v * cos)
         jac = np.stack([model, u * model, u * u * model, env * cos,
-                        env * v * sin * 2.0 * np.pi * u / _scalar_pow(period, 2),
+                        env * v * sin * 2.0 * np.pi * u / (period * period),
                         -env * v * sin], axis=2)
         return model - ys[rows], jac
 

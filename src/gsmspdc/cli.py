@@ -81,7 +81,9 @@ def run_fringes(res: Resolver, out: Path):
     samples = res.get("grid", "detector_samples")
     d = d_values[0]
     slits = interference.SlitGeometry(a=a, d=d, z=z, z1=z1)
-    scans = interference.fringe_profiles(pumps, crystal, slits, samples=samples)
+    with section_errors("slits"):  # a beam that does not reach the slits
+        scans = interference.fringe_profiles(pumps, crystal, slits,
+                                             samples=samples)
     path = out / "fringes.csv"
     write_csv(path, ["A", "d_m", "x_m", "intensity_norm"],
               [np.repeat([scan.meta["A"] for scan in scans], samples),
@@ -98,8 +100,9 @@ def run_visibility_curve(res: Resolver, out: Path):
     crystal = crystal_from(res)
     a, d_values, z, z1 = _slits_values(res)
     samples = res.get("grid", "detector_samples")
-    rows = interference.visibility_curve(pumps, d_values, a=a, z=z, z1=z1,
-                                         crystal=crystal, samples=samples)
+    with section_errors("slits"):  # a beam that does not reach the slits
+        rows = interference.visibility_curve(pumps, d_values, a=a, z=z, z1=z1,
+                                             crystal=crystal, samples=samples)
     columns = ["A", "d_m", "visibility", "fringe_period_m", "aperture_order",
                "order_doubling_delta", "residual_rms"]
     path = out / "visibility_curve.csv"

@@ -68,7 +68,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .analysis import fit_visibility
-from .errors import ConvergenceError
 from .pump import PumpParams, coherence_from, csd_coefficients
 from .quadrature import INITIAL_ORDER, doubling_gate
 from .records import Scan1D
@@ -187,8 +186,9 @@ def _unit_max_profiles(kernels, k_s, slits, xs, order):
     p1 = np.vecdot(cos @ m_plus, cos) + np.vecdot(sin @ m_minus, sin)
     np.maximum(p1, 0.0, out=p1)
     peak = p1.max(axis=1, keepdims=True)
-    if np.any(peak <= 0):
-        raise ConvergenceError("fringe profile vanished everywhere")
+    if np.any(peak <= 0):  # the kernel underflows to 0 at every slit node
+        raise ValueError("the beam does not reach the slits: its fringe "
+                         "profile underflows to 0 everywhere")
     return p1 / peak
 
 

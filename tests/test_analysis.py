@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gsmspdc.analysis import (_LM_QR_ROWS, FWHM_SIGMA_RATIO,
-                              _levenberg_marquardt, fit_gaussian,
-                              fit_visibility, scan_fwhm)
+from gsmspdc.analysis import (FWHM_SIGMA_RATIO, _levenberg_marquardt,
+                              fit_gaussian, fit_visibility, scan_fwhm)
 from gsmspdc.errors import FitError
 from gsmspdc.records import Scan1D
 
@@ -54,18 +53,14 @@ class TestFitVisibility:
 
 class TestSingularJacobian:
     """Stacks with a problem whose Jacobian is (nearly) singular: each
-    problem's factorization stays its own, on both sides of _LM_QR_ROWS
-    (one SVD of J below it, a QR then the SVD of R above)."""
+    problem's QR of [J r] and SVD of its triangle stay its own, on short and
+    long residuals alike."""
 
     PERIOD = 3.2e-4
 
     def fit(self, scans):
         return fit_visibility(scans, period_hint=self.PERIOD,
                               window=2 * self.PERIOD)
-
-    def test_cases_straddle_the_qr_threshold(self):
-        assert 81 < _LM_QR_ROWS * 6 <= 301  # visibility rows, p = 6
-        assert 40 < _LM_QR_ROWS * 3 <= 400  # linear rows, p = 3
 
     # 81 and 301 rows in the fitted window
     @pytest.mark.parametrize("samples", [161, 601])
@@ -80,7 +75,7 @@ class TestSingularJacobian:
         fringe, = self.fit([fringe_scan])
         assert self.fit([flat_scan, fringe_scan]) == [flat, fringe]
         assert self.fit([fringe_scan, flat_scan]) == [fringe, flat]
-        # each keeps the fit the SVD of the full Jacobian gave it
+        # each reaches its exact fit, the singular one too
         assert flat.visibility < 1e-12 and flat.residual_rms < 1e-12
         assert fringe.visibility == pytest.approx(0.6, abs=1e-12)
         assert fringe.fringe_period == pytest.approx(1.02 * self.PERIOD,
@@ -156,10 +151,16 @@ class TestFitGaussian:
         fit = fit_gaussian(Scan1D(xs=xs, values=values))
         assert fit.sigma == pytest.approx(0.75, abs=1e-6)
 
+    def test_zero_weights_raise(self):
+        # no cell of the start grid has a solvable amplitude
+        xs = np.arange(20.0)
+        values = np.exp(-((xs - 9.0) ** 2) / 8.0)
+        with pytest.raises(FitError, match="positive amplitude"):
+            fit_gaussian(Scan1D(xs=xs, values=values), weights=np.zeros(20))
+
     def test_lower_cost_start_wins(self):
-        # a one-sample spike on a broad peak: the half-maximum start fits the
-        # spike (sigma 0.72), the second-moment start the broad peak, which
-        # leaves the smaller residual
+        # a one-sample spike on a broad peak: the grid's half-pitch cells fit
+        # the spike, but a cell on the broad peak leaves the smaller residual
         xs = np.arange(40.0)
         values = np.exp(-((xs - 20.0) ** 2) / (2 * 6.0**2)) + 1.5 * (xs == 20.0)
         fit = fit_gaussian(Scan1D(xs=xs, values=values))

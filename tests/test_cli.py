@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gsmspdc
-from gsmspdc import quadrature
+from gsmspdc import analysis, quadrature
 from gsmspdc.cli import (EXIT_CONFIG, EXIT_CONVERGENCE, EXIT_IO, EXIT_OK,
                          EXPERIMENTS, OUTPUT_DIR_ENV, main)
 from gsmspdc.config import (KEYS, MAX_D12_SAMPLES, MAX_DETECTOR_SAMPLES,
@@ -165,17 +165,42 @@ class TestCountingPipeline:
         assert len(lines) == 25
 
     def test_noise_only_stack_records_skipped_fit(self, tmp_path):
-        path = tmp_path / "noise.ini"
-        path.write_text(BASE_CONFIG.replace("pairs_per_frame = 10",
-                                            "pairs_per_frame = 0"))
-        out = tmp_path / "out"
-        assert run("frames-synth", path, out) == EXIT_OK
-        assert run("coincidence", path, out) == EXIT_OK
-        record = json.loads((out / "coincidence_fit.json").read_text())
-        assert set(record) == {"signal_px", "skipped"}
-        assert record["skipped"]
-        manifest = json.loads((out / "run_manifest.json").read_text())
-        assert "coincidence_fit.json" in manifest["outputs"]
+        # seed 268's noise scan admits a "fit" that is no peak: amplitude
+        # -1353, offset +1353 and sigma 11845 px on a 24-px scan
+        for seed in (777, 268):
+            path = tmp_path / f"noise{seed}.ini"
+            path.write_text(BASE_CONFIG.replace("pairs_per_frame = 10",
+                                                "pairs_per_frame = 0")
+                            .replace("seed = 777", f"seed = {seed}"))
+            out = tmp_path / f"out{seed}"
+            assert run("frames-synth", path, out) == EXIT_OK
+            assert run("coincidence", path, out) == EXIT_OK
+            record = json.loads((out / "coincidence_fit.json").read_text())
+            assert set(record) == {"signal_px", "skipped"}, seed
+            assert record["skipped"]
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert "coincidence_fit.json" in manifest["outputs"]
+
+    def test_default_coincidence_fit_takes_few_evaluations(self, tmp_path,
+                                                           monkeypatch):
+        # a start in the scan's peak converges in about 20 evaluations; a
+        # start at a noise spike spends the whole budget of 1000
+        evaluations = []
+        solve = analysis._levenberg_marquardt
+
+        def counted(fun, theta0, max_nfev):
+            def counted_fun(theta, rows):
+                evaluations.append(len(rows))
+                return fun(theta, rows)
+            return solve(counted_fun, theta0, max_nfev)
+
+        monkeypatch.setattr(analysis, "_levenberg_marquardt", counted)
+        config = Path(__file__).resolve().parents[1] / "configs" / "default.ini"
+        assert run("frames-synth", config, tmp_path) == EXIT_OK
+        assert run("coincidence", config, tmp_path) == EXIT_OK
+        record = json.loads((tmp_path / "coincidence_fit.json").read_text())
+        assert record["sigma_px"] == pytest.approx(4.1178, rel=1e-4)
+        assert 0 < sum(evaluations) < 100
 
     def test_scan_without_positive_covariance_records_skipped_fit(self,
                                                                    tmp_path):
@@ -626,6 +651,15 @@ MALFORMED = {
            ("l-c", "a_values = 0.9, 0.3", "l_c = 1e-300"),
            ("a-values", "a_values = 0.9, 0.3", "a_values = 0.9, 1e-300"))
        for experiment in ("profile", "visibility-curve")},
+    # a beam far narrower than the gap to the slits, whose kernel underflows
+    # to 0 at every slit node
+    **{f"beam-misses-slits-{experiment}": (
+        experiment, lambda tmp_path: _config_with(
+            {("pump", "w0"): "1e-7", ("pump", "l_c"): "1e-7",
+             ("slits", "a"): "1", ("slits", "d_values"): "2",
+             ("slits", "z"): "1e-7", ("slits", "z1"): "1e-7"}),
+        [], EXIT_CONFIG)
+       for experiment in ("fringes", "visibility-curve")},
     # 2 pi / lambda_p overflows to inf
     **{f"lambda-p-tiny-{experiment}": (
         experiment, _edited("lambda_p = 405e-9", "lambda_p = 5e-324"),
@@ -690,6 +724,8 @@ MESSAGES = {
        for experiment in ("profile", "visibility-curve")},
     **{f"a-values-tiny-{experiment}": "[pump] a_values entry 2 must be >= "
        "1e-06, got 1e-300" for experiment in ("profile", "visibility-curve")},
+    **{f"beam-misses-slits-{experiment}": "[slits] the beam does not reach "
+       "the slits" for experiment in ("fringes", "visibility-curve")},
     "frames-zero-height": "empty 0 x 4 frames",
     "frames-zero-width": "empty 2 x 0 frames",
 }
@@ -812,6 +848,7 @@ DOMAIN_KEYS["frames-synth"] += [key for key in DOMAIN_KEYS["profile"]
                                 if key[0] == "crystal"]
 # the exit-2 messages of the rules that join keys or depend on drawn data
 JOINT_RULES = ("slit separation d must exceed the slit width a",
+               "the beam does not reach the slits",
                "grid extent must cover the ring",
                "more than the u16 format's")
 

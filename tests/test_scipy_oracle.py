@@ -2,8 +2,8 @@
 
 SciPy is a test dependency only (`pip install .[test]`); the package itself
 imports none of it.  The fit references are MINPACK Levenberg-Marquardt runs
-from the package's own deterministic starts, with the analytic Jacobian and
-every tolerance at 1e-15.
+from deterministic starts computed from the scan, with the analytic Jacobian
+and every tolerance at 1e-15.
 """
 
 import numpy as np
@@ -38,7 +38,8 @@ def test_bessel_j1_matches_scipy():
 # ---------------------------------------------------------------- Gaussian
 
 def reference_gaussian_sigma(scan, weights):
-    """|sigma| at the optimum nearest fit_gaussian's start.
+    """|sigma| at the optimum nearest the scan's second-moment start, an
+    independent start: fit_gaussian starts from its grid's best cell.
 
     On noisy coincidence scans the cost is flat along sigma to within its
     rounding, and MINPACK's relative-reduction test ends up to 1e-8 short of
@@ -119,9 +120,9 @@ def test_fit_gaussian_matches_scipy(case, weighted):
 
 def test_fit_gaussian_finds_the_peak_past_a_one_sample_spike():
     """On this noisy scan a fit started from the second moment (11 px) slides
-    into a one-sample spike of sigma 0.0015 px.  From the half-maximum start
-    (3.28 px) it reaches the peak, at a point where SciPy finds J^T r = 0, and
-    agrees with the jackknife-weighted fit."""
+    into a one-sample spike of sigma 0.0015 px.  From the grid's best cell
+    (mu 23 px, sigma 4.08 px) it reaches the peak, at a point where SciPy
+    finds J^T r = 0, and agrees with the jackknife-weighted fit."""
     scan = coincidence_scan(0.7, 3 + 23 * 1000003)
     fit = fit_gaussian(scan)
     xs, ys = scan.xs, scan.values
