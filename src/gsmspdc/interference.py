@@ -61,15 +61,13 @@ The y dimension integrates out analytically (the kernel factorizes), so the
 computation is the 1-D reduction along the measured horizontal axis.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .analysis import fit_visibility
 from .pump import PumpParams, coherence_from, csd_coefficients
-from .quadrature import INITIAL_ORDER, doubling_gate
+from .quadrature import INITIAL_ORDER, doubling_gate, legendre_rule
 from .records import Scan1D
 from .spdc import CrystalParams
 
@@ -137,18 +135,8 @@ def slit_plane_coherence(pump: PumpParams, crystal: CrystalParams, z: float,
     return float(np.exp(-np.pi**2 * c * separation**2 / delta))
 
 
-@functools.lru_cache(maxsize=16)  # the gate's orders, 4 to 128, and a few starts
-def _legendre_rule(order: int):
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only: leggauss is an
-    eigenvalue solve, and visibility_curve asks for the same orders at every d."""
-    rule = leggauss(order)
-    for array in rule:
-        array.flags.writeable = False
-    return rule
-
-
 def _slit_nodes(slits: SlitGeometry, order: int):
-    xg, wg = _legendre_rule(order)
+    xg, wg = legendre_rule(order)
     lo = (slits.d - slits.a) / 2.0
     hi = (slits.d + slits.a) / 2.0
     mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0

@@ -9,20 +9,23 @@ or by Monte Carlo drawn from it.  The two backends share the integrand and
 differ only in their nodes.  The Hermite order is measured, not configured, by
 the order-doubling gate of gsmspdc.quadrature.
 
+The integrand is evaluated as a completed square in u (spdc.mismatch_square):
+at a detected momentum q the mismatch is dk_z = |u - c|^2 / (2 k_p) + D0, with
+c and D0 depending on q alone, so each (pixels x nodes) block costs the two
+squared differences from c, one scale, one added column and sinc^2 in place.
+
 Momenta are in rad/m.  A camera at the focal plane of a collimating lens maps
 position X to transverse momentum q = k X / f (helpers below).
 """
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from numpy.random import default_rng
 
 from .errors import ConvergenceError
 from .pump import PumpParams, coherence_from, csd_coefficients
-from .quadrature import INITIAL_ORDER, doubling_gate
+from .quadrature import INITIAL_ORDER, doubling_gate, hermite_rule
 from .records import Profile2D, Scan1D
-from .spdc import (CrystalParams, _sinc, joint_momentum_rate,
-                   noncollinear_mismatch)
+from .spdc import CrystalParams, _sinc, joint_momentum_rate, mismatch_square
 
 __all__ = [
     "ring_radius",
@@ -69,19 +72,31 @@ def _integrand_blocks(qx, qy, crystal, k_p, ux, uy, center_shift, idler_ring):
     """Yield (block, sinc^2(L dk_z / 2)) over chunks of the flattened grid:
     rows are detected momenta q, columns pair-sum nodes u (the other photon
     carries u - q).  idler_ring makes the detected photon the idler.
+
+    L dk_z / 2 is (L / (4 k_p)) |u - c|^2 + (L / 2) D0 with c and D0 from
+    spdc.mismatch_square, so each block is built in place from the squared
+    distances of the nodes to c.
     """
-    qxf = qx.ravel() - center_shift[0]
-    qyf = qy.ravel() - center_shift[1]
+    (cx, cy), d0 = mismatch_square((qx.ravel() - center_shift[0],
+                                    qy.ravel() - center_shift[1]),
+                                   crystal, k_p, idler_ring)
+    scale = crystal.L / (4.0 * k_p)
+    offset = (crystal.L / 2.0) * d0
     # keep per-chunk temporaries around a few MB regardless of node count
     chunk = max(64, 2_000_000 // ux.size)
-    for lo in range(0, qxf.size, chunk):
+    for lo in range(0, cx.size, chunk):
         block = slice(lo, lo + chunk)
-        det = (qxf[block, None], qyf[block, None])
-        other = (ux - det[0], uy - det[1])
-        if idler_ring:
-            det, other = other, det
-        dkz = noncollinear_mismatch(det, other, crystal, k_p)
-        yield block, _sinc(crystal.L * dkz / 2.0) ** 2
+        arg = ux - cx[block, None]
+        arg *= arg
+        dy = uy - cy[block, None]
+        dy *= dy
+        arg += dy
+        del dy  # free before _sinc allocates its result
+        arg *= scale
+        arg += offset[block, None]
+        f = _sinc(arg)
+        f *= f
+        yield block, f
 
 
 def _singles_quadrature(qx, qy, pump, crystal, order, center_shift=(0.0, 0.0),
@@ -89,7 +104,7 @@ def _singles_quadrature(qx, qy, pump, crystal, order, center_shift=(0.0, 0.0),
     """Tensor Gauss-Hermite rule of order^2 pair-sum nodes at each (qx, qy)."""
     coeffs = csd_coefficients(pump)
     sigma = coeffs.sum_sigma
-    x, w = hermgauss(order)
+    x, w = hermite_rule(order)
     # u = sqrt(2) sigma x turns exp(-|u|^2 / (2 sigma^2)) d^2u into
     # 2 sigma^2 exp(-|x|^2) d^2x, the Hermite weight
     u = np.sqrt(2.0) * sigma * x

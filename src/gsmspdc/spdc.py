@@ -17,6 +17,14 @@ which reduces to the collinear form when theta_nc = rho_p = rho_i = 0,
 produces an emission ring of radius k_s theta_nc, and skews the ring along x
 under pump/idler walk-off.  This is a minimal quadratic-paraxial model, not a
 dispersion calculation.
+
+With one photon's momentum q held fixed and the pair sum u = q_s + q_i free,
+the mismatch is a completed square in u (mismatch_square):
+
+    dk_z = |u - c|^2 / (2 k_p) + D0(q),    c = 2 q - k_p rho x
+
+where rho = rho_p + rho_i and D0 ends in -rho_i q_x when q is the signal, and
+rho = rho_p and D0 ends in +rho_i q_x when q is the idler.
 """
 
 from dataclasses import dataclass
@@ -30,6 +38,7 @@ __all__ = [
     "phase_match_sinc",
     "phase_match_gaussian",
     "noncollinear_mismatch",
+    "mismatch_square",
     "joint_momentum_rate",
 ]
 
@@ -64,8 +73,13 @@ class CrystalParams:
 
 
 def _sinc(x):
-    # sin(x)/x with sinc(0) = 1; np.sinc uses the normalized convention
-    return np.sinc(np.asarray(x, dtype=float) / np.pi)
+    """sin(x)/x, exactly 1 at x = 0 and never 0/0; a scalar for a scalar."""
+    x = np.asarray(x, dtype=float)
+    nonzero = x != 0
+    out = np.sin(x, out=np.empty_like(x))
+    np.divide(out, x, out=out, where=nonzero)
+    np.copyto(out, 1.0, where=~nonzero)
+    return out[()]
 
 
 def phase_match_sinc(q_s, q_i, crystal: CrystalParams, k_p: float):
@@ -96,6 +110,23 @@ def noncollinear_mismatch(q_s, q_i, crystal: CrystalParams, k_p: float):
             - k_p * crystal.theta_nc**2 / 2.0
             + crystal.rho_p * (sx + ix)
             + crystal.rho_i * ix)
+
+
+def mismatch_square(q, crystal: CrystalParams, k_p: float, idler_ring=False):
+    """((c_x, c_y), D0) with noncollinear_mismatch = |u - c|^2 / (2 k_p) + D0.
+
+    q is the momentum of one photon and u the pair sum, so the other photon
+    carries u - q: q is the signal, or the idler with idler_ring.
+    """
+    if k_p <= 0:
+        raise ValueError("k_p must be positive")
+    qx, qy = q
+    rho = crystal.rho_p if idler_ring else crystal.rho_p + crystal.rho_i
+    own = crystal.rho_i if idler_ring else -crystal.rho_i
+    center = (2.0 * qx - k_p * rho, 2.0 * qy)
+    d0 = ((2.0 * rho + own) * qx
+          - k_p * rho**2 / 2.0 - k_p * crystal.theta_nc**2 / 2.0)
+    return center, d0
 
 
 def joint_momentum_rate(q_s, q_i, pump: PumpParams, crystal: CrystalParams):

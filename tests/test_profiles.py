@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 
 from gsmspdc import quadrature
 from gsmspdc.analysis import fit_gaussian, scan_fwhm
 from gsmspdc.errors import ConvergenceError
 from gsmspdc.interference import SlitGeometry, fringe_profiles
-from gsmspdc.profiles import (conditional_scan, momentum_to_position,
-                              overlap_point, position_to_momentum,
-                              ring_radial_profile, ring_radius, singles_profile)
-from gsmspdc.pump import PumpParams
+from gsmspdc.profiles import (_singles_quadrature, conditional_scan,
+                              momentum_to_position, overlap_point,
+                              position_to_momentum, ring_radial_profile,
+                              ring_radius, singles_profile)
+from gsmspdc.pump import PumpParams, csd_coefficients
 from gsmspdc.spdc import CrystalParams, noncollinear_mismatch
 
 LAMBDA_P = 405e-9
@@ -41,6 +43,49 @@ class TestGeometryHelpers:
         q = position_to_momentum(1.3e-3, 0.2, 810e-9)
         assert momentum_to_position(q, 0.2, 810e-9) == pytest.approx(
             1.3e-3, rel=1e-12)
+
+
+def reference_quadrature(qx, qy, pump, crystal, order, center_shift, idler_ring):
+    """The inner rule spelled out: hermgauss nodes, the other photon at u - q,
+    noncollinear_mismatch and the normalized np.sinc."""
+    coeffs = csd_coefficients(pump)
+    x, w = hermgauss(order)
+    u = np.sqrt(2.0) * coeffs.sum_sigma * x
+    ux, uy = (a.ravel() for a in np.meshgrid(u, u, indexing="ij"))
+    wts = coeffs.A_c * 2.0 * coeffs.sum_sigma**2 * np.outer(w, w).ravel()
+    det = (qx.ravel()[:, None] - center_shift[0],
+           qy.ravel()[:, None] - center_shift[1])
+    other = (ux - det[0], uy - det[1])
+    if idler_ring:
+        det, other = other, det
+    dkz = noncollinear_mismatch(det, other, crystal, pump.k_p)
+    f = np.sinc(crystal.L * dkz / 2.0 / np.pi) ** 2
+    return (f @ wts).reshape(qx.shape)
+
+
+class TestSinglesQuadrature:
+    @pytest.mark.parametrize("order", [4, 8])
+    @pytest.mark.parametrize("idler_ring", [False, True], ids=["signal", "idler"])
+    def test_matches_reference(self, order, idler_ring):
+        crystal = CrystalParams(L=2e-3, kind="II", theta_nc=THETA, rho_p=0.07,
+                                rho_i=0.07)
+        pump = pump_for(0.6)
+        radius = ring_radius(crystal, K_P)
+        axis = np.linspace(-1.6 * radius, 1.6 * radius, 16)
+        qx, qy = np.meshgrid(axis, axis)
+        shift = (0.0, -0.5 * radius if idler_ring else 0.5 * radius)
+        got = _singles_quadrature(qx, qy, pump, crystal, order, shift,
+                                  idler_ring)
+        want = reference_quadrature(qx, qy, pump, crystal, order, shift,
+                                    idler_ring)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_hermite_rule_is_a_cached_read_only_hermgauss(self):
+        nodes, weights = quadrature.hermite_rule(8)
+        assert quadrature.hermite_rule(8)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        for got, want in zip((nodes, weights), hermgauss(8)):
+            assert np.array_equal(got, want)
 
 
 class TestSinglesProfile:

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from gsmspdc.pump import PumpParams, csd_coefficients
-from gsmspdc.spdc import (CrystalParams, joint_momentum_rate,
-                          noncollinear_mismatch, phase_match_gaussian,
-                          phase_match_sinc)
+from gsmspdc.spdc import (CrystalParams, _sinc, joint_momentum_rate,
+                          mismatch_square, noncollinear_mismatch,
+                          phase_match_gaussian, phase_match_sinc)
 
 LAMBDA_P = 405e-9
 K_P = 2 * np.pi / LAMBDA_P
@@ -110,6 +112,65 @@ class TestNoncollinearMismatch:
         via_mismatch = np.sinc(crystal.L * dkz / 2.0 / np.pi)
         direct = phase_match_sinc((sx, sy), (ix, iy), crystal, K_P)
         assert np.max(np.abs(via_mismatch - direct)) < 1e-12
+
+
+class TestMismatchSquare:
+    @pytest.mark.parametrize("crystal", [
+        CrystalParams(L=2e-3, kind="II", theta_nc=0.05, rho_p=0.07, rho_i=0.07),
+        CrystalParams(L=5e-3, kind="I", theta_nc=0.05, rho_p=0.07),
+        CrystalParams(L=2e-3, kind="II", theta_nc=0.05),
+        CrystalParams(L=2e-3, kind="II", rho_p=0.07, rho_i=-0.03),
+    ], ids=["type-II", "type-I", "rho-0", "theta-0"])
+    @pytest.mark.parametrize("idler_ring", [False, True], ids=["signal", "idler"])
+    def test_equals_noncollinear_mismatch(self, crystal, idler_ring):
+        # q is one photon's momentum, u the pair sum; the other carries u - q
+        rng = np.random.default_rng(23)
+        qx, qy = rng.normal(scale=4e5, size=(2, 200, 1))
+        ux, uy = rng.normal(scale=2e4, size=(2, 1, 50))
+        det, other = (qx, qy), (ux - qx, uy - qy)
+        if idler_ring:
+            direct = noncollinear_mismatch(other, det, crystal, K_P)
+        else:
+            direct = noncollinear_mismatch(det, other, crystal, K_P)
+        (cx, cy), d0 = mismatch_square(det, crystal, K_P, idler_ring)
+        square = ((ux - cx) ** 2 + (uy - cy) ** 2) / (2.0 * K_P)
+        largest = max(np.max(np.abs(square)), np.max(np.abs(d0)),
+                      np.max(np.abs(direct)))
+        assert np.max(np.abs(square + d0 - direct)) <= 1e-12 * largest
+
+    def test_rejects_bad_kp(self):
+        with pytest.raises(ValueError):
+            mismatch_square((0.0, 0.0), collinear(), 0.0)
+
+
+class TestSinc:
+    XS = [1e-300, -1e-8, 0.1, -1.0, np.pi, 2.5, 37.0, -1234.5, 1e6]
+
+    @staticmethod
+    def assert_within_2ulp(got, x):
+        want = math.sin(x) / x
+        assert abs(got - want) <= 2 * np.spacing(abs(want))
+
+    def test_scalars(self):
+        for x in self.XS:
+            got = _sinc(x)
+            assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
+            self.assert_within_2ulp(float(got), x)
+
+    def test_arrays(self):
+        xs = np.array(self.XS + list(np.linspace(-50.0, 50.0, 1000)))
+        got = _sinc(xs)
+        assert got.shape == xs.shape
+        for g, x in zip(got, xs):
+            self.assert_within_2ulp(g, x)
+
+    def test_exactly_one_at_zero(self):
+        with np.errstate(all="raise"):
+            assert _sinc(0.0) == 1.0
+            assert _sinc(-0.0) == 1.0
+            got = _sinc(np.array([[0.0, 1.0], [-0.0, 0.0]]))
+        assert got[0, 0] == got[1, 0] == got[1, 1] == 1.0
+        assert got[0, 1] == np.sin(1.0)
 
 
 class TestJointMomentumRate:
