@@ -40,10 +40,9 @@ from .interference import (SlitGeometry, fringe_profiles, slit_plane_coherence,
 from .profiles import (conditional_scan, momentum_to_position, overlap_point,
                        position_to_momentum, ring_radial_profile, ring_radius,
                        singles_profile)
-from .pump import (CharacterizationSetup, CoherenceParams, GsmCsdCoefficients,
-                   PumpParams, bessel_visibility, coherence_from,
-                   correlation_length, csd_coefficients, propagate_to_crystal,
-                   pump_visibility)
+from .pump import (CharacterizationSetup, GaussianCsd, PumpParams,
+                   bessel_visibility, correlation_length, csd_coefficients,
+                   propagate_to_crystal, pump_visibility)
 from .records import Profile2D, Scan1D
 from .spdc import (CrystalParams, joint_momentum_rate, noncollinear_mismatch,
                    phase_match_gaussian, phase_match_sinc)

@@ -25,8 +25,8 @@ from . import analysis, counting, interference, profiles
 from .config import Resolver, crystal_from, load_config, pumps_from
 from .errors import ConfigError, ConvergenceError, FitError, section_errors
 from .iofmt import write_csv, write_json, write_manifest, write_pgm16
-from .pump import (CharacterizationSetup, coherence_from, correlation_length,
-                   csd_coefficients, propagate_to_crystal, pump_visibility)
+from .pump import (CharacterizationSetup, correlation_length, csd_coefficients,
+                   propagate_to_crystal, pump_visibility)
 from .spdc import joint_momentum_rate
 
 EXIT_OK = 0
@@ -37,12 +37,11 @@ EXIT_IO = 4
 OUTPUT_DIR_ENV = "GSMSPDC_OUT"
 
 
-def _slits_values(res: Resolver):
+def _slits(res: Resolver):
+    """One validated SlitGeometry per [slits] d_values entry."""
     a, d_values, z, z1 = res.section("slits", "a", "d_values", "z", "z1")
     with section_errors("slits"):
-        for d in d_values:
-            interference.SlitGeometry(a=a, d=d, z=z, z1=z1)
-    return a, d_values, z, z1
+        return [interference.SlitGeometry(a=a, d=d, z=z, z1=z1) for d in d_values]
 
 
 def run_pump_visibility(res: Resolver, out: Path):
@@ -67,7 +66,7 @@ def run_pump_invariance(res: Resolver, out: Path):
     for a_s in a_s_values:
         l_c_lens = correlation_length(a_s, f_char, lambda_p)
         pump = propagate_to_crystal(l_c_lens, w_at_lens, demag, lambda_p)
-        rows.append((a_s, l_c_lens, pump.w0, pump.l_c, coherence_from(pump).A))
+        rows.append((a_s, l_c_lens, pump.w0, pump.l_c, pump.A))
     path = out / "pump_invariance.csv"
     write_csv(path, ["a_s_m", "l_c_lens_m", "w0_crystal_m", "l_c_crystal_m", "A"],
               zip(*rows))
@@ -77,17 +76,15 @@ def run_pump_invariance(res: Resolver, out: Path):
 def run_fringes(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
-    a, d_values, z, z1 = _slits_values(res)
+    slits = _slits(res)[0]
     samples = res.get("grid", "detector_samples")
-    d = d_values[0]
-    slits = interference.SlitGeometry(a=a, d=d, z=z, z1=z1)
     with section_errors("slits"):  # a beam that does not reach the slits
         scans = interference.fringe_profiles(pumps, crystal, slits,
                                              samples=samples)
     path = out / "fringes.csv"
     write_csv(path, ["A", "d_m", "x_m", "intensity_norm"],
               [np.repeat([scan.meta["A"] for scan in scans], samples),
-               np.full(len(scans) * samples, d),
+               np.full(len(scans) * samples, slits.d),
                np.concatenate([scan.xs for scan in scans]),
                np.concatenate([scan.values for scan in scans])])
     sidecar = out / "fringes.json"
@@ -98,11 +95,10 @@ def run_fringes(res: Resolver, out: Path):
 def run_visibility_curve(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
-    a, d_values, z, z1 = _slits_values(res)
+    slits = _slits(res)
     samples = res.get("grid", "detector_samples")
     with section_errors("slits"):  # a beam that does not reach the slits
-        rows = interference.visibility_curve(pumps, d_values, a=a, z=z, z1=z1,
-                                             crystal=crystal, samples=samples)
+        rows = interference.visibility_curve(pumps, slits, crystal, samples)
     columns = ["A", "d_m", "visibility", "fringe_period_m", "aperture_order",
                "order_doubling_delta", "residual_rms"]
     path = out / "visibility_curve.csv"

@@ -2,24 +2,26 @@
 
 Model
 -----
-The signal field inherits the pump's momentum-space cross-spectral density,
-blurred by the crystal's phase-matching bandwidth: with momenta q in
-cycles/m (plane-wave kernel exp(-i 2 pi q x), Fresnel phase pi lambda z q^2),
+The signal field inherits the pump's momentum-space cross-spectral density
+(gsmspdc.pump.GaussianCsd, momenta q in rad/m), blurred by the crystal's
+phase-matching bandwidth, which adds gamma = alpha L / (4 k_p) to both of its
+coefficients:
 
-    W_sig(q, q') = A_c exp(-(b1 + beta)(q^2 + q'^2) + 2 (b2 + beta) q q') ,
-    beta = pi^2 alpha L / k_p
+    W_sig(q, q') = A_c exp(-(a + gamma)(q^2 + q'^2) + 2 (c + gamma) q q') ,
 
-where the (b2 + beta) cross coupling carries the coherence transfer: a
-coherent pump (b2 -> 0, thin crystal) gives a separable, fully coherent
-kernel.  Free propagation over the crystal-to-slit distance z multiplies the
-two arguments by conjugate Fresnel phases, and the four momentum integrals of
-the detection probability are Gaussian, so the slit-plane mutual coherence
-function has the closed form
+where the (c + gamma) cross coupling carries the coherence transfer: a
+coherent pump (c -> 0, thin crystal) gives a separable, fully coherent
+kernel.  Free propagation over the crystal-to-slit distance z takes a + gamma
+to a_z = a + gamma - i z / (2 k_s) (GaussianCsd.propagated) and leaves
+c_z = c + gamma, and the slit-plane mutual coherence function is the CSD's
+position form
 
-    W(x, x') = exp(-pi^2 (conj(a) x^2 + a x'^2 - 2 c x x') / Delta)
+    W(x, x') = exp(-(conj(a_z) x^2 + a_z x'^2 - 2 c_z x x') / (4 Delta)) ,
+    Delta = |a_z|^2 - c_z^2 .
 
-    a = (b1 + beta) + i pi lambda_s z,   c = b2 + beta,
-    Delta = |a|^2 - c^2 .
+_signal_csd builds this CSD, except on two lines that keep the package's
+fringes as they were and are the model defects of ROADMAP item 1: it scales
+the pump's coefficients by (2 pi)^-2, and it propagates over -z.
 
 Only the double integral over the two slit apertures is done numerically
 (Gauss-Legendre panels per slit, order set by gsmspdc.quadrature's gate),
@@ -53,7 +55,7 @@ gives at each x_s
 
 two real n x n matrices per pump, where K_RR holds K(r, r') and K_RL holds
 K(r, -r').  Only the real part of K enters, so each is a Gaussian times
-cos((r^2 - r'^2)(pi^2 Im a / Delta - kappa / 2)).  Over S detector samples
+cos((r^2 - r'^2)(Im a_z / (4 Delta) - kappa / 2)).  Over S detector samples
 that is two real (S x n)(n x n) products per pump, where the unfolded sum
 takes one complex (S x 2n)(2n x 2n) product: 8 times fewer multiply-adds.
 
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import fit_visibility
-from .pump import PumpParams, coherence_from, csd_coefficients
+from .pump import GaussianCsd, PumpParams, csd_coefficients
 from .quadrature import INITIAL_ORDER, doubling_gate, legendre_rule
 from .records import Scan1D
 from .spdc import CrystalParams
@@ -114,25 +116,25 @@ def slit_transmission(x, slits: SlitGeometry):
     return int(out) if out.ndim == 0 else out
 
 
-def _kernel_constants(pump: PumpParams, crystal: CrystalParams, z: float):
-    coeffs = csd_coefficients(pump)
-    lambda_s = 2.0 * pump.lambda_p
-    beta = np.pi**2 * crystal.alpha * crystal.L / pump.k_p
-    a = (coeffs.b1 + beta) + 1j * np.pi * lambda_s * z
-    c = coeffs.b2 + beta
-    delta = abs(a) ** 2 - c * c
-    return a, c, delta
+def _signal_csd(pump: PumpParams, crystal: CrystalParams, z: float) -> GaussianCsd:
+    """The signal's CSD at the slit plane, a distance z past the crystal."""
+    pump_csd = csd_coefficients(pump)
+    gamma = crystal.alpha * crystal.L / (4.0 * pump.k_p)
+    scale = (2.0 * np.pi) ** -2  # ROADMAP item 1: rad/m coefficients read as cycles/m
+    signal = GaussianCsd(scale * pump_csd.a + gamma, scale * pump_csd.c + gamma,
+                         pump_csd.A_c)
+    return signal.propagated(-z, pump.k_p / 2.0)  # ROADMAP item 1: Fresnel sign
 
 
 def slit_plane_coherence(pump: PumpParams, crystal: CrystalParams, z: float,
                          separation: float) -> float:
     """|mu(x, x')| of the signal field at the slit plane for |x - x'| = separation.
 
-    Closed form exp(-pi^2 c dx^2 / Delta); useful as an analytic cross-check
+    Closed form exp(-c dx^2 / (4 Delta)); useful as an analytic cross-check
     of the fitted fringe visibility.
     """
-    _, c, delta = _kernel_constants(pump, crystal, z)
-    return float(np.exp(-np.pi**2 * c * separation**2 / delta))
+    signal = _signal_csd(pump, crystal, z)
+    return float(np.exp(-signal.c * separation**2 / (4.0 * signal.delta)))
 
 
 def _slit_nodes(slits: SlitGeometry, order: int):
@@ -146,9 +148,9 @@ def _slit_nodes(slits: SlitGeometry, order: int):
     return nodes, weights
 
 
-def _unit_max_profiles(kernels, k_s, slits, xs, order):
-    """p1 on xs by the order-point aperture rule, one unit-max row per pump
-    kernel (a, c, Delta).
+def _unit_max_profiles(csds, k_s, slits, xs, order):
+    """p1 on xs by the order-point aperture rule, one unit-max row per
+    slit-plane GaussianCsd.
 
     The mirror form of the module docstring: the detector table is a cosine
     and a sine per right-slit node, each pump's M+- are built in one
@@ -160,9 +162,10 @@ def _unit_max_profiles(kernels, k_s, slits, xs, order):
     kappa = k_s / slits.z1
     arg = (kappa * xs)[:, None] * right[None, :]
     cos, sin = np.cos(arg), np.sin(arg)
-    a, c, delta = (np.array(v)[:, None, None] for v in zip(*kernels))
+    a, c, delta = (np.array([getattr(csd, name) for csd in csds])[:, None, None]
+                   for name in ("a", "c", "delta"))
     r2 = right * right
-    g = np.pi**2 / delta
+    g = 1.0 / (4.0 * delta)
     # Re K(r, +-r') = w w' exp(-g (Re a (r^2 + r'^2) -+ 2 c r r')) cos(phase)
     square = g * (a.real * (r2[:, None] + r2[None, :]))
     cross = g * (2.0 * c * (right[:, None] * right[None, :]))
@@ -203,11 +206,11 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
     period = slits.fringe_period(lambda_s)
     span = DEFAULT_SPAN_PERIODS * period
     xs = np.linspace(-span / 2.0, span / 2.0, samples)
-    kernels = [_kernel_constants(pump, crystal, slits.z) for pump in pumps]
+    csds = [_signal_csd(pump, crystal, slits.z) for pump in pumps]
     rows = {}  # order -> unit-max profiles, for each pump's own delta
 
     def evaluate(n):
-        rows[n] = _unit_max_profiles(kernels, pumps[0].k_p / 2.0, slits, xs, n)
+        rows[n] = _unit_max_profiles(csds, pumps[0].k_p / 2.0, slits, xs, n)
         return rows[n]
     values, order, delta = doubling_gate(evaluate, "aperture", order, check_convergence)
     # every row peaks at exactly 1, so the gate's delta is the largest of these
@@ -217,7 +220,7 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
     for pump, p1, delta in zip(pumps, values, deltas):
         meta = {
             "lambda_p_m": pump.lambda_p, "w0_m": pump.w0, "l_c_m": pump.l_c,
-            "A": coherence_from(pump).A,
+            "A": pump.A,
             "crystal_L_m": crystal.L, "alpha": crystal.alpha,
             "slit_a_m": slits.a, "slit_d_m": slits.d,
             "z_m": slits.z, "z1_m": slits.z1,
@@ -229,28 +232,28 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
     return scans
 
 
-def visibility_curve(pumps, d_values, a: float, z: float, z1: float,
-                     crystal: CrystalParams, samples: int = DEFAULT_SAMPLES):
-    """Fitted fringe visibility over a (pump, slit-separation) lattice.
+def visibility_curve(pumps, slits, crystal: CrystalParams,
+                     samples: int = DEFAULT_SAMPLES):
+    """Fitted fringe visibility over a (pump, slit geometry) lattice.
 
-    Returns a list of dicts with keys A, d_m, visibility, fringe_period_m,
-    residual_rms, aperture_order, order_doubling_delta, pump-major: every d
-    of the first pump, then of the next.  The profiles of one d share their
-    detector axis, so their fits are one stack; each fit is anchored with
-    the known fringe period and restricted to the central four periods,
-    where the log-quadratic envelope model holds.
+    slits is a list of SlitGeometry.  Returns a list of dicts with keys A,
+    d_m, visibility, fringe_period_m, residual_rms, aperture_order,
+    order_doubling_delta, pump-major: every geometry of the first pump, then
+    of the next.  The profiles of one geometry share their detector axis, so
+    their fits are one stack; each fit is anchored with the known fringe
+    period and restricted to the central four periods, where the
+    log-quadratic envelope model holds.
     """
     pumps = list(pumps)
     per_pump = [[] for _ in pumps]
-    for d in d_values:
-        slits = SlitGeometry(a=a, d=d, z=z, z1=z1)
-        scans = fringe_profiles(pumps, crystal, slits, samples=samples)
+    for geometry in slits:
+        scans = fringe_profiles(pumps, crystal, geometry, samples=samples)
         period = scans[0].meta["fringe_period_m"]
         fits = fit_visibility(scans, period_hint=period, window=2.0 * period)
         for rows, scan, fit in zip(per_pump, scans, fits):
             rows.append({
                 "A": scan.meta["A"],
-                "d_m": d,
+                "d_m": geometry.d,
                 "visibility": fit.visibility,
                 "fringe_period_m": fit.fringe_period,
                 "residual_rms": fit.residual_rms,

@@ -3,7 +3,7 @@
 singles_profile integrates the joint momentum rate over the undetected
 photon.  The pump CSD diagonal weights the pair-sum momentum u = q_s + q_i by
 the Gaussian A_c exp(-|u|^2 / (2 sigma^2)), with sigma from
-GsmCsdCoefficients.sum_sigma, leaving the bounded factor sinc^2(L dk_z / 2) to
+GaussianCsd.sum_sigma, leaving the bounded factor sinc^2(L dk_z / 2) to
 integrate against it: by a tensor Gauss-Hermite rule, exact for that weight,
 or by Monte Carlo drawn from it.  The two backends share the integrand and
 differ only in their nodes.  The Hermite order is measured, not configured, by
@@ -22,7 +22,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .errors import ConvergenceError
-from .pump import PumpParams, coherence_from, csd_coefficients
+from .pump import PumpParams, csd_coefficients
 from .quadrature import INITIAL_ORDER, doubling_gate, hermite_rule
 from .records import Profile2D, Scan1D
 from .spdc import CrystalParams, _sinc, joint_momentum_rate, mismatch_square
@@ -207,7 +207,7 @@ def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both
     pitch = axis[1] - axis[0]
     meta = {
         "lambda_p_m": pump.lambda_p, "w0_m": pump.w0, "l_c_m": pump.l_c,
-        "A": coherence_from(pump).A,
+        "A": pump.A,
         "crystal_L_m": crystal.L, "kind": crystal.kind,
         "theta_nc_rad": crystal.theta_nc,
         "rho_p_rad": crystal.rho_p, "rho_i_rad": crystal.rho_i,
@@ -242,7 +242,7 @@ def conditional_scan(pump: PumpParams, crystal: CrystalParams, q_s,
         raise ConvergenceError("conditional rate vanished along the scan")
     meta = {
         "q_sx_radpm": qsx, "q_sy_radpm": qsy, "q_iy_radpm": q_iy,
-        "A": coherence_from(pump).A, "lambda_p_m": pump.lambda_p,
+        "A": pump.A, "lambda_p_m": pump.lambda_p,
         "w0_m": pump.w0, "l_c_m": pump.l_c,
         "theta_nc_rad": crystal.theta_nc, "rho_p_rad": crystal.rho_p,
         "rho_i_rad": crystal.rho_i, "crystal_L_m": crystal.L,
@@ -264,6 +264,6 @@ def ring_radial_profile(pump: PumpParams, crystal: CrystalParams,
     QY = radii[:, None] * np.sin(angles)[None, :]
     vals, order, delta = doubling_gate(
         lambda n: _singles_quadrature(QX, QY, pump, crystal, n), "inner")
-    meta = {"angles_rad": angles.tolist(), "A": coherence_from(pump).A,
+    meta = {"angles_rad": angles.tolist(), "A": pump.A,
             "order": order, "order_doubling_delta": delta}
     return Scan1D(xs=radii, values=vals.mean(axis=1), meta=meta)

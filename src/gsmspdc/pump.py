@@ -7,16 +7,26 @@ are used throughout:
     1/delta^2 = 1/l_c^2 + 1/(4 w0^2)        effective coherence width
     A         = delta / (2 w0)               degree of spatial coherence
 
-A runs from 0 (incoherent) to 1 (coherent).  The momentum-basis
-cross-spectral density of the pump is a Gaussian kernel
+A runs from 0 (incoherent) to 1 (coherent); PumpParams.A computes it.
 
-    W(q, q') = A_c exp(-b1 |q|^2 - b1 |q'|^2 + 2 b2 q.q')
+Every cross-spectral density (CSD) in the package is a GaussianCsd, with
+transverse momenta q in rad/m (plane waves exp(i q x)):
 
-with coefficients
+    W(q, q') = A_c exp(-a |q|^2 - conj(a) |q'|^2 + 2 c q.q') ,
 
-    b0 = 1 + (l_c / 2 w0)^2
-    b1 = (l_c + 2 w0)^2 / (4 b0)
-    b2 = w0^2 / (2 b0)
+with c real.  Its position form, per transverse dimension, is
+
+    W(x, x') ~ exp(-(conj(a) x^2 + a x'^2 - 2 c x x') / (4 delta)) ,
+    delta = |a|^2 - c^2 ,
+
+and free propagation over z at wavenumber k under the propagator
+exp(-i k (x_s - x)^2 / (2 z)) takes a to a - i z / (2 k).  The pump's CSD at
+the crystal (csd_coefficients) has real coefficients
+
+    a = (l_c + 2 w0)^2 / (4 b0) ,  c = w0^2 / (2 b0) ,  b0 = 1 + (l_c / 2 w0)^2 .
+
+The Fourier transform of the position-space GSM has the same c but
+a = (l_c^2 + 2 w0^2) / (4 b0) (tests/test_gsm_oracle.py; ROADMAP item 1).
 
 The double-slit characterization of an incoherent spot of radius a_s imaged
 by a lens of focal length f obeys the Bessel visibility law
@@ -33,10 +43,8 @@ import numpy as np
 
 __all__ = [
     "PumpParams",
-    "CoherenceParams",
-    "GsmCsdCoefficients",
+    "GaussianCsd",
     "CharacterizationSetup",
-    "coherence_from",
     "correlation_length_for",
     "csd_coefficients",
     "bessel_visibility",
@@ -105,6 +113,12 @@ class PumpParams:
     def k_p(self) -> float:
         return 2.0 * np.pi / self.lambda_p
 
+    @property
+    def A(self) -> float:
+        """Degree of spatial coherence delta / (2 w0), in (0, 1]."""
+        delta = 1.0 / np.sqrt(1.0 / self.l_c**2 + 1.0 / (4.0 * self.w0**2))
+        return delta / (2.0 * self.w0)
+
     @classmethod
     def from_coherence(cls, lambda_p: float, w0: float, A: float) -> "PumpParams":
         """Build pump parameters from a target degree of coherence A in (0, 1]."""
@@ -122,31 +136,31 @@ def correlation_length_for(A: float, w0: float) -> float:
 
 
 @dataclass(frozen=True)
-class CoherenceParams:
-    delta: float    # effective coherence width (m)
-    A: float        # degree of spatial coherence, 0 < A <= 1
+class GaussianCsd:
+    """W(q, q') = A_c exp(-a |q|^2 - conj(a) |q'|^2 + 2 c q.q'), q in rad/m.
 
+    a may be complex (a propagated CSD); c is real.  The position form and
+    the propagation rule are in the module docstring.
+    """
 
-def coherence_from(pump: PumpParams) -> CoherenceParams:
-    """Effective coherence width delta and degree of coherence A of the pump."""
-    delta = 1.0 / np.sqrt(1.0 / pump.l_c**2 + 1.0 / (4.0 * pump.w0**2))
-    return CoherenceParams(delta=delta, A=delta / (2.0 * pump.w0))
-
-
-@dataclass(frozen=True)
-class GsmCsdCoefficients:
-    """Gaussian exponent coefficients of the momentum-basis pump CSD (m^2)."""
-
-    b0: float
-    b1: float
-    b2: float
+    a: complex
+    c: float
     A_c: float
 
     @property
     def sum_sigma(self) -> float:
         """Std. deviation (rad/m) of the pair-sum Gaussian on the diagonal,
-        W(u, u) = A_c exp(-2 (b1 - b2) |u|^2) = A_c exp(-|u|^2 / (2 sigma^2))."""
-        return 1.0 / (2.0 * np.sqrt(self.b1 - self.b2))
+        W(u, u) = A_c exp(-2 (Re a - c) |u|^2) = A_c exp(-|u|^2 / (2 sigma^2))."""
+        return 1.0 / (2.0 * np.sqrt(self.a.real - self.c))
+
+    @property
+    def delta(self) -> float:
+        """|a|^2 - c^2, the determinant behind the position form."""
+        return abs(self.a) ** 2 - self.c * self.c
+
+    def diagonal(self, u2):
+        """W(u, u) at |u|^2 = u2."""
+        return self.A_c * np.exp(-2.0 * (self.a.real - self.c) * u2)
 
     def kernel(self, q, qp):
         """Evaluate W(q, q') for points with components stacked on the last axis."""
@@ -155,11 +169,16 @@ class GsmCsdCoefficients:
         q2 = np.sum(q * q, axis=-1)
         qp2 = np.sum(qp * qp, axis=-1)
         dot = np.sum(q * qp, axis=-1)
-        return self.A_c * np.exp(-self.b1 * q2 - self.b1 * qp2 + 2.0 * self.b2 * dot)
+        return self.A_c * np.exp(-self.a * q2 - np.conj(self.a) * qp2
+                                 + 2.0 * self.c * dot)
+
+    def propagated(self, z: float, k: float) -> "GaussianCsd":
+        """The CSD after free propagation over z (m) at wavenumber k (rad/m)."""
+        return GaussianCsd(self.a - 1j * z / (2.0 * k), self.c, self.A_c)
 
 
-def csd_coefficients(pump: PumpParams) -> GsmCsdCoefficients:
-    """Coefficients of the momentum-basis pump CSD.
+def csd_coefficients(pump: PumpParams) -> GaussianCsd:
+    """The pump's momentum-basis CSD at the crystal.
 
     The amplitude normalization uses a unit proportionality constant; all
     intensities downstream are reported in arbitrary units and re-normalized
@@ -167,10 +186,9 @@ def csd_coefficients(pump: PumpParams) -> GsmCsdCoefficients:
     """
     ratio = pump.l_c / (2.0 * pump.w0)
     b0 = 1.0 + ratio * ratio
-    b1 = (pump.l_c + 2.0 * pump.w0) ** 2 / (4.0 * b0)
-    b2 = pump.w0**2 / (2.0 * b0)
-    A_c = (pump.w0 / (2.0 * np.pi)) ** 2
-    return GsmCsdCoefficients(b0=b0, b1=b1, b2=b2, A_c=A_c)
+    a = (pump.l_c + 2.0 * pump.w0) ** 2 / (4.0 * b0)
+    c = pump.w0**2 / (2.0 * b0)
+    return GaussianCsd(a=a, c=c, A_c=(pump.w0 / (2.0 * np.pi)) ** 2)
 
 
 def bessel_visibility(nu):

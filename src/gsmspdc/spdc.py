@@ -135,9 +135,7 @@ def joint_momentum_rate(q_s, q_i, pump: PumpParams, crystal: CrystalParams):
     Product of the pump CSD diagonal at the pair-sum momentum and the squared
     non-collinear phase-matching amplitude sinc^2(L dk_z / 2).
     """
-    coeffs = csd_coefficients(pump)
     (sx, sy), (ix, iy) = q_s, q_i
-    sum2 = (sx + ix) ** 2 + (sy + iy) ** 2
-    envelope = coeffs.A_c * np.exp(-2.0 * (coeffs.b1 - coeffs.b2) * sum2)
+    envelope = csd_coefficients(pump).diagonal((sx + ix) ** 2 + (sy + iy) ** 2)
     dkz = noncollinear_mismatch(q_s, q_i, crystal, pump.k_p)
     return envelope * _sinc(crystal.L * dkz / 2.0) ** 2

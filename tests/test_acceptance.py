@@ -86,8 +86,8 @@ def test_criterion_3_coherent_limit_fringe_oracle():
 def test_criterion_4_visibility_lattice_trends():
     a_values = (0.9, 0.6, 0.3)
     d_values = (0.25e-3, 0.5e-3, 0.75e-3)
-    rows = visibility_curve([pump_for(A) for A in a_values], list(d_values),
-                            a=0.15e-3, z=0.10, z1=0.20, crystal=FRINGE_CRYSTAL)
+    slits = [SlitGeometry(a=0.15e-3, d=d, z=0.10, z1=0.20) for d in d_values]
+    rows = visibility_curve([pump_for(A) for A in a_values], slits, FRINGE_CRYSTAL)
     table = {(round(r["A"], 3), r["d_m"]): r["visibility"] for r in rows}
     for A in a_values:
         run = [table[(A, d)] for d in d_values]
@@ -129,7 +129,7 @@ class TestCriterion5ConditionalTrends:
         pump = pump_for(A)
         q_s0 = overlap_point(self.CRYSTAL, pump.k_p)[0]
         coeffs = csd_coefficients(pump)
-        sigma = 1.0 / (2.0 * np.sqrt(coeffs.b1 - coeffs.b2))
+        sigma = 1.0 / (2.0 * np.sqrt(coeffs.a - coeffs.c))
         qs = np.linspace(q_s0 - 5 * sigma, q_s0 + 5 * sigma, n_px)
         qi = np.linspace(-q_s0 - 5 * sigma, -q_s0 + 5 * sigma, n_px)
         joint = joint_momentum_rate((qs[:, None], 0.0), (qi[None, :], 0.0),

@@ -317,7 +317,7 @@ class TestConditionalMap:
             pump = PumpParams.from_coherence(405e-9, 0.5e-3, A)
             q_s0 = overlap_point(crystal, pump.k_p)[0]
             coeffs = csd_coefficients(pump)
-            sigma = 1.0 / (2.0 * np.sqrt(coeffs.b1 - coeffs.b2))
+            sigma = 1.0 / (2.0 * np.sqrt(coeffs.a - coeffs.c))
             qs = np.linspace(q_s0 - 5 * sigma, q_s0 + 5 * sigma, 48)
             qi = np.linspace(-q_s0 - 5 * sigma, -q_s0 + 5 * sigma, 48)
             joint = joint_momentum_rate((qs[:, None], 0.0), (qi[None, :], 0.0),

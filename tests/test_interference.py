@@ -7,7 +7,7 @@ from gsmspdc.errors import ConvergenceError
 from gsmspdc.interference import (SlitGeometry, fringe_profiles,
                                   slit_plane_coherence, slit_transmission,
                                   visibility_curve)
-from gsmspdc.pump import PumpParams, coherence_from
+from gsmspdc.pump import PumpParams
 from gsmspdc.spdc import CrystalParams
 
 LAMBDA_P = 405e-9
@@ -19,6 +19,10 @@ SLITS = SlitGeometry(a=0.15e-3, d=0.25e-3, z=0.10, z1=0.20)
 
 def pump_for(A):
     return PumpParams.from_coherence(LAMBDA_P, W0, A)
+
+
+def geometry(d):
+    return SlitGeometry(a=0.15e-3, d=d, z=0.10, z1=0.20)
 
 
 def coherent_oracle_pattern(slits, xs):
@@ -96,8 +100,7 @@ class TestFringeProfile:
         with pytest.raises(ConvergenceError, match=match):
             fringe_profiles([pump_for(0.6)], CRYSTAL, SLITS)
         with pytest.raises(ConvergenceError, match=match):
-            visibility_curve([pump_for(0.6)], [SLITS.d], a=SLITS.a, z=SLITS.z,
-                             z1=SLITS.z1, crystal=CRYSTAL)
+            visibility_curve([pump_for(0.6)], [SLITS], CRYSTAL)
 
     def test_meta_records_parameters(self):
         scan = fringe_profiles([pump_for(0.5)], CRYSTAL, SLITS)[0]
@@ -123,12 +126,13 @@ class TestFringeProfile:
 
 
 def reference_profile(pump, slits, xs, order):
-    """Aperture quadrature as one three-operand einsum per pump, max-normalized."""
-    a, c, delta = interference._kernel_constants(pump, CRYSTAL, slits.z)
+    """Aperture quadrature as one three-operand einsum per pump, max-normalized,
+    on the slit-plane CSD's position form in rad/m."""
+    csd = interference._signal_csd(pump, CRYSTAL, slits.z)
     nodes, weights = interference._slit_nodes(slits, order)
     X, Xp = np.meshgrid(nodes, nodes, indexing="ij")
-    w_slit = np.exp(-(np.pi**2) * (np.conj(a) * X**2 + a * Xp**2 - 2.0 * c * X * Xp)
-                    / delta)
+    w_slit = np.exp(-(np.conj(csd.a) * X**2 + csd.a * Xp**2 - 2.0 * csd.c * X * Xp)
+                    / (4.0 * csd.delta))
     kernel = weights[:, None] * weights[None, :] * w_slit
     k_s = pump.k_p / 2.0
     phases = np.exp(-1j * k_s * (xs[:, None] - nodes[None, :]) ** 2 / (2.0 * slits.z1))
@@ -173,7 +177,7 @@ class TestFringeProfiles:
         for pump, scan in zip(self.PUMPS, scans):
             ref = reference_profile(pump, SLITS, scan.xs, order)
             assert np.max(np.abs(scan.values - ref)) < 1e-12
-            assert scan.meta["A"] == coherence_from(pump).A
+            assert scan.meta["A"] == pump.A
 
     def test_single_pump_call_is_batch_of_one(self):
         one = fringe_profiles([self.PUMPS[1]], CRYSTAL, SLITS)[0]
@@ -245,8 +249,8 @@ class TestSlitPlaneCoherence:
 class TestVisibilityCurve:
     def test_monotone_in_both_directions(self):
         pumps = [pump_for(A) for A in (0.9, 0.6, 0.3)]
-        rows = visibility_curve(pumps, [0.25e-3, 0.5e-3, 0.75e-3],
-                                a=0.15e-3, z=0.10, z1=0.20, crystal=CRYSTAL)
+        rows = visibility_curve(
+            pumps, [geometry(d) for d in (0.25e-3, 0.5e-3, 0.75e-3)], CRYSTAL)
         table = {(round(r["A"], 3), r["d_m"]): r["visibility"] for r in rows}
         for A in (0.9, 0.6, 0.3):
             run = [table[(A, d)] for d in (0.25e-3, 0.5e-3, 0.75e-3)]
@@ -258,8 +262,8 @@ class TestVisibilityCurve:
     def test_rows_pump_major(self):
         pumps = [pump_for(A) for A in (0.9, 0.3)]
         d_values = [0.25e-3, 0.5e-3, 0.75e-3]
-        rows = visibility_curve(pumps, d_values, a=0.15e-3, z=0.10, z1=0.20,
-                                crystal=CRYSTAL, samples=601)
+        rows = visibility_curve(pumps, [geometry(d) for d in d_values], CRYSTAL,
+                                samples=601)
         assert [(round(r["A"], 6), r["d_m"]) for r in rows] == [
             (A, d) for A in (0.9, 0.3) for d in d_values]
 
@@ -267,6 +271,5 @@ class TestVisibilityCurve:
         # d barely above a approximates a single aperture: near-unit
         # visibility for a near-coherent pump
         slim = [pump_for(0.999)]
-        rows = visibility_curve(slim, [0.16e-3], a=0.15e-3, z=0.10, z1=0.20,
-                                crystal=CRYSTAL)
+        rows = visibility_curve(slim, [geometry(0.16e-3)], CRYSTAL)
         assert rows[0]["visibility"] > 0.95

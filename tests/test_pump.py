@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from gsmspdc.pump import (CharacterizationSetup, PumpParams, bessel_visibility,
-                          coherence_from, correlation_length,
-                          correlation_length_for, csd_coefficients,
-                          propagate_to_crystal, pump_visibility)
+                          correlation_length, correlation_length_for,
+                          csd_coefficients, propagate_to_crystal,
+                          pump_visibility)
 
 
 def j1_series(nu, terms=60):
@@ -26,24 +26,24 @@ def visibility_oracle(nu):
 
 
 class TestCoherenceFrom:
+    # PumpParams.A = delta / (2 w0); delta is read back as 2 w0 A
     def test_coherent_limit(self):
         pump = PumpParams(405e-9, 1e-3, 1e6)
-        assert 1.0 - coherence_from(pump).A < 1e-6
+        assert 1.0 - pump.A < 1e-6
 
     def test_lc_equal_2w0(self):
         pump = PumpParams(405e-9, 1e-3, 2e-3)
-        coh = coherence_from(pump)
-        assert coh.delta == pytest.approx(1e-3 * np.sqrt(2.0), rel=1e-12)
-        assert coh.A == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
+        assert 2.0 * pump.w0 * pump.A == pytest.approx(1e-3 * np.sqrt(2.0),
+                                                       rel=1e-12)
+        assert pump.A == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-12)
 
     def test_incoherent_limit(self):
         pump = PumpParams(405e-9, 1e-3, 1e-6)
-        assert coherence_from(pump).A == pytest.approx(5.0e-4, abs=1e-9)
+        assert pump.A == pytest.approx(5.0e-4, abs=1e-9)
 
     def test_defining_identity(self):
         pump = PumpParams(405e-9, 0.7e-3, 0.3e-3)
-        coh = coherence_from(pump)
-        lhs = 1.0 / coh.delta**2
+        lhs = 1.0 / (2.0 * pump.w0 * pump.A) ** 2
         rhs = 1.0 / pump.l_c**2 + 1.0 / (4.0 * pump.w0**2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -54,37 +54,36 @@ class TestCoherenceFrom:
             PumpParams(405e-9, 1e-3, 0.0)
 
     def test_monotone_in_lc(self):
-        a_values = [coherence_from(PumpParams(405e-9, 1e-3, lc)).A
+        a_values = [PumpParams(405e-9, 1e-3, lc).A
                     for lc in np.geomspace(1e-5, 1e-1, 30)]
         assert np.all(np.diff(a_values) > 0)
 
     def test_from_coherence_roundtrip(self):
         pump = PumpParams.from_coherence(405e-9, 0.5e-3, 0.62)
-        assert coherence_from(pump).A == pytest.approx(0.62, rel=1e-12)
+        assert pump.A == pytest.approx(0.62, rel=1e-12)
 
 
 class TestCsdCoefficients:
     def test_incoherent_closed_forms(self):
         w0 = 1e-3
         c = csd_coefficients(PumpParams(405e-9, w0, 1e-12))
-        assert c.b0 == pytest.approx(1.0, rel=1e-12)
-        assert c.b1 == pytest.approx(w0**2, rel=1e-8)
-        assert c.b2 == pytest.approx(w0**2 / 2.0, rel=1e-12)
+        assert c.a == pytest.approx(w0**2, rel=1e-8)
+        assert c.c == pytest.approx(w0**2 / 2.0, rel=1e-12)
 
     def test_near_coherent_limit(self):
-        # b1 -> w0^2 and b2 -> 0 as l_c -> inf; at l_c = 150 w0 both are
-        # within 3% of the limit (at 100 w0 the b1 deviation is exactly 4%)
+        # a -> w0^2 and c -> 0 as l_c -> inf; at l_c = 150 w0 both are
+        # within 3% of the limit (at 100 w0 the a deviation is exactly 4%)
         w0 = 1e-3
         c = csd_coefficients(PumpParams(405e-9, w0, 150 * w0))
-        assert abs(c.b1 / w0**2 - 1.0) < 0.03
-        assert abs(c.b2) < 0.03 * w0**2
+        assert abs(c.a / w0**2 - 1.0) < 0.03
+        assert abs(c.c) < 0.03 * w0**2
         c100 = csd_coefficients(PumpParams(405e-9, w0, 100 * w0))
-        assert abs(c100.b1 / w0**2 - 1.0) == pytest.approx(0.04, abs=0.001)
+        assert abs(c100.a / w0**2 - 1.0) == pytest.approx(0.04, abs=0.001)
 
     def test_ordering(self):
         for lc in np.geomspace(1e-6, 1.0, 20):
             c = csd_coefficients(PumpParams(405e-9, 1e-3, lc))
-            assert c.b1 > c.b2 > 0
+            assert c.a > c.c > 0
 
     def test_exchange_symmetry(self):
         c = csd_coefficients(PumpParams(405e-9, 0.5e-3, 0.4e-3))
@@ -214,8 +213,7 @@ class TestPropagateToCrystal:
         after = propagate_to_crystal(1e-3, 4e-3, 8.0, 405e-9)
         assert after.w0 == pytest.approx(4e-3 / 8.0, rel=1e-12)
         assert after.l_c == pytest.approx(1e-3 / 8.0, rel=1e-12)
-        assert coherence_from(after).A == pytest.approx(
-            coherence_from(before).A, abs=1e-12)
+        assert after.A == pytest.approx(before.A, abs=1e-12)
 
     def test_lens_translation_contract(self):
         # scanning l_c at the lens with fixed beam size there: beam size at
@@ -225,7 +223,7 @@ class TestPropagateToCrystal:
                  for lc in np.geomspace(0.1e-3, 10e-3, 10)]
         sizes = np.array([p.w0 for p in pumps])
         assert np.all(sizes == w_lens / demag)
-        a_values = [coherence_from(p).A for p in pumps]
+        a_values = [p.A for p in pumps]
         assert np.all(np.diff(a_values) > 0)
 
     def test_rejects_nonpositive_demag(self):
@@ -237,5 +235,4 @@ def test_correlation_length_for_inverts_coherence():
     w0 = 0.5e-3
     for A in (0.1, 0.5, 0.9):
         lc = correlation_length_for(A, w0)
-        assert coherence_from(PumpParams(405e-9, w0, lc)).A == pytest.approx(
-            A, rel=1e-12)
+        assert PumpParams(405e-9, w0, lc).A == pytest.approx(A, rel=1e-12)
