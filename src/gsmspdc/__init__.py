@@ -9,6 +9,10 @@ Library layout:
     quadrature    the order-doubling gate both quadrature rules share
     counting      synthetic photon-counting frames and the covariance estimator
     analysis      visibility and Gaussian fits, scan widths
+    records       Scan1D and Profile2D, the sampled outputs with their meta
+    config        INI sections, each key's default and bounds, the Resolver
+    iofmt         deterministic CSV, 16-bit PGM and JSON writers, run manifests
+    errors        ConfigError, ConvergenceError and FitError
     cli           batch experiment harness (CSV + 16-bit PGM outputs)
 
 Importing the package loads NumPy's BLAS on one thread, unless NumPy is

@@ -9,10 +9,10 @@ it is given.  Both nonlinear fits share one Levenberg-Marquardt solver with
 analytic Jacobians, which solves a stack of problems at once (fit_visibility's
 scans on one detector axis).  At each new point it takes one QR of [J r], then
 an SVD of the scaled triangle, as MINPACK's solver works on the triangle R of
-J = QR (More, LNM 630, 1978).  Each problem keeps its own scaling, damping,
-evaluation count and stopping rule, and the stack only shares the residual
-evaluations and factorizations, so a problem's fit is bit for bit its fit
-alone.
+J = QR (More, LNM 630, 1978).  The problems step in lockstep, each with its
+own scaling, damping and stopping rule: every update is a mask over the
+stack, a stopped problem takes a zero step, and every reduction runs row by
+row, so a problem's fit is bit for bit its fit alone.
 """
 
 from dataclasses import dataclass
@@ -83,122 +83,98 @@ def _matvec(m, v):
 def _levenberg_marquardt(fun, theta0, max_nfev):
     """Minimize |r_k(theta_k)|^2 for each problem k of a stack.
 
-    theta0 is (B, p); fun(theta, rows) evaluates the problems rows (indices
-    into the stack) at theta (len(rows), p) and returns r (len(rows), n) and
-    J = dr/dtheta (len(rows), n, p).  Each parameter is measured in units of
-    the largest norm its Jacobian column has reached (Marquardt scaling), so
-    the damping does not depend on the parameters' units.  A trial step
-    solves the damped normal equations without forming J^T J: at each new
-    point the n x (p + 1) QR of [J r] gives R of J = Q R and Q^T r, the
-    column norms of J are those of R, the gradient J^T r is R^T (Q^T r), and
-    the SVD of the p x p R / scale = U_R S V^T gives U^T r = U_R^T (Q^T r),
-    the same step as the SVD of the scaled n x p Jacobian in exact
-    arithmetic, with only the QR reading the n rows.  The damping follows
-    Nielsen's update.
+    theta0 is (B, p); fun(theta) evaluates the whole stack at theta (B, p)
+    and returns r (B, n) and J = dr/dtheta (B, n, p).  Each parameter is
+    measured in units of the largest norm its Jacobian column has reached
+    (Marquardt scaling), so the damping does not depend on the parameters'
+    units.  A trial step solves the damped normal equations without forming
+    J^T J: at each new point the n x (p + 1) QR of [J r] gives R of J = Q R
+    and Q^T r, the column norms of J are those of R, the gradient J^T r is
+    R^T (Q^T r), and the SVD of the p x p R / scale = U_R S V^T gives
+    U^T r = U_R^T (Q^T r), the same step as the SVD of the scaled n x p
+    Jacobian in exact arithmetic, with only the QR reading the n rows.  The
+    damping follows Nielsen's update.
 
-    Each problem keeps its own scale, damping, evaluation count, accepted
-    steps and stopping rule; only the evaluations and factorizations of the
-    problems still running are done together, and every reduction is taken
-    row by row the way a stack of one takes it, so a problem's result does
-    not depend on the others in its stack.  Returns (theta, r, converged)
-    stacks, where converged[k] is False when problem k spent max_nfev
-    evaluations before its stopping rule held.
+    The problems step in lockstep, each with its own scale, damping,
+    accepted steps and stopping rule: every update is a mask over the stack,
+    and a stopped problem keeps its point and takes a zero step.  The QR and
+    SVD run on the whole stack whenever a problem moved; the others refactor
+    to the values they had.  Every reduction is taken row by row the way a
+    stack of one takes it, so a problem's result does not depend on the
+    others in its stack.  Returns (theta, r, converged) stacks, where
+    converged[k] is False when problem k spent max_nfev evaluations before
+    its stopping rule held, or started at a non-finite cost.
     """
     theta = np.array(theta0, dtype=float)
     count, p = theta.shape
-    fresh = np.arange(count)    # the problems at a point not yet factored
-    r, jac = fun(theta, fresh)  # jac: the Jacobians of the fresh problems
-    nfev = np.ones(count, dtype=int)
-    scale = np.zeros((count, p))
-    damping = np.full(count, np.nan)    # set from each problem's first SVD
-    growth = np.full(count, 2.0)
+    start, jac = fun(theta)
+    finite = np.isfinite(_rowdot(start, start))
     converged = np.zeros(count, dtype=bool)
-    running = np.ones(count, dtype=bool)
-    # each problem's cost, gradient, SVD and |scale theta| at its point
-    cost, size = np.empty(count), np.empty(count)
-    grad, s, ur = np.empty((count, p)), np.empty((count, p)), np.empty((count, p))
-    vt = np.empty((count, p, p))
+    if not finite.any():
+        return theta, start, converged
+    # a non-finite start stays put, zeroed: a NaN row fails the batched SVD
+    r = np.where(finite[:, None], start, 0.0)
+    jac = np.where(finite[:, None, None], jac, 0.0)
+    running, nfev, moved = finite, 1, True
+    scale, damping, growth = 0.0, None, np.full(count, 2.0)
     while True:
-        if fresh.size:
-            rf = r[fresh]
-            cost[fresh] = _rowdot(rf, rf)
-            stop = ~np.isfinite(cost[fresh])
-            running[fresh[stop]] = False
-            if stop.any():
-                fresh, jac, rf = fresh[~stop], jac[~stop], rf[~stop]
+        if moved:  # a problem that did not move refactors to what it had
+            cost = _rowdot(r, r)
             # R of [J r] is [[R, Q^T r], [0, |r - Q Q^T r|]] for J = Q R,
             # and (R, Q^T r) stand for (J, r) in every product below
-            tri = np.linalg.qr(np.concatenate([jac, rf[:, :, None]], axis=2),
+            tri = np.linalg.qr(np.concatenate([jac, r[:, :, None]], axis=2),
                                mode="r")
-            jac, rf = tri[:, :p, :p], tri[:, :p, p]
-            norms = np.linalg.norm(jac, axis=1)
-            g = _matvec(jac.transpose(0, 2, 1), rf)
-            stop = np.all(np.abs(g) <= _LM_GTOL * norms
-                          * np.sqrt(cost[fresh])[:, None], axis=1)
-            converged[fresh[stop]] = True
-            running[fresh[stop]] = False
-            if stop.any():
-                fresh, jac, rf, norms, g = (fresh[~stop], jac[~stop], rf[~stop],
-                                            norms[~stop], g[~stop])
-            grad[fresh] = g
-            sc = np.maximum(scale[fresh], norms)
-            sc[sc == 0.0] = 1.0
-            scale[fresh] = sc
-            u, s[fresh], vt[fresh] = np.linalg.svd(jac / sc[:, None, :],
-                                                   full_matrices=False)
-            ur[fresh] = _matvec(u.transpose(0, 2, 1), rf)
-            first = fresh[np.isnan(damping[fresh])]
-            s0 = s[first, 0]
-            damping[first] = _LM_DAMPING0 * (s0 * s0)
-            size[fresh] = np.sqrt(_rowdot(sc * theta[fresh], sc * theta[fresh]))
-        rows = np.flatnonzero(running)
-        if rows.size == 0:
-            return theta, r, converged
-        lam, sv = damping[rows][:, None], s[rows]
-        shrink = lam / (sv * sv + lam)
-        step = -_matvec(vt[rows].transpose(0, 2, 1),
-                        sv * ur[rows] / (sv * sv + lam))
-        small = (np.sqrt(_rowdot(step, step))
-                 <= _LM_XTOL * (size[rows] + _LM_XTOL))
-        converged[rows[small]] = True
-        spent = ~small & (nfev[rows] >= max_nfev)
-        running[rows[small | spent]] = False
-        go = ~(small | spent)
-        rows, step, shrink = rows[go], step[go], shrink[go]
-        if rows.size == 0:
-            fresh = rows
-            continue
-        trial = theta[rows] + step / scale[rows]
-        r_trial, jac_trial = fun(trial, rows)
-        nfev[rows] += 1
-        predicted = _rowdot(ur[rows] * ur[rows], 1.0 - shrink * shrink)
-        actual = _rowdot(r[rows] - r_trial, r[rows] + r_trial)  # no cancellation
-        accept = actual > 0.0  # False for a non-finite trial residual too
+            tri, qtr = tri[:, :p, :p], tri[:, :p, p]
+            norms = np.linalg.norm(tri, axis=1)
+            grad = _matvec(tri.transpose(0, 2, 1), qtr)
+            stop = running & np.all(np.abs(grad) <= _LM_GTOL * norms
+                                    * np.sqrt(cost)[:, None], axis=1)
+            converged, running = converged | stop, running & ~stop
+            scale = np.maximum(scale, norms)
+            scale[scale == 0.0] = 1.0
+            u, s, vt = np.linalg.svd(tri / scale[:, None, :],
+                                     full_matrices=False)
+            ur = _matvec(u.transpose(0, 2, 1), qtr)
+            # from each problem's first SVD; one stopped at its start (s may
+            # be 0) gets 1, so its unused step never divides 0 by 0
+            if damping is None:
+                damping = np.where(running, _LM_DAMPING0 * s[:, 0] * s[:, 0],
+                                   1.0)
+            size = np.sqrt(_rowdot(scale * theta, scale * theta))
+        lam = damping[:, None]
+        shrink = lam / (s * s + lam)
+        step = -_matvec(vt.transpose(0, 2, 1), s * ur / (s * s + lam))
+        small = running & (np.sqrt(_rowdot(step, step))
+                           <= _LM_XTOL * (size + _LM_XTOL))
+        converged, running = converged | small, running & ~small
+        if nfev >= max_nfev or not running.any():
+            return theta, np.where(finite[:, None], r, start), converged
+        trial = theta + np.where(running[:, None], step, 0.0) / scale
+        r_trial, jac_trial = fun(trial)
+        nfev += 1
+        predicted = _rowdot(ur * ur, 1.0 - shrink * shrink)
+        actual = _rowdot(r - r_trial, r + r_trial)  # no cancellation
+        accept = running & (actual > 0.0)  # False for a non-finite trial too
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t = 2.0 * actual / predicted - 1.0
             factor = np.where(accept, np.maximum(1.0 / 3.0, 1.0 - t * t * t),
                               0.0)
-        valley = np.flatnonzero(~accept & (predicted <= _LM_FLAT * cost[rows]))
-        if valley.size:
-            k = rows[valley]
-            trial_grad = _matvec(jac_trial[valley].transpose(0, 2, 1),
-                                 r_trial[valley]) / scale[k]
-            lower = (np.sqrt(_rowdot(trial_grad, trial_grad))
-                     < np.sqrt(_rowdot(grad[k] / scale[k], grad[k] / scale[k])))
-            accept[valley[lower]] = True
-            factor[valley[lower]] = 1.0 / 3.0
-        back = rows[~accept]
-        damping[back] *= growth[back]
-        growth[back] *= 2.0
-        if not accept.all():
-            rows, trial, r_trial, jac_trial, factor = (
-                rows[accept], trial[accept], r_trial[accept], jac_trial[accept],
-                factor[accept])
+        valley = running & ~accept & (predicted <= _LM_FLAT * cost)
+        if valley.any():
+            trial_grad = _matvec(jac_trial.transpose(0, 2, 1), r_trial) / scale
+            lower = valley & (np.sqrt(_rowdot(trial_grad, trial_grad))
+                              < np.sqrt(_rowdot(grad / scale, grad / scale)))
+            accept, factor = accept | lower, np.where(lower, 1.0 / 3.0, factor)
+        back = running & ~accept
         # s = 0 directions stay still
-        damping[rows] = np.maximum(damping[rows] * factor, _TINY)
-        growth[rows] = 2.0
-        theta[rows], r[rows] = trial, r_trial
-        fresh, jac = rows, jac_trial
+        damping = np.where(accept, np.maximum(damping * factor, _TINY),
+                           np.where(back, damping * growth, damping))
+        growth = np.where(back, growth * 2.0, np.where(accept, 2.0, growth))
+        moved = accept.any()
+        if moved:
+            theta = np.where(accept[:, None], trial, theta)
+            r = np.where(accept[:, None], r_trial, r)
+            jac = np.where(accept[:, None, None], jac_trial, jac)
 
 
 def fit_gaussian(scan: Scan1D, weights=None, max_iter=200) -> GaussianFit:
@@ -263,7 +239,7 @@ def fit_gaussian(scan: Scan1D, weights=None, max_iter=200) -> GaussianFit:
     if best[1] is None:
         raise FitError("no Gaussian of positive amplitude fits the scan")
 
-    def residuals(theta, rows):
+    def residuals(theta):
         a, mu, s, c = theta.T[:, :, None]
         dx = xs - mu
         bump = np.exp(-dx * dx / (2.0 * s * s))
@@ -346,7 +322,7 @@ def fit_visibility(scans, period_hint: float, window=None) -> list[VisibilityFit
 
     ys = np.array(ys)
 
-    def residuals(theta, rows):
+    def residuals(theta):
         e0, e1, e2, v, period, phi = theta.T[:, :, None]
         env = np.exp(e0 + e1 * u + e2 * u * u)
         arg = 2.0 * np.pi * u / period + phi
@@ -355,7 +331,7 @@ def fit_visibility(scans, period_hint: float, window=None) -> list[VisibilityFit
         jac = np.stack([model, u * model, u * u * model, env * cos,
                         env * v * sin * 2.0 * np.pi * u / (period * period),
                         -env * v * sin], axis=2)
-        return model - ys[rows], jac
+        return model - ys, jac
 
     max_nfev = 20000
     if fitted:

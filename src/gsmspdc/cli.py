@@ -163,9 +163,9 @@ def run_frames_synth(res: Resolver, out: Path):
     params = _counting_params(res)
     pump = pumps[0]
     joint, qs, qi = _synthesis_joint(pump, crystal, params["n_px"])
-    lambda_s = 2.0 * pump.lambda_p
     pitch = float(profiles.momentum_to_position(qi[1] - qi[0],
-                                                params["f_collim"], lambda_s))
+                                                params["f_collim"],
+                                                pump.lambda_s))
     with section_errors("counting"):  # every argument comes from [counting]
         stack = counting.synth_frames(joint, params["pairs_per_frame"],
                                       params["noise"], params["n_frames"],

@@ -123,7 +123,7 @@ def _signal_csd(pump: PumpParams, crystal: CrystalParams, z: float) -> GaussianC
     scale = (2.0 * np.pi) ** -2  # ROADMAP item 1: rad/m coefficients read as cycles/m
     signal = GaussianCsd(scale * pump_csd.a + gamma, scale * pump_csd.c + gamma,
                          pump_csd.A_c)
-    return signal.propagated(-z, pump.k_p / 2.0)  # ROADMAP item 1: Fresnel sign
+    return signal.propagated(-z, pump.k_s)  # ROADMAP item 1: Fresnel sign
 
 
 def slit_plane_coherence(pump: PumpParams, crystal: CrystalParams, z: float,
@@ -202,15 +202,14 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
     if len({pump.lambda_p for pump in pumps}) != 1:
         raise ValueError("fringe_profiles needs at least one pump, all of one "
                          "lambda_p")
-    lambda_s = 2.0 * pumps[0].lambda_p
-    period = slits.fringe_period(lambda_s)
+    period = slits.fringe_period(pumps[0].lambda_s)
     span = DEFAULT_SPAN_PERIODS * period
     xs = np.linspace(-span / 2.0, span / 2.0, samples)
     csds = [_signal_csd(pump, crystal, slits.z) for pump in pumps]
     rows = {}  # order -> unit-max profiles, for each pump's own delta
 
     def evaluate(n):
-        rows[n] = _unit_max_profiles(csds, pumps[0].k_p / 2.0, slits, xs, n)
+        rows[n] = _unit_max_profiles(csds, pumps[0].k_s, slits, xs, n)
         return rows[n]
     values, order, delta = doubling_gate(evaluate, "aperture", order, check_convergence)
     # every row peaks at exactly 1, so the gate's delta is the largest of these

@@ -114,6 +114,16 @@ class PumpParams:
         return 2.0 * np.pi / self.lambda_p
 
     @property
+    def k_s(self) -> float:
+        """Wavenumber of the degenerate signal (and idler), k_p / 2."""
+        return self.k_p / 2.0
+
+    @property
+    def lambda_s(self) -> float:
+        """Wavelength of the degenerate signal (and idler), 2 lambda_p."""
+        return 2.0 * self.lambda_p
+
+    @property
     def A(self) -> float:
         """Degree of spatial coherence delta / (2 w0), in (0, 1]."""
         delta = 1.0 / np.sqrt(1.0 / self.l_c**2 + 1.0 / (4.0 * self.w0**2))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsmspdc.analysis import (FWHM_SIGMA_RATIO, _levenberg_marquardt,
                               fit_gaussian, fit_visibility, scan_fwhm)
@@ -51,6 +53,43 @@ class TestFitVisibility:
             fit_visibility([Scan1D(xs=xs, values=values)], period_hint=1.0)[0]
 
 
+# Problems r = f(A theta) - y of one (n, p) shape.  Together they stop in
+# every way the solver stops: the gradient rule at an exact start, a step
+# below _LM_XTOL (most linear and nonlinear problems), a zero Jacobian
+# column, a spent evaluation budget, and a non-finite start.
+KINDS = ("exact", "linear", "zero-column", "nonlinear", "non-finite")
+
+
+def problem_stack(kinds, n, p, seed):
+    """(a, y, sine, bad, theta0) of a stack of one problem per kind: f is sin
+    where sine holds and the identity elsewhere, and the residual and
+    Jacobian are NaN everywhere where bad holds."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(len(kinds), n, p))
+    y = rng.normal(size=(len(kinds), n))
+    theta0 = rng.normal(size=(len(kinds), p))
+    for k, kind in enumerate(kinds):
+        if kind == "exact":  # integers, so y = A theta0 holds exactly
+            a[k] = rng.integers(-3, 4, size=(n, p))
+            theta0[k] = rng.integers(-3, 4, size=p)
+            y[k] = a[k] @ theta0[k]
+        elif kind == "zero-column":
+            a[k, :, 0] = 0.0
+    sine = np.array([kind == "nonlinear" for kind in kinds])
+    bad = np.array([kind == "non-finite" for kind in kinds])
+    return a, y, sine, bad, theta0
+
+
+def stack_residuals(a, y, sine, bad):
+    def fun(theta):
+        z = (a @ theta[:, :, None])[:, :, 0]
+        r = np.where(sine[:, None], np.sin(z), z) - y
+        jac = np.where(sine[:, None, None], np.cos(z)[:, :, None] * a, a)
+        return (np.where(bad[:, None], np.nan, r),
+                np.where(bad[:, None, None], np.nan, jac))
+    return fun
+
+
 class TestSingularJacobian:
     """Stacks with a problem whose Jacobian is (nearly) singular: each
     problem's QR of [J r] and SVD of its triangle stay its own, on short and
@@ -92,13 +131,14 @@ class TestSingularJacobian:
         y = rng.normal(size=(2, rows))
         theta0 = np.array([[0.5, -0.5, 0.25], [0.5, -0.5, 0.25]])
 
-        def fun(theta, rows):
-            return (a[rows] @ theta[:, :, None])[:, :, 0] - y[rows], a[rows]
+        off = np.zeros(2, dtype=bool)  # neither sine nor NaN
+        problems = (a, y, off, off)
 
-        stacked = _levenberg_marquardt(fun, theta0, 200)
+        stacked = _levenberg_marquardt(stack_residuals(*problems), theta0, 200)
         for k in range(2):
             alone = _levenberg_marquardt(
-                lambda theta, rows: fun(theta, rows + k), theta0[k:k + 1], 200)
+                stack_residuals(*(x[k:k + 1] for x in problems)),
+                theta0[k:k + 1], 200)
             for got, want in zip(stacked, alone):
                 assert np.array_equal(got[k], want[0])
         theta, _, converged = stacked
@@ -108,6 +148,51 @@ class TestSingularJacobian:
                np.linalg.lstsq(a[1], y[1])[0]]
         assert np.allclose(theta[0, :2], ols[0], rtol=0, atol=1e-9)
         assert np.allclose(theta[1], ols[1], rtol=0, atol=1e-9)
+
+
+class TestStackContract:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(extra=st.integers(0, 2), n=st.integers(1, 6), p=st.integers(1, 3),
+           max_nfev=st.sampled_from([1, 2, 3, 200]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_each_problem_fits_as_alone(self, extra, n, p, max_nfev, seed,
+                                        data):
+        kinds = data.draw(st.permutations(list(KINDS) + ["linear"] * extra))
+        *problems, theta0 = problem_stack(kinds, n, p, seed)
+        with np.errstate(all="raise"):
+            stacked = _levenberg_marquardt(stack_residuals(*problems), theta0,
+                                           max_nfev)
+            for k, kind in enumerate(kinds):
+                alone = _levenberg_marquardt(
+                    stack_residuals(*(x[k:k + 1] for x in problems)),
+                    theta0[k:k + 1], max_nfev)
+                for got, want in zip(stacked, alone):
+                    assert got[k].tobytes() == want[0].tobytes(), kind
+        theta, r, converged = stacked
+        for k, kind in enumerate(kinds):
+            if kind == "exact":
+                assert converged[k] and not r[k].any()
+                assert np.array_equal(theta[k], theta0[k])
+            elif kind == "non-finite":
+                assert not converged[k] and np.isnan(r[k]).all()
+                assert np.array_equal(theta[k], theta0[k])
+            elif kind == "zero-column" and n >= p:  # R has a zero column
+                assert theta[k, 0] == theta0[k, 0]
+            elif kind == "linear":
+                assert converged[k] == (max_nfev > 3)
+
+    def test_all_non_finite_stack_returns_its_start(self):
+        *problems, theta0 = problem_stack(["non-finite"] * 3, 4, 2, 0)
+        fun, calls = stack_residuals(*problems), []
+
+        def counted(theta):
+            calls.append(len(theta))
+            return fun(theta)
+
+        theta, r, converged = _levenberg_marquardt(counted, theta0, 200)
+        assert calls == [3]
+        assert np.array_equal(theta, theta0)
+        assert np.isnan(r).all() and not converged.any()
 
 
 class TestFitGaussian:

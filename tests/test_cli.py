@@ -189,9 +189,9 @@ class TestCountingPipeline:
         solve = analysis._levenberg_marquardt
 
         def counted(fun, theta0, max_nfev):
-            def counted_fun(theta, rows):
-                evaluations.append(len(rows))
-                return fun(theta, rows)
+            def counted_fun(theta):
+                evaluations.append(len(theta))
+                return fun(theta)
             return solve(counted_fun, theta0, max_nfev)
 
         monkeypatch.setattr(analysis, "_levenberg_marquardt", counted)

@@ -356,6 +356,45 @@ class TestConditionalMap:
         assert distances[0] > distances[1] > distances[2]
 
 
+def noise_only_z(seeds, n_px=32, n_frames=3000, noise=0.1):
+    """z = C / stderr over acceptance 7a's 100 noise-only pixel pairs, at
+    each seed, and the same under a permutation null: the scanned row's
+    frames shuffled by a seeded generator, the fixed pixel left in place."""
+    rng = np.random.default_rng(7)
+    pairs = set()
+    while len(pairs) < 100:
+        i = (int(rng.integers(0, 2)), int(rng.integers(0, n_px)))
+        j = (int(rng.integers(0, 2)), int(rng.integers(0, n_px)))
+        if i != j:
+            pairs.add((i, j))
+    shuffle = np.random.default_rng(2024)
+    z, z_null = [], []
+    for seed in seeds:
+        stack = synth_frames(np.ones((n_px, n_px)), 0.0, noise, n_frames,
+                             seed=seed)
+        for i, (row, col) in sorted(pairs):
+            frames = stack.frames.copy()
+            frames[:, row] = frames[shuffle.permutation(n_frames), row]
+            frames[:, i[0], i[1]] = stack.frames[:, i[0], i[1]]
+            for frame_stack, out in ((stack, z), (FrameStack(frames=frames),
+                                                  z_null)):
+                scan = conditional_map(frame_stack, i, row=row)
+                out.append(scan.values[col] / scan.meta["stderr"][col])
+    return np.array(z), np.array(z_null)
+
+
+@pytest.mark.slow
+def test_noise_only_z_calibrated_over_seeds():
+    # acceptance 7a at one seed, taken over 40: z has unit spread, and
+    # |z| >= 3 is as frequent as under the permutation null, within four
+    # standard deviations of the difference of two binomial counts of the
+    # pooled rate
+    z, z_null = noise_only_z(range(123, 163))
+    assert abs(np.std(z) - 1.0) <= 0.05
+    k, k_null = np.sum(np.abs(z) >= 3), np.sum(np.abs(z_null) >= 3)
+    rate = (k + k_null) / (2 * z.size)
+    assert abs(k - k_null) <= 4.0 * np.sqrt(2 * z.size * rate * (1 - rate))
+
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
         frames = synth_frames(gaussian_joint(24), 8.0, 5e-3, 120, seed=43).frames

@@ -63,6 +63,11 @@ class TestCoherenceFrom:
         assert pump.A == pytest.approx(0.62, rel=1e-12)
 
 
+def test_degenerate_signal_is_half_the_pump_frequency():
+    pump = PumpParams(405e-9, 0.5e-3, 1e-3)
+    assert pump.lambda_s == 810e-9
+    assert pump.k_s == pytest.approx(2.0 * np.pi / 810e-9, rel=1e-15)
+
 class TestCsdCoefficients:
     def test_incoherent_closed_forms(self):
         w0 = 1e-3
