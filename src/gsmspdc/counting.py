@@ -76,7 +76,8 @@ class FrameStack:
         self.frames = np.asarray(self.frames)
         if self.frames.ndim != 3:
             raise ValueError("frames must be a (n_frames, height, width) array")
-        if np.any(self.frames < 0):
+        # unsigned counts need no scan (and no frame-sized mask) for signs
+        if self.frames.dtype.kind != "u" and np.any(self.frames < 0):
             raise ValueError("counts must be non-negative")
         self.frames = self.frames.astype(np.uint16, copy=False)
 

@@ -11,12 +11,20 @@ the order-doubling gate of gsmspdc.quadrature.
 
 The integrand is evaluated as a completed square in u (spdc.mismatch_square):
 at a detected momentum q the mismatch is dk_z = |u - c|^2 / (2 k_p) + D0, with
-c and D0 depending on q alone, so each (pixels x nodes) block costs the two
-squared differences from c, one scale, one added column and sinc^2 in place.
+c and D0 depending on q alone.  The phase therefore splits by coordinate,
+L dk_z / 2 = a + b with a = (L / (4 k_p)) (u_x - c_x)^2 + (L / 2) D0 from q_x
+alone and b = (L / (4 k_p)) (u_y - c_y)^2 from q_y alone.  The tensor rule
+takes sin and cos of a once per node and q_x, and of b once per node and
+q_y: an S x S image passed as its two axes costs 4 n S sines, not n^2 S^2.
+Each pixel's n^2 node pairs then need only sin(a + b) = sin a cos b +
+cos a sin b, one division and a product with the weights, in (n, n, rows)
+blocks of about BLOCK elements whose work space is allocated once.
 
 Momenta are in rad/m.  A camera at the focal plane of a collimating lens maps
 position X to transverse momentum q = k X / f (helpers below).
 """
+
+import math
 
 import numpy as np
 from numpy.random import default_rng
@@ -68,53 +76,93 @@ def momentum_to_position(q, focal_length: float, wavelength: float):
     return np.asarray(q, dtype=float) * focal_length / (2.0 * np.pi / wavelength)
 
 
-def _integrand_blocks(qx, qy, crystal, k_p, ux, uy, center_shift, idler_ring):
-    """Yield (block, sinc^2(L dk_z / 2)) over chunks of the flattened grid:
-    rows are detected momenta q, columns pair-sum nodes u (the other photon
-    carries u - q).  idler_ring makes the detected photon the idler.
+# elements of one block, (node, node, pixel) in the tensor rule and
+# (pixel, draw) in Monte Carlo: a few hundred kB per temporary
+BLOCK = 2**15
+# below this |L dk_z / 2| sinc is its Taylor series, not sin(t) / t
+SERIES_BELOW = 2.0**-8
 
-    L dk_z / 2 is (L / (4 k_p)) |u - c|^2 + (L / 2) D0 with c and D0 from
-    spdc.mismatch_square, so each block is built in place from the squared
-    distances of the nodes to c.
+
+def _phase_parts(q, crystal, k_p, ux, uy, idler_ring):
+    """(a, b) with L dk_z / 2 = a + b at detected momenta q = (qx, qy) and
+    pair sums u = (ux, uy), all broadcasting: a is built from ux and qx
+    alone, b from uy and qy alone.  The other photon carries u - q, and
+    idler_ring makes the detected photon the idler.
+
+    With c and D0 from spdc.mismatch_square, a = (L / (4 k_p)) (u_x - c_x)^2
+    + (L / 2) D0 and b = (L / (4 k_p)) (u_y - c_y)^2.
     """
-    (cx, cy), d0 = mismatch_square((qx.ravel() - center_shift[0],
-                                    qy.ravel() - center_shift[1]),
-                                   crystal, k_p, idler_ring)
+    (cx, cy), d0 = mismatch_square(q, crystal, k_p, idler_ring)
     scale = crystal.L / (4.0 * k_p)
-    offset = (crystal.L / 2.0) * d0
-    # keep per-chunk temporaries around a few MB regardless of node count
-    chunk = max(64, 2_000_000 // ux.size)
-    for lo in range(0, cx.size, chunk):
-        block = slice(lo, lo + chunk)
-        arg = ux - cx[block, None]
-        arg *= arg
-        dy = uy - cy[block, None]
-        dy *= dy
-        arg += dy
-        del dy  # free before _sinc allocates its result
-        arg *= scale
-        arg += offset[block, None]
-        f = _sinc(arg)
-        f *= f
-        yield block, f
+    a = ux - cx
+    a *= a
+    a *= scale
+    a += (crystal.L / 2.0) * d0
+    b = uy - cy
+    b *= b
+    b *= scale
+    return a, b
+
+
+def _sinc2_block(a, b, t, s, scratch):
+    """s = sinc^2(a_i + b_j) over an (n, n, rows, ...) block from the parts
+    a = (a, sin a, cos a) and b = (b, cos b, sin b), each (3, n, rows, ...),
+    by sin(a_i + b_j) = sin a_i cos b_j + cos a_i sin b_j; t and scratch are
+    work space.  Where |t| < SERIES_BELOW the series 1 - t^2 / 6 + t^4 / 120
+    gives sinc(t), so t = 0 is never divided by."""
+    np.add(a[0][:, None], b[0][None], out=t)
+    np.multiply(a[1][:, None], b[1][None], out=s)
+    s += np.multiply(a[2][:, None], b[2][None], out=scratch)
+    if np.abs(t, out=scratch).min() < SERIES_BELOW:
+        near = scratch < SERIES_BELOW
+        t2 = np.square(t[near])
+        s[near] = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+        t[near] = 1.0
+    s /= t
+    s *= s
 
 
 def _singles_quadrature(qx, qy, pump, crystal, order, center_shift=(0.0, 0.0),
                         idler_ring=False):
-    """Tensor Gauss-Hermite rule of order^2 pair-sum nodes at each (qx, qy)."""
+    """Tensor Gauss-Hermite rule of order^2 pair-sum nodes at each (qx, qy).
+
+    qx and qy broadcast to the shape of the result.  The sines and cosines
+    are taken once per node and element of qx, or of qy, so axes
+    (axis[None, :], axis[:, None]) cost 4 n S of them for an S x S image;
+    the n^2 node pairs of each pixel are combined by the angle-addition
+    formula, a block of rows at a time.
+    """
     coeffs = csd_coefficients(pump)
     sigma = coeffs.sum_sigma
     x, w = hermite_rule(order)
     # u = sqrt(2) sigma x turns exp(-|u|^2 / (2 sigma^2)) d^2u into
     # 2 sigma^2 exp(-|x|^2) d^2x, the Hermite weight
     u = np.sqrt(2.0) * sigma * x
-    ux, uy = (a.ravel() for a in np.meshgrid(u, u, indexing="ij"))
     wts = coeffs.A_c * 2.0 * sigma**2 * np.outer(w, w).ravel()
-    out = np.empty(qx.size)
-    for block, f in _integrand_blocks(qx, qy, crystal, pump.k_p, ux, uy,
-                                      center_shift, idler_ring):
-        out[block] = f @ wts
-    return out.reshape(qx.shape)
+    qx, qy = np.atleast_1d(qx, qy)
+    shape = np.broadcast_shapes(qx.shape, qy.shape)
+    # node-major: a[i, p] for node u[i] and qx.flat[p], b[j, p] likewise
+    a, b = _phase_parts((qx.ravel() - center_shift[0],
+                         qy.ravel() - center_shift[1]),
+                        crystal, pump.k_p, u[:, None], u[:, None], idler_ring)
+    # (a, sin a, cos a) and (b, cos b, sin b), broadcast over the result
+    parts_a, parts_b = (
+        np.broadcast_to(np.stack(p).reshape((3, order) + q.shape),
+                        (3, order) + shape)
+        for p, q in (((a, np.sin(a), np.cos(a)), qx),
+                     ((b, np.cos(b), np.sin(b)), qy)))
+    out = np.empty(shape)
+    row = math.prod(shape[1:])
+    rows = max(1, BLOCK // (wts.size * row))
+    # t, s and scratch of _sinc2_block, reused by every block
+    work = np.empty((3, wts.size * rows * row))
+    for lo in range(0, shape[0], rows):
+        block = (order, order, min(rows, shape[0] - lo)) + shape[1:]
+        t, s, scratch = (v[:math.prod(block)].reshape(block) for v in work)
+        _sinc2_block(parts_a[:, :, lo:lo + rows], parts_b[:, :, lo:lo + rows],
+                     t, s, scratch)
+        out[lo:lo + rows] = (wts @ s.reshape(wts.size, -1)).reshape(block[2:])
+    return out
 
 
 def _singles_montecarlo(qx, qy, pump, crystal, n_samples, seed,
@@ -122,16 +170,25 @@ def _singles_montecarlo(qx, qy, pump, crystal, n_samples, seed,
     """Monte-Carlo estimate of the same integral with per-point standard errors.
 
     The pair-sum momentum is drawn exactly from the Gaussian CSD diagonal
-    (common draws across grid points).
+    (common draws across grid points); qx and qy broadcast.
     """
     coeffs = csd_coefficients(pump)
     sigma = coeffs.sum_sigma
     norm = coeffs.A_c * 2.0 * np.pi * sigma**2
     u = default_rng(seed).normal(scale=sigma, size=(n_samples, 2))
+    qx, qy = np.broadcast_arrays(np.asarray(qx, dtype=float),
+                                 np.asarray(qy, dtype=float))
+    # a column of detected momenta against a row of draws
+    q = (qx.reshape(-1, 1) - center_shift[0],
+         qy.reshape(-1, 1) - center_shift[1])
     mean = np.empty(qx.size)
     stderr = np.empty(qx.size)
-    for block, f in _integrand_blocks(qx, qy, crystal, pump.k_p, u[:, 0],
-                                      u[:, 1], center_shift, idler_ring):
+    pixels = max(1, BLOCK // n_samples)
+    for lo in range(0, qx.size, pixels):
+        block = slice(lo, lo + pixels)
+        a, b = _phase_parts((q[0][block], q[1][block]), crystal, pump.k_p,
+                            u[:, 0], u[:, 1], idler_ring)
+        f = _sinc(a + b) ** 2
         mean[block] = norm * f.mean(axis=1)
         stderr[block] = norm * f.std(axis=1, ddof=1) / np.sqrt(n_samples)
     return mean.reshape(qx.shape), stderr.reshape(qx.shape)
@@ -163,7 +220,8 @@ def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both
     if radius > 0 and extent < 2.0 * radius:
         raise ValueError("grid extent must cover the ring (>= 2 k_s theta_nc)")
     axis = np.linspace(-extent / 2.0, extent / 2.0, samples)
-    QX, QY = np.meshgrid(axis, axis, indexing="xy")
+    # rows of the image are qy, columns qx
+    qx, qy = axis[None, :], axis[:, None]
 
     if crystal.kind == "II":
         q_offset = 0.5 * radius
@@ -182,7 +240,7 @@ def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both
     mc_err = None
     if method == "quadrature":
         def evaluate(n):
-            return sum(_singles_quadrature(QX, QY, pump, crystal, n,
+            return sum(_singles_quadrature(qx, qy, pump, crystal, n,
                                            center_shift=shift, idler_ring=idler)
                        for shift, idler in selected)
 
@@ -191,7 +249,7 @@ def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both
         rule = {"rule": "gauss-hermite", "order": order,
                 "order_doubling_delta": delta}
     elif method == "montecarlo":
-        parts = [_singles_montecarlo(QX, QY, pump, crystal, mc_samples, seed,
+        parts = [_singles_montecarlo(qx, qy, pump, crystal, mc_samples, seed,
                                      center_shift=shift, idler_ring=idler)
                  for shift, idler in selected]
         total = sum(m for m, _ in parts)

@@ -42,6 +42,20 @@ def sparse_joint():
     return joint
 
 
+class TestFrameStack:
+    def test_negative_signed_count_rejected(self):
+        frames = np.zeros((2, 2, 3), dtype=np.int32)
+        frames[1, 0, 2] = -1
+        with pytest.raises(ValueError, match="non-negative"):
+            FrameStack(frames=frames)
+
+    def test_u16_frames_kept_without_copy(self):
+        frames = np.arange(12, dtype=np.uint16).reshape(2, 2, 3)
+        stack = FrameStack(frames=frames)
+        assert stack.frames.dtype == np.uint16
+        assert np.shares_memory(stack.frames, frames)
+
+
 class TestSynthStream:
     """synth_frames must draw the same stream as the reference loop."""
 

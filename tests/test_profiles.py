@@ -88,6 +88,60 @@ class TestSinglesQuadrature:
             assert np.array_equal(got, want)
 
 
+class TestSplitPhase:
+    """The rule takes its sines per coordinate (L dk_z / 2 = a(q_x) + b(q_y))
+    and combines them by the angle-addition formula."""
+
+    crystal = CrystalParams(L=2e-3, kind="II", theta_nc=THETA, rho_p=0.07,
+                            rho_i=0.07)
+
+    @pytest.mark.parametrize("idler_ring", [False, True], ids=["signal", "idler"])
+    def test_axes_match_meshgrid_bit_for_bit(self, idler_ring):
+        radius = ring_radius(self.crystal, K_P)
+        axis = np.linspace(-1.6 * radius, 1.6 * radius, 24)
+        qx, qy = np.meshgrid(axis, axis)
+        shift = (0.0, -0.5 * radius if idler_ring else 0.5 * radius)
+        with np.errstate(all="raise"):
+            full = _singles_quadrature(qx, qy, pump_for(0.6), self.crystal, 8,
+                                       shift, idler_ring)
+            axes = _singles_quadrature(axis[None, :], axis[:, None],
+                                       pump_for(0.6), self.crystal, 8, shift,
+                                       idler_ring)
+        assert axes.shape == full.shape
+        assert np.array_equal(axes, full)
+
+    @pytest.mark.parametrize("order", [16, 32])
+    def test_polar_grid_matches_reference(self, order):
+        radius = ring_radius(self.crystal, K_P)
+        angles = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)
+        radii = np.linspace(0.5 * radius, 1.5 * radius, 9)
+        qx = radii[:, None] * np.cos(angles)[None, :]
+        qy = radii[:, None] * np.sin(angles)[None, :]
+        with np.errstate(all="raise"):
+            got = _singles_quadrature(qx, qy, pump_for(0.4), self.crystal,
+                                      order)
+            want = reference_quadrature(qx, qy, pump_for(0.4), self.crystal,
+                                        order, (0.0, 0.0), False)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_zero_phase_pixel_matches_reference(self):
+        # collinear, no walk-off: a = s (u_i - 2 q_x)^2 and b = s (u_j - 2 q_y)^2,
+        # so a pixel at half a node has a + b == 0 exactly at that node pair
+        crystal = CrystalParams(L=2e-3, kind="I")
+        pump = pump_for(0.6)
+        order = 8
+        u = (np.sqrt(2.0) * csd_coefficients(pump).sum_sigma
+             * quadrature.hermite_rule(order)[0])
+        qx = np.array([[u[2] / 2.0, u[5] / 2.0]])
+        qy = np.array([[u[6] / 2.0, u[1] / 2.0]])
+        with np.errstate(all="raise"):
+            got = _singles_quadrature(qx, qy, pump, crystal, order)
+            want = reference_quadrature(qx, qy, pump, crystal, order,
+                                        (0.0, 0.0), False)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestSinglesProfile:
     def test_mirror_symmetry_without_walkoff(self):
         crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA)
