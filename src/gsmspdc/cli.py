@@ -166,12 +166,13 @@ def run_frames_synth(res: Resolver, out: Path):
     pitch = float(profiles.momentum_to_position(qi[1] - qi[0],
                                                 params["f_collim"],
                                                 pump.lambda_s))
-    with section_errors("counting"):  # every argument comes from [counting]
-        stack = counting.synth_frames(joint, params["pairs_per_frame"],
-                                      params["noise"], params["n_frames"],
-                                      params["seed"], pixel_pitch=pitch)
     path = out / "frames.bin"
-    counting.save_frames(stack, path)
+    with section_errors("counting"):  # every argument comes from [counting]
+        blocks = counting.synth_blocks(joint, params["pairs_per_frame"],
+                                       params["noise"], params["n_frames"],
+                                       params["seed"])
+        counting.write_frames(path, blocks, params["n_frames"],
+                              (2, params["n_px"]), params["seed"], pitch)
     grid = out / "frames_grid.csv"
     write_csv(grid, ["j_px", "q_sx_radpm", "q_ix_radpm"],
               [np.arange(params["n_px"]), qs, qi])
@@ -182,18 +183,18 @@ def run_coincidence(res: Resolver, out: Path):
     frames_file = res.get("counting", "frames_file", str(out / "frames.bin"))
     signal_px = res.get("counting", "signal_px")
     try:
-        stack = counting.load_frames(frames_file)
+        frames = counting.FrameFile(frames_file)
     except ValueError as exc:
         raise OSError(f"malformed frames file {frames_file}: {exc}") from exc
-    if signal_px >= stack.shape[1]:
+    if signal_px >= frames.shape[1]:
         raise ConfigError(f"[counting] signal_px must be below the "
-                          f"{stack.shape[1]} columns of {frames_file}, "
+                          f"{frames.shape[1]} columns of {frames_file}, "
                           f"got {signal_px}")
-    if signal_px < 0:
-        totals = stack.frames[:, 0, :].sum(axis=0)
-        signal_px = int(np.argmax(totals))
     try:
-        scan = counting.conditional_map(stack, (0, signal_px), row=1)
+        totals, maxima = counting.pixel_stats(frames)
+        if signal_px < 0:
+            signal_px = int(np.argmax(totals[0]))
+        scan = counting.covariance_scan(frames, (0, signal_px), 1, maxima)
     except ValueError as exc:  # fewer than two frames, or a single row
         raise OSError(f"unusable frames file {frames_file}: {exc}") from exc
     path = out / "coincidence.csv"

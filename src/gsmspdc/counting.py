@@ -22,6 +22,18 @@ counts), so it depends on the seed alone.  A pair's cell is found through a
 guide table over the CDF (Chen & Asau's indexed search), which returns what
 cdf.searchsorted(u, side="right") returns.
 
+Every stage works a block of frames at a time, so BLOCK_DOUBLES bounds the
+memory of a whole run, from the draws to the covariance histogram, at any
+n_frames; only the pair counts, 8 bytes a frame, are drawn in one call.
+synth_blocks draws a stack as uint16 blocks, write_frames streams blocks to
+a file, FrameFile reads one back a block at a time, and pixel_stats and
+covariance_scan each make one pass over a frame source.  A frame source
+has n_frames, shape (height, width) and blocks(), which yields
+(k, height, width) uint16 arrays in frame order; FrameStack (in memory) and
+FrameFile (on disk) are both sources.
+synth_frames, save_frames, load_frames and conditional_map are the same
+steps with the whole stack in memory.
+
 Serialized stack layout (all little-endian), documented for external readers:
 
     bytes 0-7    magic b"GSMFRAM1"
@@ -34,6 +46,8 @@ Serialized stack layout (all little-endian), documented for external readers:
     u16 * n_frames*height*width   counts, C (row-major) order
 """
 
+import contextlib
+import math
 import operator
 import os
 import struct
@@ -45,22 +59,44 @@ from .records import Scan1D
 
 __all__ = [
     "FrameStack",
+    "FrameFile",
+    "synth_blocks",
     "synth_frames",
-    "conditional_map",
+    "write_frames",
     "save_frames",
     "load_frames",
+    "pixel_stats",
+    "covariance_scan",
+    "conditional_map",
 ]
 
 MAGIC = b"GSMFRAM1"
 _HEADER = struct.Struct("<III Q d d")
 U16_MAX = np.iinfo(np.uint16).max
-# Doubles a block of frames may draw, a frame counting its mean pairs plus
-# its 2 n_px pixels: a block's draws stay near 256 KB at any rate, and from
-# 2**15 pairs per frame a block is one frame.  A memory bound only: the
-# stack does not depend on it.
+# Doubles a block of frames may hold: a frame counts its mean pairs plus its
+# 2 n_px pixels when drawn, and its pixels when read or scanned.  A block
+# stays near 256 KB at any rate, and from 2**15 doubles a frame a block is
+# one frame.  It bounds the memory of the whole counting path, synthesis,
+# file and covariance histogram included; no output depends on it.
 BLOCK_DOUBLES = 2**15
 # buckets of the guide table that maps a uniform draw to its CDF cell
 GUIDE_BUCKETS = 4096
+EXPOSURE = 20e-3  # s, recorded with a synthesized stack
+
+
+def _block_frames(doubles_per_frame):
+    """Frames a block holds: BLOCK_DOUBLES doubles, and at least one frame."""
+    return max(1, int(BLOCK_DOUBLES // doubles_per_frame))
+
+
+def _gathered(blocks, shape):
+    """The blocks of a stack of the given shape, copied into one array."""
+    frames = np.empty(shape, dtype=np.uint16)
+    k0 = 0
+    for block in blocks:
+        frames[k0:k0 + len(block)] = block
+        k0 += len(block)
+    return frames
 
 
 @dataclass
@@ -69,7 +105,7 @@ class FrameStack:
 
     frames: np.ndarray          # (n_frames, height, width) unsigned counts
     pixel_pitch: float = 16e-6  # m
-    exposure: float = 20e-3     # s
+    exposure: float = EXPOSURE  # s
     seed: int = 0
 
     def __post_init__(self):
@@ -89,9 +125,53 @@ class FrameStack:
     def shape(self):
         return self.frames.shape[1:]
 
+    def blocks(self):
+        """Views of the frames, a block at a time, in frame order."""
+        step = _block_frames(math.prod(self.shape))
+        for k0 in range(0, self.n_frames, step):
+            yield self.frames[k0:k0 + step]
 
-def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
-                 seed: int, pixel_pitch: float = 16e-6) -> FrameStack:
+
+class FrameFile:
+    """A serialized stack, read a block at a time.
+
+    Opening checks the magic, the header and the file size, so a malformed
+    file raises ValueError before any count is read.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as fh:
+            magic = fh.read(len(MAGIC))
+            if magic != MAGIC:
+                raise ValueError(f"not a frame-stack file: bad magic {magic!r}")
+            header = fh.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                raise ValueError("truncated frame-stack header")
+            (self.n_frames, h, w, self.seed, self.pixel_pitch,
+             self.exposure) = _HEADER.unpack(header)
+            if h == 0 or w == 0:
+                raise ValueError(f"empty {h} x {w} frames")
+            body = 2 * self.n_frames * h * w
+            # checked before reading, so a corrupt header allocates nothing
+            if os.fstat(fh.fileno()).st_size - fh.tell() < body:
+                raise ValueError("truncated frame-stack file")
+        self.shape = (h, w)
+
+    def blocks(self):
+        """The frames, read a block at a time, in frame order."""
+        h, w = self.shape
+        step = _block_frames(h * w)
+        with open(self.path, "rb") as fh:
+            fh.seek(len(MAGIC) + _HEADER.size)
+            for k0 in range(0, self.n_frames, step):
+                k = min(step, self.n_frames - k0)
+                yield np.frombuffer(fh.read(2 * k * h * w),
+                                    dtype="<u2").reshape(k, h, w)
+
+
+def synth_blocks(joint, pairs_per_frame: float, noise: float, n_frames: int,
+                 seed: int):
     """Draw a photon-counting frame stack from a joint pixel distribution.
 
     Each frame receives a Poisson number of photon pairs (mean
@@ -102,8 +182,11 @@ def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
     the pair positions from the second and the dark-count uniforms from the
     third.  Each stream is read in frame order, and NumPy's draws do not
     depend on how a stream's reads are split, so the stack depends on the
-    seed alone; the frames are binned a block at a time.  The seed must fit
-    the format's u64.  Raises ValueError if a pixel's count would not fit
+    seed alone.  The seed must fit the format's u64.
+
+    The arguments are checked here.  The frames are drawn lazily: the
+    returned iterator yields (k, 2, n_px) uint16 blocks in frame order, and
+    raises ValueError at the block in which a pixel's count would not fit
     the u16 format.
     """
     P = np.asarray(joint, dtype=float)
@@ -122,13 +205,15 @@ def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
     # the CDF and inverse-CDF draw of Generator.choice(p=...), built once
     cdf = (P / total).ravel().cumsum()
     cdf /= cdf[-1]
+    return _drawn_blocks(cdf, P.shape[0], pairs_per_frame, noise, n_frames,
+                         seed)
+
+
+def _drawn_blocks(cdf, n_px, pairs_per_frame, noise, n_frames, seed):
     guide, crowded = _guide_table(cdf)
-    n_px = P.shape[0]
     count_rng, pair_rng, dark_rng = np.random.default_rng(seed).spawn(3)
     n_pairs = count_rng.poisson(pairs_per_frame, n_frames)
-    block = max(1, int(BLOCK_DOUBLES // (pairs_per_frame + 2 * n_px)))
-
-    frames = np.empty((n_frames, 2, n_px), dtype=np.uint16)
+    block = _block_frames(pairs_per_frame + 2 * n_px)
     for k0 in range(0, n_frames, block):
         k1 = min(k0 + block, n_frames)
         # bin every pair of the block keyed by frame * n_px + column
@@ -147,8 +232,16 @@ def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
             raise ValueError(
                 f"frame {k0 + f} holds {peaks[f]} counts in one pixel, more "
                 f"than the u16 format's {U16_MAX}")
-        frames[k0:k1] = counts
-    return FrameStack(frames=frames, pixel_pitch=pixel_pitch, seed=seed)
+        yield counts.astype(np.uint16)
+
+
+def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
+                 seed: int, pixel_pitch: float = 16e-6) -> FrameStack:
+    """The stack of synth_blocks, drawn into memory."""
+    blocks = synth_blocks(joint, pairs_per_frame, noise, n_frames, seed)
+    n_px = np.shape(joint)[0]
+    return FrameStack(frames=_gathered(blocks, (n_frames, 2, n_px)),
+                      pixel_pitch=pixel_pitch, seed=operator.index(seed))
 
 
 def _guide_table(cdf):
@@ -178,29 +271,103 @@ def _lookup(cdf, guide, crowded, u):
     return cell
 
 
-def _jackknife_covariance(x, y, sx: int):
-    """Covariance of two per-frame count series and its jackknife stderr.
+def write_frames(path, blocks, n_frames: int, shape, seed: int,
+                 pixel_pitch: float, exposure: float = EXPOSURE):
+    """Write a stack in the documented layout, a block of frames at a time.
 
-    x and y are integer counts and sx is the sum of x.  A frame's
-    leave-one-out covariance depends only on its count pair (x_k, y_k), so
-    the float sums run over the exact integer histogram of those pairs, in
-    the order of (leave-one-out value, count): any frame permutation, and
-    swapping x and y, gives bit-identical results.  The histogram is a
-    bincount while (max x + 1)(max y + 1) <= n, else np.unique, so its
-    memory stays O(n) at any count rate.
+    blocks must yield the n_frames frames of the given (height, width)
+    shape.  They are written under a temporary name beside path, which is
+    moved into place once every block is written and removed on any error,
+    so an error in a later block (a u16 overflow) leaves no partial file and
+    an older file at path as it was.
     """
-    n = x.size
-    ny = int(y.max()) + 1
-    keys = x * ny + y
-    size = (int(x.max()) + 1) * ny
-    if size <= n:
-        weight = np.bincount(keys, minlength=size)
-        keys = np.flatnonzero(weight)
-        weight = weight[keys]
-    else:
-        keys, weight = np.unique(keys, return_counts=True)
-    a, b = np.divmod(keys, ny)
+    header = MAGIC + _HEADER.pack(n_frames, *shape, seed, pixel_pitch,
+                                  exposure)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            for block in blocks:
+                fh.write(np.ascontiguousarray(block, dtype="<u2"))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def save_frames(stack: FrameStack, path):
+    """Write an in-memory stack in the documented layout."""
+    write_frames(path, stack.blocks(), stack.n_frames, stack.shape,
+                 stack.seed, stack.pixel_pitch, stack.exposure)
+
+
+def load_frames(path) -> FrameStack:
+    """A serialized stack, read into memory."""
+    source = FrameFile(path)
+    frames = _gathered(source.blocks(), (source.n_frames, *source.shape))
+    return FrameStack(frames=frames, pixel_pitch=source.pixel_pitch,
+                      exposure=source.exposure, seed=source.seed)
+
+
+def pixel_stats(source):
+    """Each pixel's count total and count maximum over the frames of a frame
+    source: two (height, width) int64 arrays from one pass."""
+    totals = np.zeros(source.shape, dtype=np.int64)
+    maxima = np.zeros(source.shape, dtype=np.int64)
+    for block in source.blocks():
+        totals += block.sum(axis=0, dtype=np.int64)
+        np.maximum(maxima, block.max(axis=0), out=maxima)
+    return totals, maxima
+
+
+def _pair_histogram(blocks, pixel, row, nx, ny, starts):
+    """Exact integer histogram of the (fixed pixel, column) count pairs of
+    every column of a row, from one pass over the blocks.
+
+    The fixed pixel counts below nx and column j below ny[j]; column j's
+    pair (a, b) is keyed starts[j] + a * ny[j] + b, so the keys of all
+    columns share [0, nx * sum(ny)).  The histogram is a bincount while it
+    has at most BLOCK_DOUBLES cells, else each block's np.unique counts are
+    merged into it, so it never outgrows a block.  Returns the sorted keys
+    that occur and their int64 counts.
+    """
+    cells = nx * int(ny.sum())
+    dense = cells <= BLOCK_DOUBLES
+    if dense:  # the key of (a, 0) in each column, for each a
+        base = starts + np.arange(nx)[:, None] * ny
+    keys = np.arange(cells) if dense else np.empty(0, dtype=np.int64)
+    counts = np.zeros(keys.size, dtype=np.int64)
+    for block in blocks:
+        x = block[:, pixel[0], pixel[1]]
+        if dense:
+            k = base[x]
+            k += block[:, row]
+            counts += np.bincount(k.ravel(), minlength=cells)
+            continue
+        k = (starts + x[:, None].astype(np.int64) * ny + block[:, row]).ravel()
+        k, c = np.unique(k, return_counts=True)
+        keys, inverse = np.unique(np.concatenate([keys, k]),
+                                  return_inverse=True)
+        # float sums of integer counts below 2**53 are exact
+        counts = np.bincount(inverse, np.concatenate([counts, c])).astype(
+            np.int64)
+    seen = counts > 0
+    return keys[seen], counts[seen]
+
+
+def _jackknife_covariance(a, b, weight, n: int):
+    """Covariance of two per-frame count series and its jackknife stderr,
+    from the histogram of their count pairs (a, b), each seen weight times
+    in n frames.
+
+    A frame's leave-one-out covariance depends only on its count pair, so
+    the float sums run over the histogram, in the order of (leave-one-out
+    value, count): any frame permutation, and swapping the two series, gives
+    bit-identical results.
+    """
     ab = a * b
+    sx = int(weight @ a)
     sy = int(weight @ b)
     sxy = int(weight @ ab)
     C = sxy / n - (sx / n) * (sy / n)
@@ -212,35 +379,39 @@ def _jackknife_covariance(x, y, sx: int):
     return float(C), stderr
 
 
-def conditional_map(stack: FrameStack, pixel, row: int) -> Scan1D:
+def covariance_scan(source, pixel, row: int, maxima) -> Scan1D:
     """C(pixel, (row, j)) for j scanning a frame row, with per-point stderr.
 
-    Returns a Scan1D over the column index; meta carries the stderr array.
-    The fixed pixel's own column is included unless it lies on the scanned
-    row, where the self-covariance is skipped (set to the neighbor average).
-    Each column's C and stderr come from the exact integer histogram of its
-    (fixed pixel, column) count pairs, so any frame order gives bit-identical
-    results.
+    source is a frame source and maxima its per-pixel count maxima
+    (pixel_stats).  Returns a Scan1D over the column index; meta carries
+    the stderr array.  The fixed pixel's own column is included unless it
+    lies on the scanned row, where the self-covariance is skipped (set to
+    the neighbor average).  Each column's C and stderr come from the exact
+    integer histogram of its (fixed pixel, column) count pairs, built for
+    all columns in one pass, so any frame order and any split into blocks
+    give bit-identical results.
     """
     pixel = tuple(int(v) for v in pixel)
-    if stack.n_frames < 2:
+    n = source.n_frames
+    if n < 2:
         raise ValueError("need at least two frames")
-    height, width = stack.shape
+    height, width = source.shape
     if not (0 <= row < height) or not (0 <= pixel[0] < height
                                        and 0 <= pixel[1] < width):
         raise ValueError("row or pixel out of range")
-    x = stack.frames[:, pixel[0], pixel[1]].astype(np.intp)
-    sx = int(x.sum())
+    nx = int(maxima[pixel]) + 1
+    ny = maxima[row].astype(np.int64) + 1
+    ends = nx * np.cumsum(ny)
+    starts = ends - nx * ny
+    keys, weight = _pair_histogram(source.blocks(), pixel, row, nx, ny, starts)
+    lo, hi = np.searchsorted(keys, starts), np.searchsorted(keys, ends)
     cols = np.arange(width)
-    C = np.empty(width)
-    err = np.empty(width)
-    for jcol in cols:
-        if (row, jcol) == pixel:
-            C[jcol] = np.nan
-            err[jcol] = np.nan
-            continue
-        C[jcol], err[jcol] = _jackknife_covariance(
-            x, stack.frames[:, row, jcol].astype(np.intp), sx)
+    C = np.full(width, np.nan)
+    err = np.full(width, np.nan)
+    for j in cols:
+        if (row, j) != pixel:
+            a, b = np.divmod(keys[lo[j]:hi[j]] - starts[j], ny[j])
+            C[j], err[j] = _jackknife_covariance(a, b, weight[lo[j]:hi[j]], n)
     bad = np.isnan(C)
     if np.any(bad):
         good = ~bad
@@ -248,35 +419,9 @@ def conditional_map(stack: FrameStack, pixel, row: int) -> Scan1D:
         err[bad] = np.interp(cols[bad], cols[good], err[good])
     return Scan1D(xs=cols.astype(float), values=C,
                   meta={"stderr": err, "pixel": pixel, "row": row,
-                        "n_frames": stack.n_frames})
+                        "n_frames": n})
 
 
-def save_frames(stack: FrameStack, path):
-    """Write the stack in the documented binary layout."""
-    h, w = stack.shape
-    header = MAGIC + _HEADER.pack(stack.n_frames, h, w, stack.seed,
-                                  stack.pixel_pitch, stack.exposure)
-    body = np.ascontiguousarray(stack.frames, dtype="<u2")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        body.tofile(fh)
-
-
-def load_frames(path) -> FrameStack:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"not a frame-stack file: bad magic {magic!r}")
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValueError("truncated frame-stack header")
-        n_frames, h, w, seed, pitch, exposure = _HEADER.unpack(header)
-        if h == 0 or w == 0:
-            raise ValueError(f"empty {h} x {w} frames")
-        count = n_frames * h * w
-        # checked before reading, so a corrupt header allocates nothing
-        if os.fstat(fh.fileno()).st_size - fh.tell() < 2 * count:
-            raise ValueError("truncated frame-stack file")
-        data = np.fromfile(fh, dtype="<u2", count=count)
-    return FrameStack(frames=data.reshape(n_frames, h, w),
-                      pixel_pitch=pitch, exposure=exposure, seed=seed)
+def conditional_map(stack: FrameStack, pixel, row: int) -> Scan1D:
+    """covariance_scan over an in-memory stack."""
+    return covariance_scan(stack, pixel, row, pixel_stats(stack)[1])

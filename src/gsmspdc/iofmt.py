@@ -7,7 +7,8 @@ takes whole columns and formats a block of rows per % call.  Profiles are
 written as binary 16-bit PGM (portable graymap, maxval 65535, row-major,
 max-normalized) with a JSON sidecar holding the full parameter set.  The run
 manifest lists the command-line arguments, the gsmspdc and NumPy versions,
-every resolved parameter, the seed, and SHA-256 hashes of all written files.
+every resolved parameter, the seed, and SHA-256 hashes of all written files,
+each hashed a chunk at a time.
 """
 
 import hashlib
@@ -30,6 +31,8 @@ __all__ = [
 
 # rows formatted by one % call: bounds the Python objects a table makes at once
 CSV_CHUNK_ROWS = 2048
+# bytes sha256_file reads at a time: hashing a frame stack stays small
+HASH_CHUNK_BYTES = 2**16
 # %-format and separator of a float cell: integer-valued below 1e15, or not
 _FLOAT_CELLS = {sep: np.array([f"%.12g{sep}", f"%.1f{sep}"], dtype=object)
                 for sep in ",\n"}
@@ -117,7 +120,12 @@ def write_json(path, payload):
 
 
 def sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 of a file, read HASH_CHUNK_BYTES at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(HASH_CHUNK_BYTES):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_manifest(out_dir, experiment, resolved, outputs, argv):

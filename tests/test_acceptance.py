@@ -122,10 +122,11 @@ class TestCriterion5ConditionalTrends:
                      f"({[f'{w:.0f}' for w in fwhms]} rad/m) and peak "
                      f"strictly decreases as A drops over {self.A_VALUES}")
 
-    def test_counting_pipeline_reproduces_fwhm(self):
+    def counting_setup(self, A=0.5, n_px=48):
+        """5b's joint pixel distribution, its signal pixel at the maximum of
+        the joint's signal marginal, and the signal and idler axes (rad/m)."""
         from gsmspdc.pump import csd_coefficients
 
-        A, n_frames, n_px = 0.5, 2000, 48
         pump = pump_for(A)
         q_s0 = overlap_point(self.CRYSTAL, pump.k_p)[0]
         coeffs = csd_coefficients(pump)
@@ -134,34 +135,54 @@ class TestCriterion5ConditionalTrends:
         qi = np.linspace(-q_s0 - 5 * sigma, -q_s0 + 5 * sigma, n_px)
         joint = joint_momentum_rate((qs[:, None], 0.0), (qi[None, :], 0.0),
                                     pump, self.CRYSTAL)
-        pitch = qi[1] - qi[0]
-        # fix the signal pixel at the maximum of the generating joint marginal
-        i_s = int(np.argmax(joint.sum(axis=1)))
+        return joint, int(np.argmax(joint.sum(axis=1))), qs, qi
 
-        def fitted_fwhm(stack):
-            scan = conditional_map(stack, (0, i_s), row=1)
-            weights = 1.0 / np.clip(scan.meta["stderr"], 1e-12, None)
-            return fit_gaussian(scan, weights=weights).fwhm * pitch
+    @staticmethod
+    def fitted_fwhm(stack, i_s, qi):
+        scan = conditional_map(stack, (0, i_s), row=1)
+        weights = 1.0 / np.clip(scan.meta["stderr"], 1e-12, None)
+        return fit_gaussian(scan, weights=weights).fwhm * (qi[1] - qi[0])
 
-        stack = synth_frames(joint, 60.0, 1e-3, n_frames, seed=20250)
-        fwhm_counts = fitted_fwhm(stack)
-        fwhm_direct = scan_fwhm(self.direct_scan(A, q_sx=float(qs[i_s])))
-
-        # jackknife stderr of the fitted FWHM: delete one frame block, refit
-        n_blocks = 20
-        blocks = np.array_split(np.arange(n_frames), n_blocks)
+    def block_jackknife_se(self, stack, i_s, qi, n_blocks=20):
+        """Jackknife stderr of the fitted FWHM: delete one frame block, refit."""
+        blocks = np.array_split(np.arange(stack.n_frames), n_blocks)
         estimates = []
         for b in range(n_blocks):
             keep = np.concatenate([blocks[k] for k in range(n_blocks) if k != b])
-            estimates.append(fitted_fwhm(FrameStack(frames=stack.frames[keep],
-                                                    seed=stack.seed)))
+            estimates.append(self.fitted_fwhm(
+                FrameStack(frames=stack.frames[keep], seed=stack.seed), i_s, qi))
         estimates = np.array(estimates)
-        stderr = np.sqrt((n_blocks - 1) / n_blocks
-                         * np.sum((estimates - estimates.mean()) ** 2))
+        return np.sqrt((n_blocks - 1) / n_blocks
+                       * np.sum((estimates - estimates.mean()) ** 2))
+
+    def test_counting_pipeline_reproduces_fwhm(self):
+        A, n_frames = 0.5, 2000
+        joint, i_s, qs, qi = self.counting_setup(A)
+        stack = synth_frames(joint, 60.0, 1e-3, n_frames, seed=20250)
+        fwhm_counts = self.fitted_fwhm(stack, i_s, qi)
+        fwhm_direct = scan_fwhm(self.direct_scan(A, q_sx=float(qs[i_s])))
+        stderr = self.block_jackknife_se(stack, i_s, qi)
         assert abs(fwhm_counts - fwhm_direct) < 3 * stderr
         report("5b", f"counting-pipeline FWHM {fwhm_counts:.0f} rad/m matches "
                      f"direct model {fwhm_direct:.0f} rad/m within "
                      f"3 jackknife SE ({3 * stderr:.0f})")
+
+    @pytest.mark.slow
+    def test_fwhm_jackknife_se_matches_spread_over_seeds(self):
+        # 5b's stack at 40 seeds, 5b's own first.  With a calibrated SE, the
+        # fitted FWHM's sample SD over the seeds, over the RMS of the seeds'
+        # SEs, is distributed as sqrt(chi2_39 / 39): mean 1, SD about
+        # 1 / sqrt(2 * 39).  Accept it within 3 of those SDs.
+        joint, i_s, _, qi = self.counting_setup()
+        fwhm, se = [], []
+        for seed in range(20250, 20290):
+            stack = synth_frames(joint, 60.0, 1e-3, 2000, seed=seed)
+            fwhm.append(self.fitted_fwhm(stack, i_s, qi))
+            se.append(self.block_jackknife_se(stack, i_s, qi))
+        ratio = np.std(fwhm, ddof=1) / np.sqrt(np.mean(np.square(se)))
+        assert abs(ratio - 1.0) <= 3.0 / np.sqrt(2 * (len(se) - 1))
+        report("5b over seeds", f"FWHM spread / RMS jackknife SE = "
+                                f"{ratio:.3f} over {len(se)} seeds")
 
 
 class TestCriterion6RingAsymmetry:

@@ -235,12 +235,72 @@ class TestCountingPipeline:
                 if name.startswith("counting.")} == {"counting.frames_file",
                                                      "counting.signal_px"}
 
+    def test_overflow_past_first_block_writes_no_frames_file(
+            self, config_file, tmp_path, capsys):
+        # at this rate a block holds one frame, and frame 0 fits the u16
+        # format; a later frame does not
+        overflow = tmp_path / "overflow.ini"
+        overflow.write_text(BASE_CONFIG.replace(
+            "n_frames = 300\npairs_per_frame = 10\nnoise = 1e-3\nseed = 777\n"
+            "n_px = 24", "n_frames = 5\npairs_per_frame = 130900\n"
+            "noise = 1e-3\nseed = 27\nn_px = 2"))
+        fresh = tmp_path / "fresh"
+        assert run("frames-synth", overflow, fresh) == EXIT_CONFIG
+        assert re.search(r"frame [1-9]\d* holds", capsys.readouterr().err)
+        assert list(fresh.iterdir()) == []
+        out = tmp_path / "out"
+        assert run("frames-synth", config_file, out) == EXIT_OK
+        old = (out / "frames.bin").read_bytes()
+        before = sorted(out.iterdir())
+        assert run("frames-synth", overflow, out) == EXIT_CONFIG
+        assert (out / "frames.bin").read_bytes() == old
+        assert sorted(out.iterdir()) == before
+
     def test_seed_flag_overrides_config(self, config_file, tmp_path):
         out = tmp_path / "out"
         code = main(["run", "frames-synth", "--config", str(config_file),
                      "--out", str(out), "--seed", "1234"])
         assert code == EXIT_OK
         assert load_frames(out / "frames.bin").seed == 1234
+
+
+PEAK_RSS_SCRIPT = """
+import contextlib, io, sys
+import gsmspdc.cli as cli
+
+def hwm_mb():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+
+before = hwm_mb()
+for experiment in ("frames-synth", "coincidence"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["run", experiment, "--config", sys.argv[1],
+                         "--out", sys.argv[2]])
+    assert code == 0, experiment
+print(hwm_mb() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="VmHWM is read from /proc")
+def test_counting_peak_memory_does_not_grow_with_frames(tmp_path):
+    # a stack of MAX_FRAMES frames of 2 x 48 pixels is 19 MB on disk; drawn,
+    # hashed and scanned a block at a time, the process grows by a few MB
+    config = tmp_path / "big.ini"
+    config.write_text(BASE_CONFIG.replace("n_frames = 300",
+                                          f"n_frames = {MAX_FRAMES}")
+                      .replace("n_px = 24", "n_px = 48"))
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, str(config),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(Path(gsmspdc.__file__).parents[1])))
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert (tmp_path / "out" / "frames.bin").stat().st_size > 19_000_000
+    assert float(done.stdout) < 8.0
 
 
 class TestErrorPaths:

@@ -1,11 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsmspdc import counting
 from gsmspdc.analysis import fit_gaussian
-from gsmspdc.counting import (BLOCK_DOUBLES, U16_MAX, FrameStack,
-                              conditional_map, load_frames, save_frames,
-                              synth_frames)
+from gsmspdc.counting import (BLOCK_DOUBLES, U16_MAX, FrameFile, FrameStack,
+                              conditional_map, covariance_scan, load_frames,
+                              pixel_stats, save_frames, synth_blocks,
+                              synth_frames, write_frames)
 
 
 def gaussian_joint(n_px=48, center=(24, 24), sigma=4.0):
@@ -264,6 +269,67 @@ class TestHistogramJackknife:
                         == pair_covariance(stack, j, i))
 
 
+class SplitStack:
+    """A frame source whose blocks end at the given frame indices."""
+
+    def __init__(self, frames, cuts):
+        self.frames = frames
+        self.n_frames, *self.shape = frames.shape
+        self.edges = [0, *cuts, self.n_frames]
+
+    def blocks(self):
+        for k0, k1 in zip(self.edges, self.edges[1:]):
+            yield self.frames[k0:k1]
+
+
+# (joint, pairs per frame, noise, frames, seed) and whether the all-column
+# histogram is a bincount (else the merged np.unique counts)
+STREAM_CASES = {
+    "bincount": ((gaussian_joint(16), 5.0, 0.05, 301, 8), True),
+    "unique": ((gaussian_joint(16, center=(8, 8), sigma=6.0), 2000.0, 0.01,
+                120, 9), False),
+}
+
+
+@functools.cache
+def stream_case_frames(case):
+    return synth_frames(*STREAM_CASES[case][0]).frames
+
+
+class TestBlockSplits:
+    """The streamed estimator does not depend on how frames are blocked."""
+
+    @pytest.mark.parametrize("on_row", [False, True],
+                             ids=["other-row", "pixel-on-row"])
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(data=st.data())
+    def test_any_split_gives_the_whole_stack_scan(self, case, on_row, data):
+        frames = stream_case_frames(case)
+        n, _, width = frames.shape
+        cuts = data.draw(st.one_of(
+            st.just(range(1, n)),                       # one-frame blocks
+            st.just([]),                                # one block
+            st.lists(st.integers(1, n - 1), max_size=12,
+                     unique=True).map(sorted)), label="cuts")
+        pixel = (1 if on_row else 0, data.draw(st.integers(0, width - 1),
+                                               label="column"))
+        whole = SplitStack(frames, [])
+        totals, maxima = pixel_stats(SplitStack(frames, cuts))
+        assert np.array_equal(totals, frames.sum(axis=0))
+        assert np.array_equal(maxima, frames.max(axis=0))
+        cells = (maxima[pixel] + 1) * (maxima[1] + 1).sum()
+        assert (cells <= BLOCK_DOUBLES) == STREAM_CASES[case][1]
+        split = covariance_scan(SplitStack(frames, cuts), pixel, 1, maxima)
+        ref = covariance_scan(whole, pixel, 1, maxima)
+        assert not np.any(np.isnan(ref.values))
+        assert np.array_equal(split.values, ref.values)
+        assert np.array_equal(split.meta["stderr"], ref.meta["stderr"])
+        scan = conditional_map(FrameStack(frames=frames), pixel, row=1)
+        assert np.array_equal(scan.values, ref.values)
+        assert np.array_equal(scan.meta["stderr"], ref.meta["stderr"])
+
+
 class TestPixelCoincidence:
     def test_independent_pixels_consistent_with_zero(self):
         stack = synth_frames(np.ones((8, 8)), 0.0, 0.1, 3000, seed=11)
@@ -432,6 +498,36 @@ class TestSerialization:
         assert len(blob) == header_size + 3 * 2 * 8 * 2
         body = np.frombuffer(blob[header_size:], dtype="<u2")
         assert np.array_equal(body.reshape(3, 2, 8), stack.frames)
+
+    @pytest.mark.parametrize("block_doubles", [BLOCK_DOUBLES, 1])
+    def test_streamed_file_equals_saved_stack(self, tmp_path, monkeypatch,
+                                              block_doubles):
+        args = (gaussian_joint(16), 6.0, 0.02, 700, 11)
+        saved = tmp_path / "saved.bin"
+        save_frames(synth_frames(*args, pixel_pitch=13e-6), saved)
+        monkeypatch.setattr(counting, "BLOCK_DOUBLES", block_doubles)
+        streamed = tmp_path / "streamed.bin"
+        write_frames(streamed, synth_blocks(*args), 700, (2, 16), 11, 13e-6)
+        assert streamed.read_bytes() == saved.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["saved.bin",
+                                                              "streamed.bin"]
+        source = FrameFile(streamed)
+        assert (source.n_frames, source.shape, source.seed) == (700, (2, 16), 11)
+        assert np.array_equal(np.concatenate(list(source.blocks())),
+                              load_frames(saved).frames)
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        joint = np.zeros((2, 2))
+        joint[0, 1] = 1.0
+        path = tmp_path / "frames.bin"
+        save_frames(synth_frames(joint, 5.0, 0.0, 3, seed=1), path)
+        old = path.read_bytes()
+        # at this rate a block is one frame, and frame 2 overflows the u16
+        blocks = synth_blocks(joint, 65450.0, 0.0, 5, seed=18)
+        with pytest.raises(ValueError, match="frame 2 holds"):
+            write_frames(path, blocks, 5, (2, 2), 18, 16e-6)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["frames.bin"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from gsmspdc.iofmt import CSV_CHUNK_ROWS, write_csv
+from gsmspdc.iofmt import CSV_CHUNK_ROWS, HASH_CHUNK_BYTES, sha256_file, write_csv
 
 
 def reference_csv(header, rows):
@@ -63,3 +65,11 @@ class TestWriteCsv:
             write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0]])
         with pytest.raises(TypeError):
             write_csv(tmp_path / "t.csv", ["a"], [["x"]])
+
+
+@pytest.mark.parametrize("size", [0, 1, HASH_CHUNK_BYTES - 1, HASH_CHUNK_BYTES,
+                                  HASH_CHUNK_BYTES + 1, 3 * HASH_CHUNK_BYTES + 5])
+def test_chunked_hash_equals_whole_file_hash(tmp_path, size):
+    path = tmp_path / "blob.bin"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
