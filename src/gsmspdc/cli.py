@@ -186,17 +186,20 @@ def run_coincidence(res: Resolver, out: Path):
         frames = counting.FrameFile(frames_file)
     except ValueError as exc:
         raise OSError(f"malformed frames file {frames_file}: {exc}") from exc
-    if signal_px >= frames.shape[1]:
-        raise ConfigError(f"[counting] signal_px must be below the "
-                          f"{frames.shape[1]} columns of {frames_file}, "
-                          f"got {signal_px}")
-    try:
-        totals, maxima = counting.pixel_stats(frames)
-        if signal_px < 0:
-            signal_px = int(np.argmax(totals[0]))
-        scan = counting.covariance_scan(frames, (0, signal_px), 1, maxima)
-    except ValueError as exc:  # fewer than two frames, or a single row
-        raise OSError(f"unusable frames file {frames_file}: {exc}") from exc
+    with frames:  # both passes read the file opened here
+        if signal_px >= frames.shape[1]:
+            raise ConfigError(f"[counting] signal_px must be below the "
+                              f"{frames.shape[1]} columns of {frames_file}, "
+                              f"got {signal_px}")
+        try:
+            totals, minima, maxima = counting.pixel_stats(frames)
+            if signal_px < 0:
+                signal_px = int(np.argmax(totals[0]))
+            scan = counting.covariance_scan(frames, (0, signal_px), 1, minima,
+                                            maxima)
+        except ValueError as exc:  # fewer than two frames, or a single row
+            raise OSError(f"unusable frames file {frames_file}: "
+                          f"{exc}") from exc
     path = out / "coincidence.csv"
     write_csv(path, ["j_px", "C_counts2", "stderr_counts2"],
               [scan.xs.astype(int), scan.values, scan.meta["stderr"]])

@@ -22,9 +22,12 @@ counts), so it depends on the seed alone.  A pair's cell is found through a
 guide table over the CDF (Chen & Asau's indexed search), which returns what
 cdf.searchsorted(u, side="right") returns.
 
-Every stage works a block of frames at a time, so BLOCK_DOUBLES bounds the
-memory of a whole run, from the draws to the covariance histogram, at any
-n_frames; only the pair counts, 8 bytes a frame, are drawn in one call.
+Every stage works a block of frames at a time (BLOCK_DOUBLES doubles).
+Beyond a block, a run holds only the pair counts, 8 bytes a frame, drawn in
+one call, and a covariance histogram of at most max(BLOCK_DOUBLES, n_frames)
+keys a pass: one pass covers every column at low count rates, and a single
+column at rates where each frame's count pair can be new, so a high rate
+costs passes over the frames, not memory.
 synth_blocks draws a stack as uint16 blocks, write_frames streams blocks to
 a file, FrameFile reads one back a block at a time, and pixel_stats and
 covariance_scan each make one pass over a frame source.  A frame source
@@ -76,8 +79,8 @@ U16_MAX = np.iinfo(np.uint16).max
 # Doubles a block of frames may hold: a frame counts its mean pairs plus its
 # 2 n_px pixels when drawn, and its pixels when read or scanned.  A block
 # stays near 256 KB at any rate, and from 2**15 doubles a frame a block is
-# one frame.  It bounds the memory of the whole counting path, synthesis,
-# file and covariance histogram included; no output depends on it.
+# one frame.  It bounds the memory of synthesis, file and scan; a covariance
+# histogram may grow to n_frames keys beyond it.  No output depends on it.
 BLOCK_DOUBLES = 2**15
 # buckets of the guide table that maps a uniform draw to its CDF cell
 GUIDE_BUCKETS = 4096
@@ -136,38 +139,57 @@ class FrameFile:
     """A serialized stack, read a block at a time.
 
     Opening checks the magic, the header and the file size, so a malformed
-    file raises ValueError before any count is read.
+    file raises ValueError before any count is read.  The file stays open
+    until close() (or the end of a with block), and every pass of blocks()
+    reads that open file, so the passes of one scan see the same file even
+    if its path is replaced in between.  Make one pass at a time.
     """
 
     def __init__(self, path):
         self.path = path
-        with open(path, "rb") as fh:
-            magic = fh.read(len(MAGIC))
-            if magic != MAGIC:
-                raise ValueError(f"not a frame-stack file: bad magic {magic!r}")
-            header = fh.read(_HEADER.size)
-            if len(header) != _HEADER.size:
-                raise ValueError("truncated frame-stack header")
-            (self.n_frames, h, w, self.seed, self.pixel_pitch,
-             self.exposure) = _HEADER.unpack(header)
-            if h == 0 or w == 0:
-                raise ValueError(f"empty {h} x {w} frames")
-            body = 2 * self.n_frames * h * w
-            # checked before reading, so a corrupt header allocates nothing
-            if os.fstat(fh.fileno()).st_size - fh.tell() < body:
-                raise ValueError("truncated frame-stack file")
+        self._fh = open(path, "rb")
+        try:
+            self._read_header()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _read_header(self):
+        fh = self._fh
+        magic = fh.read(len(MAGIC))
+        if magic != MAGIC:
+            raise ValueError(f"not a frame-stack file: bad magic {magic!r}")
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError("truncated frame-stack header")
+        (self.n_frames, h, w, self.seed, self.pixel_pitch,
+         self.exposure) = _HEADER.unpack(header)
+        if h == 0 or w == 0:
+            raise ValueError(f"empty {h} x {w} frames")
+        body = 2 * self.n_frames * h * w
+        # checked before reading, so a corrupt header allocates nothing
+        if os.fstat(fh.fileno()).st_size - fh.tell() < body:
+            raise ValueError("truncated frame-stack file")
         self.shape = (h, w)
+
+    def close(self):
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
     def blocks(self):
         """The frames, read a block at a time, in frame order."""
         h, w = self.shape
         step = _block_frames(h * w)
-        with open(self.path, "rb") as fh:
-            fh.seek(len(MAGIC) + _HEADER.size)
-            for k0 in range(0, self.n_frames, step):
-                k = min(step, self.n_frames - k0)
-                yield np.frombuffer(fh.read(2 * k * h * w),
-                                    dtype="<u2").reshape(k, h, w)
+        self._fh.seek(len(MAGIC) + _HEADER.size)
+        for k0 in range(0, self.n_frames, step):
+            k = min(step, self.n_frames - k0)
+            yield np.frombuffer(self._fh.read(2 * k * h * w),
+                                dtype="<u2").reshape(k, h, w)
 
 
 def synth_blocks(joint, pairs_per_frame: float, noise: float, n_frames: int,
@@ -304,56 +326,98 @@ def save_frames(stack: FrameStack, path):
 
 def load_frames(path) -> FrameStack:
     """A serialized stack, read into memory."""
-    source = FrameFile(path)
-    frames = _gathered(source.blocks(), (source.n_frames, *source.shape))
+    with FrameFile(path) as source:
+        frames = _gathered(source.blocks(), (source.n_frames, *source.shape))
     return FrameStack(frames=frames, pixel_pitch=source.pixel_pitch,
                       exposure=source.exposure, seed=source.seed)
 
 
 def pixel_stats(source):
-    """Each pixel's count total and count maximum over the frames of a frame
-    source: two (height, width) int64 arrays from one pass."""
+    """Each pixel's count total, count minimum and count maximum over the
+    frames of a frame source: three (height, width) int64 arrays from one
+    pass."""
     totals = np.zeros(source.shape, dtype=np.int64)
+    minima = np.full(source.shape, U16_MAX, dtype=np.int64)
     maxima = np.zeros(source.shape, dtype=np.int64)
     for block in source.blocks():
         totals += block.sum(axis=0, dtype=np.int64)
+        np.minimum(minima, block.min(axis=0), out=minima)
         np.maximum(maxima, block.max(axis=0), out=maxima)
-    return totals, maxima
+    return totals, minima, maxima
 
 
-def _pair_histogram(blocks, pixel, row, nx, ny, starts):
+def _column_runs(sizes, budget):
+    """Runs of consecutive columns, as (first, stop) pairs, whose sizes sum
+    to at most budget; a run holds at least one column."""
+    runs, j0, total = [], 0, 0
+    for j, size in enumerate(sizes):
+        if total + size > budget and j > j0:
+            runs.append((j0, j))
+            j0, total = j, 0
+        total += size
+    runs.append((j0, len(sizes)))
+    return runs
+
+
+def _pair_histogram(blocks, pixel, row, cols, lows, nx, ny, budget):
     """Exact integer histogram of the (fixed pixel, column) count pairs of
-    every column of a row, from one pass over the blocks.
+    the columns cols (a slice) of a row, from one pass over the blocks.
 
-    The fixed pixel counts below nx and column j below ny[j]; column j's
-    pair (a, b) is keyed starts[j] + a * ny[j] + b, so the keys of all
-    columns share [0, nx * sum(ny)).  The histogram is a bincount while it
-    has at most BLOCK_DOUBLES cells, else each block's np.unique counts are
-    merged into it, so it never outgrows a block.  Returns the sorted keys
-    that occur and their int64 counts.
+    lows = (x0, y0): the fixed pixel counts x0 to x0 + nx - 1 and the i-th
+    column y0[i] to y0[i] + ny[i] - 1; that column's pair (x0 + a, y0[i] + b)
+    is keyed starts[i] + a * ny[i] + b, so the keys of all the columns share
+    [0, nx * sum(ny)).  The histogram is a bincount when it has at most
+    budget cells, else merged np.unique counts.  A block's keys are queued,
+    and the queue is folded into the histogram once it holds more keys than
+    the bincount has cells, or than budget: a fold costs about as much as
+    its queue, so a pass is linear (bincount) or n log n (np.unique) in its
+    keys.  With columns of at most budget distinct pairs, as covariance_scan
+    picks them, a pass holds about 2 budget keys at most.  Returns the
+    starts, the sorted keys that occur and their int64 counts.
     """
-    cells = nx * int(ny.sum())
-    dense = cells <= BLOCK_DOUBLES
-    if dense:  # the key of (a, 0) in each column, for each a
-        base = starts + np.arange(nx)[:, None] * ny
+    ends = nx * np.cumsum(ny)
+    starts = ends - nx * ny
+    cells = int(ends[-1])
+    dense = cells <= budget
     keys = np.arange(cells) if dense else np.empty(0, dtype=np.int64)
     counts = np.zeros(keys.size, dtype=np.int64)
-    for block in blocks:
-        x = block[:, pixel[0], pixel[1]]
+
+    def fold(keys, counts, queue):
+        k = np.concatenate(queue) if len(queue) > 1 else queue[0]
         if dense:
-            k = base[x]
-            k += block[:, row]
-            counts += np.bincount(k.ravel(), minlength=cells)
-            continue
-        k = (starts + x[:, None].astype(np.int64) * ny + block[:, row]).ravel()
+            return keys, counts + np.bincount(k, minlength=cells)
         k, c = np.unique(k, return_counts=True)
-        keys, inverse = np.unique(np.concatenate([keys, k]),
-                                  return_inverse=True)
+        if not keys.size:
+            return k, c
+        merged, inverse = np.unique(np.concatenate([keys, k]),
+                                    return_inverse=True)
         # float sums of integer counts below 2**53 are exact
-        counts = np.bincount(inverse, np.concatenate([counts, c])).astype(
-            np.int64)
+        return merged, np.bincount(inverse, np.concatenate([counts, c])
+                                   ).astype(np.int64)
+
+    x0, y0 = lows
+    offsets = starts - y0
+    if dense:  # the keys of (x0 + a, 0) in each column, a row for each a
+        table = offsets + np.arange(nx)[:, None] * ny
+    limit = cells if dense else budget
+    queue, queued = [], 0
+    for block in blocks:
+        x = block[:, pixel[0], pixel[1]].astype(np.intp) - x0
+        if dense:
+            k = table[x]
+        else:
+            k = x[:, None] * ny
+            k += offsets
+        k += block[:, row, cols]
+        queue.append(k.ravel())
+        queued += k.size
+        if queued > limit:
+            keys, counts = fold(keys, counts, queue)
+            queue, queued = [], 0
+    if queue:
+        keys, counts = fold(keys, counts, queue)
     seen = counts > 0
-    return keys[seen], counts[seen]
+    return starts, keys[seen], counts[seen]
 
 
 def _jackknife_covariance(a, b, weight, n: int):
@@ -379,17 +443,21 @@ def _jackknife_covariance(a, b, weight, n: int):
     return float(C), stderr
 
 
-def covariance_scan(source, pixel, row: int, maxima) -> Scan1D:
+def covariance_scan(source, pixel, row: int, minima, maxima) -> Scan1D:
     """C(pixel, (row, j)) for j scanning a frame row, with per-point stderr.
 
-    source is a frame source and maxima its per-pixel count maxima
-    (pixel_stats).  Returns a Scan1D over the column index; meta carries
-    the stderr array.  The fixed pixel's own column is included unless it
-    lies on the scanned row, where the self-covariance is skipped (set to
-    the neighbor average).  Each column's C and stderr come from the exact
-    integer histogram of its (fixed pixel, column) count pairs, built for
-    all columns in one pass, so any frame order and any split into blocks
-    give bit-identical results.
+    source is a frame source, and minima and maxima its per-pixel count
+    minima and maxima (pixel_stats).  Returns a Scan1D over the column
+    index; meta carries the stderr array.  The fixed pixel's own column is
+    included unless it lies on the scanned row, where the self-covariance
+    is skipped (set to the neighbor average).  Each column's C and stderr
+    come from the exact integer histogram of its (fixed pixel, column) count
+    pairs, so any frame order and any split into blocks give bit-identical
+    results.  A column's histogram holds at most the cells of the box its
+    count minima and maxima span, and at most n_frames pairs; one pass over
+    the source builds the histograms of a run of columns whose bounds sum to
+    at most max(BLOCK_DOUBLES, n_frames): every column at once at low count
+    rates, and a column a pass at rates where each frame's pair can be new.
     """
     pixel = tuple(int(v) for v in pixel)
     n = source.n_frames
@@ -399,19 +467,25 @@ def covariance_scan(source, pixel, row: int, maxima) -> Scan1D:
     if not (0 <= row < height) or not (0 <= pixel[0] < height
                                        and 0 <= pixel[1] < width):
         raise ValueError("row or pixel out of range")
-    nx = int(maxima[pixel]) + 1
-    ny = maxima[row].astype(np.int64) + 1
-    ends = nx * np.cumsum(ny)
-    starts = ends - nx * ny
-    keys, weight = _pair_histogram(source.blocks(), pixel, row, nx, ny, starts)
-    lo, hi = np.searchsorted(keys, starts), np.searchsorted(keys, ends)
+    x0 = int(minima[pixel])
+    nx = int(maxima[pixel]) - x0 + 1
+    y0 = minima[row].astype(np.int64)
+    ny = maxima[row].astype(np.int64) - y0 + 1
+    budget = max(BLOCK_DOUBLES, n)
     cols = np.arange(width)
     C = np.full(width, np.nan)
     err = np.full(width, np.nan)
-    for j in cols:
-        if (row, j) != pixel:
-            a, b = np.divmod(keys[lo[j]:hi[j]] - starts[j], ny[j])
-            C[j], err[j] = _jackknife_covariance(a, b, weight[lo[j]:hi[j]], n)
+    for j0, j1 in _column_runs(np.minimum(nx * ny, n), budget):
+        starts, keys, weight = _pair_histogram(
+            source.blocks(), pixel, row, slice(j0, j1), (x0, y0[j0:j1]), nx,
+            ny[j0:j1], budget)
+        lo = np.searchsorted(keys, starts)
+        hi = np.searchsorted(keys, starts + nx * ny[j0:j1])
+        for i, j in enumerate(range(j0, j1)):
+            if (row, j) != pixel:
+                a, b = np.divmod(keys[lo[i]:hi[i]] - starts[i], ny[j])
+                C[j], err[j] = _jackknife_covariance(
+                    x0 + a, y0[j] + b, weight[lo[i]:hi[i]], n)
     bad = np.isnan(C)
     if np.any(bad):
         good = ~bad
@@ -424,4 +498,4 @@ def covariance_scan(source, pixel, row: int, maxima) -> Scan1D:
 
 def conditional_map(stack: FrameStack, pixel, row: int) -> Scan1D:
     """covariance_scan over an in-memory stack."""
-    return covariance_scan(stack, pixel, row, pixel_stats(stack)[1])
+    return covariance_scan(stack, pixel, row, *pixel_stats(stack)[1:])

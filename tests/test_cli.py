@@ -25,7 +25,7 @@ from gsmspdc.config import (KEYS, MAX_D12_SAMPLES, MAX_DETECTOR_SAMPLES,
                             MAX_PAIRS_PER_FRAME, _finite, _finite_list,
                             _integer, load_config)
 from gsmspdc.counting import (FrameStack, load_frames, save_frames,
-                              synth_frames)
+                              synth_frames, write_frames)
 from gsmspdc.iofmt import read_pgm16
 
 BASE_CONFIG = """
@@ -275,7 +275,7 @@ def hwm_mb():
                 return int(line.split()[1]) / 1024
 
 before = hwm_mb()
-for experiment in ("frames-synth", "coincidence"):
+for experiment in sys.argv[3:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["run", experiment, "--config", sys.argv[1],
                          "--out", sys.argv[2]])
@@ -293,14 +293,47 @@ def test_counting_peak_memory_does_not_grow_with_frames(tmp_path):
     config.write_text(BASE_CONFIG.replace("n_frames = 300",
                                           f"n_frames = {MAX_FRAMES}")
                       .replace("n_px = 24", "n_px = 48"))
+    assert peak_rss_rise_mb(config, tmp_path / "out", "frames-synth",
+                            "coincidence") < 8.0
+    assert (tmp_path / "out" / "frames.bin").stat().st_size > 19_000_000
+
+
+def peak_rss_rise_mb(config, out, *experiments):
+    """VmHWM rise, in MB, of a fresh process that runs the experiments."""
     done = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS_SCRIPT, str(config),
-         str(tmp_path / "out")],
+        [sys.executable, "-c", PEAK_RSS_SCRIPT, str(config), str(out),
+         *experiments],
         capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=str(Path(gsmspdc.__file__).parents[1])))
     assert done.returncode == 0, done.stderr[-2000:]
-    assert (tmp_path / "out" / "frames.bin").stat().st_size > 19_000_000
-    assert float(done.stdout) < 8.0
+    return float(done.stdout)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="VmHWM is read from /proc")
+def test_high_rate_scan_peak_memory_does_not_grow_with_frames(tmp_path):
+    # each pixel counts Poisson(1600), half of it shared by the two rows of
+    # its column: every column's count box exceeds MAX_FRAMES cells, so the
+    # scan takes a pass a column and merges np.unique counts; holding the
+    # 19 MB stack instead would raise VmHWM by over 20 MB
+    rng = np.random.default_rng(3)
+
+    def blocks(step=10_000):
+        for _ in range(MAX_FRAMES // step):
+            shared = rng.poisson(800, (step, 1, 48))
+            yield (shared + rng.poisson(800, (step, 2, 48))).astype(np.uint16)
+
+    out = tmp_path / "out"
+    out.mkdir()
+    write_frames(out / "frames.bin", blocks(), MAX_FRAMES, (2, 48), 3, 16e-6)
+    config = tmp_path / "scan.ini"
+    config.write_text(BASE_CONFIG)
+    assert peak_rss_rise_mb(config, out, "coincidence") < 8.0
+    signal_px = json.loads((out / "coincidence_fit.json").read_text())[
+        "signal_px"]
+    _, C, stderr = np.loadtxt(out / "coincidence.csv", delimiter=",",
+                              skiprows=1)[signal_px]
+    assert abs(C - 800) < 5 * stderr  # the shared Poisson(800) variance
 
 
 class TestErrorPaths:

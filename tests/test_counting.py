@@ -270,24 +270,40 @@ class TestHistogramJackknife:
 
 
 class SplitStack:
-    """A frame source whose blocks end at the given frame indices."""
+    """A frame source whose blocks end at the given frame indices; passes
+    counts the calls of blocks()."""
 
     def __init__(self, frames, cuts):
         self.frames = frames
         self.n_frames, *self.shape = frames.shape
         self.edges = [0, *cuts, self.n_frames]
+        self.passes = 0
 
     def blocks(self):
+        self.passes += 1
         for k0, k1 in zip(self.edges, self.edges[1:]):
             yield self.frames[k0:k1]
 
 
-# (joint, pairs per frame, noise, frames, seed) and whether the all-column
-# histogram is a bincount (else the merged np.unique counts)
+def correlated_blocks(n_frames, width, rate, seed, step=10_000):
+    """(k, 2, width) uint16 blocks in which every pixel counts
+    Poisson(2 rate) and column j of both rows shares Poisson(rate) of it."""
+    rng = np.random.default_rng(seed)
+    for k0 in range(0, n_frames, step):
+        k = min(step, n_frames - k0)
+        shared = rng.poisson(rate, (k, 1, width))
+        yield (shared + rng.poisson(rate, (k, 2, width))).astype(np.uint16)
+
+
+# (joint, pairs per frame, noise, frames, seed), whether the histogram of
+# every column at once is a bincount (else merged np.unique counts), and
+# whether a pass budget of n_frames splits the columns into runs for every
+# fixed pixel
 STREAM_CASES = {
-    "bincount": ((gaussian_joint(16), 5.0, 0.05, 301, 8), True),
+    "bincount": ((gaussian_joint(16), 5.0, 0.05, 301, 8), True, False),
+    "runs": ((gaussian_joint(16), 150.0, 0.05, 301, 8), True, True),
     "unique": ((gaussian_joint(16, center=(8, 8), sigma=6.0), 2000.0, 0.01,
-                120, 9), False),
+                120, 9), False, True),
 }
 
 
@@ -299,12 +315,15 @@ def stream_case_frames(case):
 class TestBlockSplits:
     """The streamed estimator does not depend on how frames are blocked."""
 
+    @pytest.mark.parametrize("block_doubles", [BLOCK_DOUBLES, 1],
+                             ids=["one-pass", "column-runs"])
     @pytest.mark.parametrize("on_row", [False, True],
                              ids=["other-row", "pixel-on-row"])
     @pytest.mark.parametrize("case", sorted(STREAM_CASES))
     @settings(max_examples=30, deadline=None, database=None)
     @given(data=st.data())
-    def test_any_split_gives_the_whole_stack_scan(self, case, on_row, data):
+    def test_any_split_gives_the_whole_stack_scan(self, case, on_row,
+                                                  block_doubles, data):
         frames = stream_case_frames(case)
         n, _, width = frames.shape
         cuts = data.draw(st.one_of(
@@ -315,19 +334,67 @@ class TestBlockSplits:
         pixel = (1 if on_row else 0, data.draw(st.integers(0, width - 1),
                                                label="column"))
         whole = SplitStack(frames, [])
-        totals, maxima = pixel_stats(SplitStack(frames, cuts))
+        totals, minima, maxima = pixel_stats(SplitStack(frames, cuts))
         assert np.array_equal(totals, frames.sum(axis=0))
+        assert np.array_equal(minima, frames.min(axis=0))
         assert np.array_equal(maxima, frames.max(axis=0))
-        cells = (maxima[pixel] + 1) * (maxima[1] + 1).sum()
-        assert (cells <= BLOCK_DOUBLES) == STREAM_CASES[case][1]
-        split = covariance_scan(SplitStack(frames, cuts), pixel, 1, maxima)
-        ref = covariance_scan(whole, pixel, 1, maxima)
+        box = (maxima[pixel] - minima[pixel] + 1) * (maxima[1] - minima[1] + 1)
+        assert (box.sum() <= BLOCK_DOUBLES) == STREAM_CASES[case][1]
+        ref = covariance_scan(whole, pixel, 1, minima, maxima)
+        assert whole.passes == 1
+        split = SplitStack(frames, cuts)
+        # BLOCK_DOUBLES = 1 budgets a pass at n_frames: a run of columns
+        # whose boxes fill n_frames cells, or one column of n_frames pairs
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(counting, "BLOCK_DOUBLES", block_doubles)
+            split_scan = covariance_scan(split, pixel, 1, minima, maxima)
+        runs = counting._column_runs(np.minimum(box, n), max(block_doubles, n))
+        assert split.passes == len(runs)
+        if block_doubles == BLOCK_DOUBLES:
+            assert len(runs) == 1
+        elif STREAM_CASES[case][2]:
+            assert len(runs) > 1
         assert not np.any(np.isnan(ref.values))
-        assert np.array_equal(split.values, ref.values)
-        assert np.array_equal(split.meta["stderr"], ref.meta["stderr"])
+        assert np.array_equal(split_scan.values, ref.values)
+        assert np.array_equal(split_scan.meta["stderr"], ref.meta["stderr"])
         scan = conditional_map(FrameStack(frames=frames), pixel, row=1)
         assert np.array_equal(scan.values, ref.values)
         assert np.array_equal(scan.meta["stderr"], ref.meta["stderr"])
+
+    @pytest.mark.parametrize("block_doubles, passes", [
+        (BLOCK_DOUBLES, 2), (80_000, 1)], ids=["column-runs", "one-pass"])
+    def test_high_rate_stack_beyond_a_block(self, block_doubles, passes):
+        # the fixed pixel (0, 0) and column 0 of row 1 count Poisson(1400),
+        # half of it shared, so their count box exceeds n_frames cells; the
+        # other four columns count Poisson(2).  At a pass budget of n_frames
+        # column 0 takes a pass of merged np.unique counts and the rest a
+        # bincount pass; at 2 n_frames one pass merges np.unique counts of
+        # every column and folds its queue of keys more than once
+        n = 40_000
+        rng = np.random.default_rng(5)
+        frames = np.concatenate(
+            [np.concatenate(list(correlated_blocks(n, 1, 700.0, 4))),
+             rng.poisson(2.0, (n, 2, 4)).astype(np.uint16)], axis=2)
+        _, minima, maxima = pixel_stats(FrameStack(frames=frames))
+        box = ((maxima[0, 0] - minima[0, 0] + 1)
+               * (maxima[1] - minima[1] + 1))
+        assert n > BLOCK_DOUBLES and box[0] > n and box.sum() > block_doubles
+        source = SplitStack(frames, range(500, n, 500))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(counting, "BLOCK_DOUBLES", block_doubles)
+            scan = covariance_scan(source, (0, 0), 1, minima, maxima)
+        assert source.passes == passes
+        for j in range(5):
+            C, stderr = sorted_jackknife(frames[:, 0, 0], frames[:, 1, j])
+            assert scan.values[j] == C
+            assert abs(scan.meta["stderr"][j] - stderr) <= 4 * np.spacing(stderr)
+        # one pass of one bincount over every column's box
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(counting, "BLOCK_DOUBLES", int(box.sum()))
+            dense = covariance_scan(SplitStack(frames, []), (0, 0), 1,
+                                    minima, maxima)
+        assert np.array_equal(dense.values, scan.values)
+        assert np.array_equal(dense.meta["stderr"], scan.meta["stderr"])
 
 
 class TestPixelCoincidence:
@@ -511,10 +578,11 @@ class TestSerialization:
         assert streamed.read_bytes() == saved.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["saved.bin",
                                                               "streamed.bin"]
-        source = FrameFile(streamed)
-        assert (source.n_frames, source.shape, source.seed) == (700, (2, 16), 11)
-        assert np.array_equal(np.concatenate(list(source.blocks())),
-                              load_frames(saved).frames)
+        with FrameFile(streamed) as source:
+            assert ((source.n_frames, source.shape, source.seed)
+                    == (700, (2, 16), 11))
+            assert np.array_equal(np.concatenate(list(source.blocks())),
+                                  load_frames(saved).frames)
 
     def test_failed_write_leaves_the_old_file(self, tmp_path):
         joint = np.zeros((2, 2))
@@ -528,6 +596,20 @@ class TestSerialization:
             write_frames(path, blocks, 5, (2, 2), 18, 16e-6)
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["frames.bin"]
+
+    def test_passes_read_the_opened_file(self, tmp_path):
+        # a stack written over the path between two passes is not read
+        path = tmp_path / "frames.bin"
+        first = synth_frames(gaussian_joint(8), 4.0, 0.0, 40, seed=3)
+        save_frames(first, path)
+        with FrameFile(path) as source:
+            totals, minima, maxima = pixel_stats(source)
+            save_frames(synth_frames(gaussian_joint(8), 40.0, 0.0, 40, seed=4),
+                        path)
+            scan = covariance_scan(source, (0, 4), 1, minima, maxima)
+        ref = conditional_map(first, (0, 4), row=1)
+        assert np.array_equal(scan.values, ref.values)
+        assert np.array_equal(scan.meta["stderr"], ref.meta["stderr"])
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
