@@ -36,11 +36,9 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_
 
 from .analysis import (GaussianFit, VisibilityFit, fit_gaussian, fit_visibility,
                        scan_fwhm)
-from .counting import (FrameStack, conditional_map, load_frames, save_frames,
-                       synth_frames)
 from .errors import ConfigError, ConvergenceError, FitError
 from .interference import (SlitGeometry, fringe_profiles, slit_plane_coherence,
-                           slit_transmission, visibility_curve)
+                           visibility_curve)
 from .profiles import (conditional_scan, momentum_to_position, overlap_point,
                        position_to_momentum, ring_radial_profile, ring_radius,
                        singles_profile)
@@ -48,7 +46,6 @@ from .pump import (CharacterizationSetup, GaussianCsd, PumpParams,
                    bessel_visibility, correlation_length, csd_coefficients,
                    propagate_to_crystal, pump_visibility)
 from .records import Profile2D, Scan1D
-from .spdc import (CrystalParams, joint_momentum_rate, noncollinear_mismatch,
-                   phase_match_gaussian, phase_match_sinc)
+from .spdc import CrystalParams, joint_momentum_rate, noncollinear_mismatch
 
 __version__ = "0.1.0"

@@ -23,19 +23,17 @@ guide table over the CDF (Chen & Asau's indexed search), which returns what
 cdf.searchsorted(u, side="right") returns.
 
 Every stage works a block of frames at a time (BLOCK_DOUBLES doubles).
-Beyond a block, a run holds only the pair counts, 8 bytes a frame, drawn in
-one call, and a covariance histogram of at most max(BLOCK_DOUBLES, n_frames)
-keys a pass: one pass covers every column at low count rates, and a single
-column at rates where each frame's count pair can be new, so a high rate
-costs passes over the frames, not memory.
+Beyond a block, a run holds only a covariance histogram of at most
+max(BLOCK_DOUBLES, n_frames) keys a pass: one pass covers every column at
+low count rates, and a single column at rates where each frame's count pair
+can be new, so a high rate costs passes over the frames, not memory.
 synth_blocks draws a stack as uint16 blocks, write_frames streams blocks to
 a file, FrameFile reads one back a block at a time, and pixel_stats and
 covariance_scan each make one pass over a frame source.  A frame source
 has n_frames, shape (height, width) and blocks(), which yields
-(k, height, width) uint16 arrays in frame order; FrameStack (in memory) and
-FrameFile (on disk) are both sources.
-synth_frames, save_frames, load_frames and conditional_map are the same
-steps with the whole stack in memory.
+(k, height, width) uint16 arrays in frame order.  FrameFile is the
+package's source; anything with those three members is one too, as the
+tests' in-memory stacks are.
 
 Serialized stack layout (all little-endian), documented for external readers:
 
@@ -50,27 +48,20 @@ Serialized stack layout (all little-endian), documented for external readers:
 """
 
 import contextlib
-import math
 import operator
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .records import Scan1D
 
 __all__ = [
-    "FrameStack",
     "FrameFile",
     "synth_blocks",
-    "synth_frames",
     "write_frames",
-    "save_frames",
-    "load_frames",
     "pixel_stats",
     "covariance_scan",
-    "conditional_map",
 ]
 
 MAGIC = b"GSMFRAM1"
@@ -90,49 +81,6 @@ EXPOSURE = 20e-3  # s, recorded with a synthesized stack
 def _block_frames(doubles_per_frame):
     """Frames a block holds: BLOCK_DOUBLES doubles, and at least one frame."""
     return max(1, int(BLOCK_DOUBLES // doubles_per_frame))
-
-
-def _gathered(blocks, shape):
-    """The blocks of a stack of the given shape, copied into one array."""
-    frames = np.empty(shape, dtype=np.uint16)
-    k0 = 0
-    for block in blocks:
-        frames[k0:k0 + len(block)] = block
-        k0 += len(block)
-    return frames
-
-
-@dataclass
-class FrameStack:
-    """Stack of 2-D photon-count frames plus acquisition metadata."""
-
-    frames: np.ndarray          # (n_frames, height, width) unsigned counts
-    pixel_pitch: float = 16e-6  # m
-    exposure: float = EXPOSURE  # s
-    seed: int = 0
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames)
-        if self.frames.ndim != 3:
-            raise ValueError("frames must be a (n_frames, height, width) array")
-        # unsigned counts need no scan (and no frame-sized mask) for signs
-        if self.frames.dtype.kind != "u" and np.any(self.frames < 0):
-            raise ValueError("counts must be non-negative")
-        self.frames = self.frames.astype(np.uint16, copy=False)
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def shape(self):
-        return self.frames.shape[1:]
-
-    def blocks(self):
-        """Views of the frames, a block at a time, in frame order."""
-        step = _block_frames(math.prod(self.shape))
-        for k0 in range(0, self.n_frames, step):
-            yield self.frames[k0:k0 + step]
 
 
 class FrameFile:
@@ -200,11 +148,11 @@ def synth_blocks(joint, pairs_per_frame: float, noise: float, n_frames: int,
     pairs_per_frame); each pair lands at (row 0, i) and (row 1, j) with
     probability P[i, j].  Dark counts are independent Bernoulli(noise) per
     pixel per frame.  np.random.default_rng(seed).spawn(3) gives three
-    streams: every frame's pair count is drawn from the first in one call,
-    the pair positions from the second and the dark-count uniforms from the
-    third.  Each stream is read in frame order, and NumPy's draws do not
-    depend on how a stream's reads are split, so the stack depends on the
-    seed alone.  The seed must fit the format's u64.
+    streams: the pair counts are drawn from the first, the pair positions
+    from the second and the dark-count uniforms from the third.  Each stream
+    is read in frame order, and NumPy's draws do not depend on how a
+    stream's reads are split, so the stack depends on the seed alone.  The
+    seed must fit the format's u64.
 
     The arguments are checked here.  The frames are drawn lazily: the
     returned iterator yields (k, 2, n_px) uint16 blocks in frame order, and
@@ -234,12 +182,12 @@ def synth_blocks(joint, pairs_per_frame: float, noise: float, n_frames: int,
 def _drawn_blocks(cdf, n_px, pairs_per_frame, noise, n_frames, seed):
     guide, crowded = _guide_table(cdf)
     count_rng, pair_rng, dark_rng = np.random.default_rng(seed).spawn(3)
-    n_pairs = count_rng.poisson(pairs_per_frame, n_frames)
     block = _block_frames(pairs_per_frame + 2 * n_px)
     for k0 in range(0, n_frames, block):
         k1 = min(k0 + block, n_frames)
+        n_pairs = count_rng.poisson(pairs_per_frame, k1 - k0)
         # bin every pair of the block keyed by frame * n_px + column
-        base = np.repeat(np.arange(k1 - k0) * n_px, n_pairs[k0:k1])
+        base = np.repeat(np.arange(k1 - k0) * n_px, n_pairs)
         i, j = np.divmod(_lookup(cdf, guide, crowded,
                                  pair_rng.random(base.size)), n_px)
         size = (k1 - k0) * n_px
@@ -255,15 +203,6 @@ def _drawn_blocks(cdf, n_px, pairs_per_frame, noise, n_frames, seed):
                 f"frame {k0 + f} holds {peaks[f]} counts in one pixel, more "
                 f"than the u16 format's {U16_MAX}")
         yield counts.astype(np.uint16)
-
-
-def synth_frames(joint, pairs_per_frame: float, noise: float, n_frames: int,
-                 seed: int, pixel_pitch: float = 16e-6) -> FrameStack:
-    """The stack of synth_blocks, drawn into memory."""
-    blocks = synth_blocks(joint, pairs_per_frame, noise, n_frames, seed)
-    n_px = np.shape(joint)[0]
-    return FrameStack(frames=_gathered(blocks, (n_frames, 2, n_px)),
-                      pixel_pitch=pixel_pitch, seed=operator.index(seed))
 
 
 def _guide_table(cdf):
@@ -316,20 +255,6 @@ def write_frames(path, blocks, n_frames: int, shape, seed: int,
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
-
-
-def save_frames(stack: FrameStack, path):
-    """Write an in-memory stack in the documented layout."""
-    write_frames(path, stack.blocks(), stack.n_frames, stack.shape,
-                 stack.seed, stack.pixel_pitch, stack.exposure)
-
-
-def load_frames(path) -> FrameStack:
-    """A serialized stack, read into memory."""
-    with FrameFile(path) as source:
-        frames = _gathered(source.blocks(), (source.n_frames, *source.shape))
-    return FrameStack(frames=frames, pixel_pitch=source.pixel_pitch,
-                      exposure=source.exposure, seed=source.seed)
 
 
 def pixel_stats(source):
@@ -495,7 +420,3 @@ def covariance_scan(source, pixel, row: int, minima, maxima) -> Scan1D:
                   meta={"stderr": err, "pixel": pixel, "row": row,
                         "n_frames": n})
 
-
-def conditional_map(stack: FrameStack, pixel, row: int) -> Scan1D:
-    """covariance_scan over an in-memory stack."""
-    return covariance_scan(stack, pixel, row, *pixel_stats(stack)[1:])

@@ -75,7 +75,6 @@ from .spdc import CrystalParams
 
 __all__ = [
     "SlitGeometry",
-    "slit_transmission",
     "slit_plane_coherence",
     "fringe_profiles",
     "visibility_curve",
@@ -104,16 +103,6 @@ class SlitGeometry:
 
     def fringe_period(self, lambda_s: float) -> float:
         return lambda_s * self.z1 / self.d
-
-
-def slit_transmission(x, slits: SlitGeometry):
-    """Binary transfer function of the double slit; boundaries transmit."""
-    x = np.asarray(x, dtype=float)
-    lo = (slits.d - slits.a) / 2.0
-    hi = (slits.d + slits.a) / 2.0
-    inside = ((x >= lo) & (x <= hi)) | ((x >= -hi) & (x <= -lo))
-    out = inside.astype(int)
-    return int(out) if out.ndim == 0 else out
 
 
 def _signal_csd(pump: PumpParams, crystal: CrystalParams, z: float) -> GaussianCsd:

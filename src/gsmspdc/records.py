@@ -27,10 +27,6 @@ class Scan1D:
         if self.xs.size >= 2 and not np.all(np.diff(self.xs) > 0):
             raise ValueError("xs must be strictly increasing")
 
-    @property
-    def pitch(self) -> float:
-        return float(self.xs[1] - self.xs[0])
-
 
 @dataclass
 class Profile2D:

@@ -35,8 +35,6 @@ from .pump import PumpParams, csd_coefficients
 
 __all__ = [
     "CrystalParams",
-    "phase_match_sinc",
-    "phase_match_gaussian",
     "noncollinear_mismatch",
     "mismatch_square",
     "joint_momentum_rate",
@@ -80,24 +78,6 @@ def _sinc(x):
     np.divide(out, x, out=out, where=nonzero)
     np.copyto(out, 1.0, where=~nonzero)
     return out[()]
-
-
-def phase_match_sinc(q_s, q_i, crystal: CrystalParams, k_p: float):
-    """Collinear phase-matching amplitude sinc(dq L / 2)."""
-    if k_p <= 0:
-        raise ValueError("k_p must be positive")
-    (sx, sy), (ix, iy) = q_s, q_i
-    dq = ((sx - ix) ** 2 + (sy - iy) ** 2) / (2.0 * k_p)
-    return _sinc(dq * crystal.L / 2.0)
-
-
-def phase_match_gaussian(q_s, q_i, crystal: CrystalParams, k_p: float):
-    """Gaussian approximation exp(-alpha L |q_s - q_i|^2 / (4 k_p))."""
-    if k_p <= 0:
-        raise ValueError("k_p must be positive")
-    (sx, sy), (ix, iy) = q_s, q_i
-    d2 = (sx - ix) ** 2 + (sy - iy) ** 2
-    return np.exp(-crystal.alpha * crystal.L * d2 / (4.0 * k_p))
 
 
 def noncollinear_mismatch(q_s, q_i, crystal: CrystalParams, k_p: float):

@@ -6,10 +6,10 @@ report.
 
 import numpy as np
 import pytest
+from frame_sources import drawn_stack, stack_scan
 
 from gsmspdc.analysis import fit_gaussian, fit_visibility, scan_fwhm
 from gsmspdc.cli import EXIT_OK, main
-from gsmspdc.counting import FrameStack, conditional_map, synth_frames
 from gsmspdc.interference import (SlitGeometry, fringe_profiles,
                                   visibility_curve)
 from gsmspdc.profiles import (conditional_scan, overlap_point,
@@ -129,8 +129,7 @@ class TestCriterion5ConditionalTrends:
 
         pump = pump_for(A)
         q_s0 = overlap_point(self.CRYSTAL, pump.k_p)[0]
-        coeffs = csd_coefficients(pump)
-        sigma = 1.0 / (2.0 * np.sqrt(coeffs.a - coeffs.c))
+        sigma = csd_coefficients(pump).sum_sigma
         qs = np.linspace(q_s0 - 5 * sigma, q_s0 + 5 * sigma, n_px)
         qi = np.linspace(-q_s0 - 5 * sigma, -q_s0 + 5 * sigma, n_px)
         joint = joint_momentum_rate((qs[:, None], 0.0), (qi[None, :], 0.0),
@@ -138,19 +137,18 @@ class TestCriterion5ConditionalTrends:
         return joint, int(np.argmax(joint.sum(axis=1))), qs, qi
 
     @staticmethod
-    def fitted_fwhm(stack, i_s, qi):
-        scan = conditional_map(stack, (0, i_s), row=1)
+    def fitted_fwhm(frames, i_s, qi):
+        scan = stack_scan(frames, (0, i_s), row=1)
         weights = 1.0 / np.clip(scan.meta["stderr"], 1e-12, None)
         return fit_gaussian(scan, weights=weights).fwhm * (qi[1] - qi[0])
 
-    def block_jackknife_se(self, stack, i_s, qi, n_blocks=20):
+    def block_jackknife_se(self, frames, i_s, qi, n_blocks=20):
         """Jackknife stderr of the fitted FWHM: delete one frame block, refit."""
-        blocks = np.array_split(np.arange(stack.n_frames), n_blocks)
+        blocks = np.array_split(np.arange(len(frames)), n_blocks)
         estimates = []
         for b in range(n_blocks):
             keep = np.concatenate([blocks[k] for k in range(n_blocks) if k != b])
-            estimates.append(self.fitted_fwhm(
-                FrameStack(frames=stack.frames[keep], seed=stack.seed), i_s, qi))
+            estimates.append(self.fitted_fwhm(frames[keep], i_s, qi))
         estimates = np.array(estimates)
         return np.sqrt((n_blocks - 1) / n_blocks
                        * np.sum((estimates - estimates.mean()) ** 2))
@@ -158,7 +156,7 @@ class TestCriterion5ConditionalTrends:
     def test_counting_pipeline_reproduces_fwhm(self):
         A, n_frames = 0.5, 2000
         joint, i_s, qs, qi = self.counting_setup(A)
-        stack = synth_frames(joint, 60.0, 1e-3, n_frames, seed=20250)
+        stack = drawn_stack(joint, 60.0, 1e-3, n_frames, seed=20250)
         fwhm_counts = self.fitted_fwhm(stack, i_s, qi)
         fwhm_direct = scan_fwhm(self.direct_scan(A, q_sx=float(qs[i_s])))
         stderr = self.block_jackknife_se(stack, i_s, qi)
@@ -176,7 +174,7 @@ class TestCriterion5ConditionalTrends:
         joint, i_s, _, qi = self.counting_setup()
         fwhm, se = [], []
         for seed in range(20250, 20290):
-            stack = synth_frames(joint, 60.0, 1e-3, 2000, seed=seed)
+            stack = drawn_stack(joint, 60.0, 1e-3, 2000, seed=seed)
             fwhm.append(self.fitted_fwhm(stack, i_s, qi))
             se.append(self.block_jackknife_se(stack, i_s, qi))
         ratio = np.std(fwhm, ddof=1) / np.sqrt(np.mean(np.square(se)))
@@ -219,8 +217,8 @@ class TestCriterion6RingAsymmetry:
 class TestCriterion7CoincidenceCalibration:
     def test_noise_only_pairs(self):
         n_px, n_frames, noise = 32, 3000, 0.1
-        stack = synth_frames(np.ones((n_px, n_px)), 0.0, noise, n_frames,
-                             seed=123)
+        stack = drawn_stack(np.ones((n_px, n_px)), 0.0, noise, n_frames,
+                            seed=123)
         rng = np.random.default_rng(7)
         pairs = set()
         while len(pairs) < 100:
@@ -230,7 +228,7 @@ class TestCriterion7CoincidenceCalibration:
                 pairs.add((i, j))
         violations = 0
         for i, j in sorted(pairs):
-            scan = conditional_map(stack, i, row=j[0])
+            scan = stack_scan(stack, i, row=j[0])
             if abs(scan.values[j[1]]) >= 3 * scan.meta["stderr"][j[1]]:
                 violations += 1
         assert violations <= 1  # >= 99% of 100 pairs consistent with zero
@@ -241,8 +239,8 @@ class TestCriterion7CoincidenceCalibration:
         mu = 3.0
         joint = np.zeros((16, 16))
         joint[5, 11] = 1.0
-        stack = synth_frames(joint, mu, 0.0, 4000, seed=42)
-        scan = conditional_map(stack, (0, 5), row=1)
+        stack = drawn_stack(joint, mu, 0.0, 4000, seed=42)
+        scan = stack_scan(stack, (0, 5), row=1)
         C, stderr = scan.values[11], scan.meta["stderr"][11]
         assert abs(C - mu) < 3 * stderr
         report("7b", f"perfectly paired injection: C = {C:.3f} "

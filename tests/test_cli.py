@@ -24,8 +24,7 @@ from gsmspdc.config import (KEYS, MAX_D12_SAMPLES, MAX_DETECTOR_SAMPLES,
                             MAX_FRAMES, MAX_GRID_SAMPLES, MAX_N_PX,
                             MAX_PAIRS_PER_FRAME, _finite, _finite_list,
                             _integer, load_config)
-from gsmspdc.counting import (FrameStack, load_frames, save_frames,
-                              synth_frames, write_frames)
+from gsmspdc.counting import FrameFile, synth_blocks, write_frames
 from gsmspdc.iofmt import read_pgm16
 
 BASE_CONFIG = """
@@ -155,10 +154,10 @@ class TestCountingPipeline:
     def test_frames_then_coincidence(self, config_file, tmp_path):
         out = tmp_path / "out"
         assert run("frames-synth", config_file, out) == EXIT_OK
-        stack = load_frames(out / "frames.bin")
-        assert stack.n_frames == 300
-        assert stack.shape == (2, 24)
-        assert stack.seed == 777
+        with FrameFile(out / "frames.bin") as stack:
+            assert stack.n_frames == 300
+            assert stack.shape == (2, 24)
+            assert stack.seed == 777
         assert run("coincidence", config_file, out) == EXIT_OK
         lines = (out / "coincidence.csv").read_text().splitlines()
         assert lines[0] == "j_px,C_counts2,stderr_counts2"
@@ -215,7 +214,7 @@ class TestCountingPipeline:
             frames[0:40:2, 1, j] = 1
             frames[1:2 * m:2, 1, j] = 1
         path = tmp_path / "frames.bin"
-        save_frames(FrameStack(frames=frames), path)
+        write_frames(path, [frames], n, (2, n_px), 0, 16e-6)
         config = tmp_path / "anti.ini"
         config.write_text(f"{BASE_CONFIG}frames_file = {path}\nsignal_px = 0\n")
         out = tmp_path / "out"
@@ -261,7 +260,8 @@ class TestCountingPipeline:
         code = main(["run", "frames-synth", "--config", str(config_file),
                      "--out", str(out), "--seed", "1234"])
         assert code == EXIT_OK
-        assert load_frames(out / "frames.bin").seed == 1234
+        with FrameFile(out / "frames.bin") as stack:
+            assert stack.seed == 1234
 
 
 PEAK_RSS_SCRIPT = """
@@ -497,7 +497,8 @@ def _frames_file(body):
 def _stack_bytes(tmp_path, n_frames):
     """A saved 2 x 4 stack of n_frames frames."""
     full = tmp_path / "full.bin"
-    save_frames(synth_frames(np.ones((4, 4)), 2.0, 0.0, n_frames, seed=1), full)
+    write_frames(full, synth_blocks(np.ones((4, 4)), 2.0, 0.0, n_frames, seed=1),
+                 n_frames, (2, 4), 1, 16e-6)
     return full.read_bytes()
 
 

@@ -1,16 +1,17 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
+from frame_sources import SplitStack, drawn_stack, stack_scan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsmspdc import counting
 from gsmspdc.analysis import fit_gaussian
-from gsmspdc.counting import (BLOCK_DOUBLES, U16_MAX, FrameFile, FrameStack,
-                              conditional_map, covariance_scan, load_frames,
-                              pixel_stats, save_frames, synth_blocks,
-                              synth_frames, write_frames)
+from gsmspdc.counting import (BLOCK_DOUBLES, U16_MAX, FrameFile,
+                              covariance_scan, pixel_stats, synth_blocks,
+                              write_frames)
 
 
 def gaussian_joint(n_px=48, center=(24, 24), sigma=4.0):
@@ -47,22 +48,8 @@ def sparse_joint():
     return joint
 
 
-class TestFrameStack:
-    def test_negative_signed_count_rejected(self):
-        frames = np.zeros((2, 2, 3), dtype=np.int32)
-        frames[1, 0, 2] = -1
-        with pytest.raises(ValueError, match="non-negative"):
-            FrameStack(frames=frames)
-
-    def test_u16_frames_kept_without_copy(self):
-        frames = np.arange(12, dtype=np.uint16).reshape(2, 2, 3)
-        stack = FrameStack(frames=frames)
-        assert stack.frames.dtype == np.uint16
-        assert np.shares_memory(stack.frames, frames)
-
-
 class TestSynthStream:
-    """synth_frames must draw the same stream as the reference loop."""
+    """synth_blocks must draw the same stream as the reference loop."""
 
     @pytest.mark.parametrize("joint, pairs, noise, n_frames, seed", [
         (gaussian_joint(16), 6.0, 0.02, 300, 99),
@@ -80,59 +67,55 @@ class TestSynthStream:
         # memory and is no part of the stream
         for block_doubles in (BLOCK_DOUBLES, 1):
             monkeypatch.setattr(counting, "BLOCK_DOUBLES", block_doubles)
-            stack = synth_frames(joint, pairs, noise, n_frames, seed=seed)
-            assert stack.frames.dtype == ref.dtype
-            assert np.array_equal(stack.frames, ref)
+            frames = drawn_stack(joint, pairs, noise, n_frames, seed)
+            assert frames.dtype == ref.dtype
+            assert np.array_equal(frames, ref)
 
 
 class TestSynthFrames:
     def test_zero_rates_give_zero_stack(self):
-        stack = synth_frames(np.ones((8, 8)), 0.0, 0.0, 50, seed=1)
-        assert stack.frames.sum() == 0
+        assert drawn_stack(np.ones((8, 8)), 0.0, 0.0, 50, seed=1).sum() == 0
 
     def test_noise_only_per_pixel_mean(self):
         # binomial oracle: per-pixel mean = noise +- 3 sqrt(p (1-p) / n)
         p, n = 0.05, 4000
-        stack = synth_frames(np.ones((16, 16)), 0.0, p, n, seed=21)
-        means = stack.frames.mean(axis=0)
+        means = drawn_stack(np.ones((16, 16)), 0.0, p, n, seed=21).mean(axis=0)
         bound = 3.0 * np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(means - p) < bound)
 
     def test_fixed_seed_bit_identical(self):
         kwargs = dict(joint=gaussian_joint(16), pairs_per_frame=3.0,
                       noise=0.01, n_frames=200, seed=99)
-        one = synth_frames(**kwargs)
-        two = synth_frames(**kwargs)
-        assert np.array_equal(one.frames, two.frames)
+        assert np.array_equal(drawn_stack(**kwargs), drawn_stack(**kwargs))
 
     def test_counts_are_integer_u16(self):
-        stack = synth_frames(gaussian_joint(16), 3.0, 0.01, 50, seed=2)
-        assert stack.frames.dtype == np.uint16
+        for block in synth_blocks(gaussian_joint(16), 3.0, 0.01, 50, seed=2):
+            assert block.dtype == np.uint16
 
     def test_rejects_degenerate_joint(self):
         with pytest.raises(ValueError):
-            synth_frames(np.zeros((8, 8)), 1.0, 0.0, 10, seed=0)
+            synth_blocks(np.zeros((8, 8)), 1.0, 0.0, 10, seed=0)
         with pytest.raises(ValueError):
-            synth_frames(np.full((8, 8), -1.0), 1.0, 0.0, 10, seed=0)
+            synth_blocks(np.full((8, 8), -1.0), 1.0, 0.0, 10, seed=0)
 
     def test_pair_lands_on_both_rows(self):
         joint = np.zeros((8, 8))
         joint[2, 6] = 1.0
-        stack = synth_frames(joint, 4.0, 0.0, 100, seed=3)
-        assert np.array_equal(stack.frames[:, 0, 2], stack.frames[:, 1, 6])
-        others = stack.frames.sum() - 2 * stack.frames[:, 0, 2].sum()
+        frames = drawn_stack(joint, 4.0, 0.0, 100, seed=3)
+        assert np.array_equal(frames[:, 0, 2], frames[:, 1, 6])
+        others = frames.sum() - 2 * frames[:, 0, 2].sum()
         assert others == 0
 
     def test_rejects_u16_overflow(self):
         joint = np.zeros((2, 2))
         joint[0, 1] = 1.0
         with pytest.raises(ValueError, match="u16"):
-            synth_frames(joint, 70000.0, 0.0, 2, seed=1)
+            drawn_stack(joint, 70000.0, 0.0, 2, seed=1)
         # the largest count the format holds is still accepted
-        stack = synth_frames(joint, 60000.0, 0.0, 2, seed=1)
-        assert np.array_equal(stack.frames[:, 0, 0], stack.frames[:, 1, 1])
-        assert stack.frames[:, 0, 1].sum() == stack.frames[:, 1, 0].sum() == 0
-        assert stack.frames.min(axis=0).max() > 59000
+        frames = drawn_stack(joint, 60000.0, 0.0, 2, seed=1)
+        assert np.array_equal(frames[:, 0, 0], frames[:, 1, 1])
+        assert frames[:, 0, 1].sum() == frames[:, 1, 0].sum() == 0
+        assert frames.min(axis=0).max() > 59000
 
     @pytest.mark.parametrize("block_doubles", [BLOCK_DOUBLES, 2**17])
     def test_overflow_names_frame_beyond_first_block(self, block_doubles,
@@ -148,22 +131,37 @@ class TestSynthFrames:
         assert bad >= 2
         with pytest.raises(ValueError,
                            match=f"frame {bad} holds {peaks[bad]} counts"):
-            synth_frames(joint, rate, 0.0, 5, seed=seed)
+            drawn_stack(joint, rate, 0.0, 5, seed=seed)
 
     @pytest.mark.parametrize("seed", [2**64, -1])
     def test_rejects_seed_outside_u64(self, seed):
         with pytest.raises(ValueError, match="seed"):
-            synth_frames(gaussian_joint(8), 1.0, 0.0, 2, seed=seed)
+            synth_blocks(gaussian_joint(8), 1.0, 0.0, 2, seed=seed)
+
+    def test_draw_memory_does_not_grow_with_frames(self):
+        # a draw holds a block at a time, whatever the number of frames
+        joint = gaussian_joint(48)
+
+        def peak(n_frames):
+            tracemalloc.start()
+            try:
+                for _ in synth_blocks(joint, 20.0, 1e-3, n_frames, seed=5):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(100_000) - peak(10_000) < 64 * 1024
 
 
-def pair_covariance(stack, i, j):
-    """(C, stderr) of pixels i and j, read from the conditional map of i."""
-    scan = conditional_map(stack, i, row=j[0])
+def pair_covariance(frames, i, j):
+    """(C, stderr) of pixels i and j, read from the covariance scan of i."""
+    scan = stack_scan(frames, i, row=j[0])
     return scan.values[j[1]], scan.meta["stderr"][j[1]]
 
 
 def searched_cdf(joint):
-    """The CDF synth_frames draws pair cells from."""
+    """The CDF synth_blocks draws pair cells from."""
     P = np.asarray(joint, dtype=float)
     cdf = (P / P.sum()).ravel().cumsum()
     return cdf / cdf[-1]
@@ -217,7 +215,7 @@ class TestGuideLookup:
 
 
 def sorted_jackknife(x, y):
-    """The estimator conditional_map replaced: leave-one-frame-out terms
+    """The estimator covariance_scan replaced: leave-one-frame-out terms
     summed in sorted order over all n frames."""
     n = x.size
     x64 = x.astype(np.int64)
@@ -235,7 +233,7 @@ def sorted_jackknife(x, y):
 
 
 class TestHistogramJackknife:
-    """conditional_map against the sorted sums over every frame: C equal,
+    """covariance_scan against the sorted sums over every frame: C equal,
     stderr within 4 ulp, on the bincount and on the np.unique histogram."""
 
     @pytest.mark.parametrize("joint, pairs, noise, n_frames, seed, bincount", [
@@ -247,12 +245,12 @@ class TestHistogramJackknife:
     ], ids=["full-scale", "small", "noise-only", "high-rate"])
     def test_matches_sorted_sums(self, joint, pairs, noise, n_frames, seed,
                                  bincount):
-        stack = synth_frames(joint, pairs, noise, n_frames, seed=seed)
-        pixel = (0, int(np.argmax(stack.frames[:, 0].sum(axis=0))))
-        x = stack.frames[:, pixel[0], pixel[1]]
-        scan = conditional_map(stack, pixel, row=1)
-        for j in range(stack.shape[1]):
-            y = stack.frames[:, 1, j]
+        frames = drawn_stack(joint, pairs, noise, n_frames, seed=seed)
+        pixel = (0, int(np.argmax(frames[:, 0].sum(axis=0))))
+        x = frames[:, pixel[0], pixel[1]]
+        scan = stack_scan(frames, pixel, row=1)
+        for j in range(frames.shape[2]):
+            y = frames[:, 1, j]
             assert ((int(x.max()) + 1) * (int(y.max()) + 1)
                     <= n_frames) == bincount
             C, stderr = sorted_jackknife(x, y)
@@ -262,27 +260,11 @@ class TestHistogramJackknife:
     def test_pixel_swap_bit_identical(self):
         # the sums run in a canonical order, not in the histogram's key order
         for seed in range(6):
-            stack = synth_frames(gaussian_joint(16), 5.0 + seed, 0.01,
-                                 300 + 37 * seed, seed=seed)
+            stack = drawn_stack(gaussian_joint(16), 5.0 + seed, 0.01,
+                                300 + 37 * seed, seed=seed)
             for i, j in [((0, 7), (1, 9)), ((0, 3), (1, 8)), ((0, 8), (1, 8))]:
                 assert (pair_covariance(stack, i, j)
                         == pair_covariance(stack, j, i))
-
-
-class SplitStack:
-    """A frame source whose blocks end at the given frame indices; passes
-    counts the calls of blocks()."""
-
-    def __init__(self, frames, cuts):
-        self.frames = frames
-        self.n_frames, *self.shape = frames.shape
-        self.edges = [0, *cuts, self.n_frames]
-        self.passes = 0
-
-    def blocks(self):
-        self.passes += 1
-        for k0, k1 in zip(self.edges, self.edges[1:]):
-            yield self.frames[k0:k1]
 
 
 def correlated_blocks(n_frames, width, rate, seed, step=10_000):
@@ -309,7 +291,7 @@ STREAM_CASES = {
 
 @functools.cache
 def stream_case_frames(case):
-    return synth_frames(*STREAM_CASES[case][0]).frames
+    return drawn_stack(*STREAM_CASES[case][0])
 
 
 class TestBlockSplits:
@@ -357,9 +339,6 @@ class TestBlockSplits:
         assert not np.any(np.isnan(ref.values))
         assert np.array_equal(split_scan.values, ref.values)
         assert np.array_equal(split_scan.meta["stderr"], ref.meta["stderr"])
-        scan = conditional_map(FrameStack(frames=frames), pixel, row=1)
-        assert np.array_equal(scan.values, ref.values)
-        assert np.array_equal(scan.meta["stderr"], ref.meta["stderr"])
 
     @pytest.mark.parametrize("block_doubles, passes", [
         (BLOCK_DOUBLES, 2), (80_000, 1)], ids=["column-runs", "one-pass"])
@@ -375,7 +354,7 @@ class TestBlockSplits:
         frames = np.concatenate(
             [np.concatenate(list(correlated_blocks(n, 1, 700.0, 4))),
              rng.poisson(2.0, (n, 2, 4)).astype(np.uint16)], axis=2)
-        _, minima, maxima = pixel_stats(FrameStack(frames=frames))
+        _, minima, maxima = pixel_stats(SplitStack(frames))
         box = ((maxima[0, 0] - minima[0, 0] + 1)
                * (maxima[1] - minima[1] + 1))
         assert n > BLOCK_DOUBLES and box[0] > n and box.sum() > block_doubles
@@ -399,7 +378,7 @@ class TestBlockSplits:
 
 class TestPixelCoincidence:
     def test_independent_pixels_consistent_with_zero(self):
-        stack = synth_frames(np.ones((8, 8)), 0.0, 0.1, 3000, seed=11)
+        stack = drawn_stack(np.ones((8, 8)), 0.0, 0.1, 3000, seed=11)
         C, stderr = pair_covariance(stack, (0, 1), (1, 5))
         assert abs(C) < 3 * stderr
 
@@ -407,12 +386,12 @@ class TestPixelCoincidence:
         mu = 3.0
         joint = np.zeros((16, 16))
         joint[5, 11] = 1.0
-        stack = synth_frames(joint, mu, 0.0, 4000, seed=13)
+        stack = drawn_stack(joint, mu, 0.0, 4000, seed=13)
         C, stderr = pair_covariance(stack, (0, 5), (1, 11))
         assert abs(C - mu) < 3 * stderr
 
     def test_symmetry(self):
-        stack = synth_frames(gaussian_joint(16), 5.0, 0.01, 300, seed=17)
+        stack = drawn_stack(gaussian_joint(16), 5.0, 0.01, 300, seed=17)
         assert (pair_covariance(stack, (0, 7), (1, 9))
                 == pair_covariance(stack, (1, 9), (0, 7)))
 
@@ -420,20 +399,19 @@ class TestPixelCoincidence:
 class TestConditionalMap:
     def test_skips_own_pixel_and_rejects_short_stacks(self):
         joint = gaussian_joint(8, center=(4, 4), sigma=2.0)
-        stack = synth_frames(joint, 5.0, 0.0, 50, seed=5)
-        scan = conditional_map(stack, (1, 3), row=1)
+        frames = drawn_stack(joint, 5.0, 0.0, 50, seed=5)
+        scan = stack_scan(frames, (1, 3), row=1)
         # the pixel's own variance is replaced by its neighbours' average
         for values in (scan.values, scan.meta["stderr"]):
             assert values[3] == pytest.approx((values[2] + values[4]) / 2)
-        assert scan.values[3] != np.var(stack.frames[:, 1, 3])
-        single = FrameStack(frames=stack.frames[:1])
+        assert scan.values[3] != np.var(frames[:, 1, 3])
         with pytest.raises(ValueError):
-            conditional_map(single, (0, 1), row=1)
+            stack_scan(frames[:1], (0, 1), row=1)
 
     def test_peak_at_conjugate_pixel(self):
         joint = gaussian_joint(48, center=(20, 30), sigma=3.0)
-        stack = synth_frames(joint, 20.0, 1e-3, 2000, seed=29)
-        scan = conditional_map(stack, (0, 20), row=1)
+        frames = drawn_stack(joint, 20.0, 1e-3, 2000, seed=29)
+        scan = stack_scan(frames, (0, 20), row=1)
         # fitted peak center lands on the conjugate pixel of the generating
         # joint within one pixel
         assert fit_gaussian(scan).mean == pytest.approx(30.0, abs=1.0)
@@ -443,8 +421,8 @@ class TestConditionalMap:
         fwhm = []
         for sigma in (2.5, 5.0):
             joint = gaussian_joint(48, sigma=sigma)
-            stack = synth_frames(joint, 25.0, 1e-3, 2500, seed=31)
-            scan = conditional_map(stack, (0, 24), row=1)
+            frames = drawn_stack(joint, 25.0, 1e-3, 2500, seed=31)
+            scan = stack_scan(frames, (0, 24), row=1)
             fwhm.append(fit_gaussian(scan).fwhm)
         assert fwhm[1] > fwhm[0]
 
@@ -463,15 +441,14 @@ class TestConditionalMap:
         def pipeline_fwhm(A):
             pump = PumpParams.from_coherence(405e-9, 0.5e-3, A)
             q_s0 = overlap_point(crystal, pump.k_p)[0]
-            coeffs = csd_coefficients(pump)
-            sigma = 1.0 / (2.0 * np.sqrt(coeffs.a - coeffs.c))
+            sigma = csd_coefficients(pump).sum_sigma
             qs = np.linspace(q_s0 - 5 * sigma, q_s0 + 5 * sigma, 48)
             qi = np.linspace(-q_s0 - 5 * sigma, -q_s0 + 5 * sigma, 48)
             joint = joint_momentum_rate((qs[:, None], 0.0), (qi[None, :], 0.0),
                                         pump, crystal)
             i_s = int(np.argmax(joint.sum(axis=1)))
-            stack = synth_frames(joint, 60.0, 1e-3, 10000, seed=1)
-            scan = conditional_map(stack, (0, i_s), row=1)
+            frames = drawn_stack(joint, 60.0, 1e-3, 10000, seed=1)
+            scan = stack_scan(frames, (0, i_s), row=1)
             weights = 1.0 / np.clip(scan.meta["stderr"], 1e-12, None)
             return fit_gaussian(scan, weights=weights).fwhm * (qi[1] - qi[0])
 
@@ -479,13 +456,10 @@ class TestConditionalMap:
 
     def test_frame_order_invariance(self):
         joint = gaussian_joint(32)
-        stack = synth_frames(joint, 10.0, 1e-3, 400, seed=37)
-        scan = conditional_map(stack, (0, 16), row=1)
+        frames = drawn_stack(joint, 10.0, 1e-3, 400, seed=37)
+        scan = stack_scan(frames, (0, 16), row=1)
         rng = np.random.default_rng(0)
-        shuffled = FrameStack(frames=stack.frames[rng.permutation(400)],
-                              pixel_pitch=stack.pixel_pitch,
-                              exposure=stack.exposure, seed=stack.seed)
-        scan2 = conditional_map(shuffled, (0, 16), row=1)
+        scan2 = stack_scan(frames[rng.permutation(400)], (0, 16), row=1)
         assert np.array_equal(scan.values, scan2.values)
         assert np.array_equal(scan.meta["stderr"], scan2.meta["stderr"])
 
@@ -495,8 +469,8 @@ class TestConditionalMap:
         target = joint[16] / joint[16].sum()
         distances = []
         for n_frames in (2000, 8000, 32000):
-            stack = synth_frames(joint, 15.0, 1e-3, n_frames, seed=41)
-            scan = conditional_map(stack, (0, 16), row=1)
+            frames = drawn_stack(joint, 15.0, 1e-3, n_frames, seed=41)
+            scan = stack_scan(frames, (0, 16), row=1)
             shape = np.clip(scan.values, 0, None)
             shape = shape / shape.sum()
             distances.append(float(np.sum(np.abs(shape - target))))
@@ -517,15 +491,14 @@ def noise_only_z(seeds, n_px=32, n_frames=3000, noise=0.1):
     shuffle = np.random.default_rng(2024)
     z, z_null = [], []
     for seed in seeds:
-        stack = synth_frames(np.ones((n_px, n_px)), 0.0, noise, n_frames,
-                             seed=seed)
+        stack = drawn_stack(np.ones((n_px, n_px)), 0.0, noise, n_frames,
+                            seed=seed)
         for i, (row, col) in sorted(pairs):
-            frames = stack.frames.copy()
-            frames[:, row] = frames[shuffle.permutation(n_frames), row]
-            frames[:, i[0], i[1]] = stack.frames[:, i[0], i[1]]
-            for frame_stack, out in ((stack, z), (FrameStack(frames=frames),
-                                                  z_null)):
-                scan = conditional_map(frame_stack, i, row=row)
+            null = stack.copy()
+            null[:, row] = null[shuffle.permutation(n_frames), row]
+            null[:, i[0], i[1]] = stack[:, i[0], i[1]]
+            for frames, out in ((stack, z), (null, z_null)):
+                scan = stack_scan(frames, i, row=row)
                 out.append(scan.values[col] / scan.meta["stderr"][col])
     return np.array(z), np.array(z_null)
 
@@ -544,34 +517,36 @@ def test_noise_only_z_calibrated_over_seeds():
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        frames = synth_frames(gaussian_joint(24), 8.0, 5e-3, 120, seed=43).frames
-        stack = FrameStack(frames=frames, pixel_pitch=13e-6, exposure=0.01,
-                           seed=43)
+        frames = drawn_stack(gaussian_joint(24), 8.0, 5e-3, 120, seed=43)
         path = tmp_path / "frames.bin"
-        save_frames(stack, path)
-        loaded = load_frames(path)
-        assert np.array_equal(loaded.frames, stack.frames)
-        assert loaded.pixel_pitch == stack.pixel_pitch
-        assert loaded.exposure == stack.exposure
-        assert loaded.seed == stack.seed
+        write_frames(path, [frames], 120, (2, 24), 43, 13e-6, exposure=0.01)
+        with FrameFile(path) as source:
+            assert np.array_equal(np.concatenate(list(source.blocks())),
+                                  frames)
+            assert source.pixel_pitch == 13e-6
+            assert source.exposure == 0.01
+            assert source.seed == 43
 
     def test_layout_is_little_endian_u16(self, tmp_path):
-        stack = synth_frames(gaussian_joint(8), 2.0, 0.0, 3, seed=47)
+        frames = drawn_stack(gaussian_joint(8), 2.0, 0.0, 3, seed=47)
         path = tmp_path / "frames.bin"
-        save_frames(stack, path)
+        write_frames(path, [frames], 3, (2, 8), 47, 16e-6)
         blob = path.read_bytes()
         assert blob[:8] == b"GSMFRAM1"
         header_size = 8 + 4 + 4 + 4 + 8 + 8 + 8
         assert len(blob) == header_size + 3 * 2 * 8 * 2
         body = np.frombuffer(blob[header_size:], dtype="<u2")
-        assert np.array_equal(body.reshape(3, 2, 8), stack.frames)
+        assert np.array_equal(body.reshape(3, 2, 8), frames)
 
     @pytest.mark.parametrize("block_doubles", [BLOCK_DOUBLES, 1])
     def test_streamed_file_equals_saved_stack(self, tmp_path, monkeypatch,
                                               block_doubles):
+        # the file of a stack written as one block, and of the same stack
+        # streamed a block (of one frame, at one double) at a time
         args = (gaussian_joint(16), 6.0, 0.02, 700, 11)
+        frames = drawn_stack(*args)
         saved = tmp_path / "saved.bin"
-        save_frames(synth_frames(*args, pixel_pitch=13e-6), saved)
+        write_frames(saved, [frames], 700, (2, 16), 11, 13e-6)
         monkeypatch.setattr(counting, "BLOCK_DOUBLES", block_doubles)
         streamed = tmp_path / "streamed.bin"
         write_frames(streamed, synth_blocks(*args), 700, (2, 16), 11, 13e-6)
@@ -582,13 +557,14 @@ class TestSerialization:
             assert ((source.n_frames, source.shape, source.seed)
                     == (700, (2, 16), 11))
             assert np.array_equal(np.concatenate(list(source.blocks())),
-                                  load_frames(saved).frames)
+                                  frames)
 
     def test_failed_write_leaves_the_old_file(self, tmp_path):
         joint = np.zeros((2, 2))
         joint[0, 1] = 1.0
         path = tmp_path / "frames.bin"
-        save_frames(synth_frames(joint, 5.0, 0.0, 3, seed=1), path)
+        write_frames(path, synth_blocks(joint, 5.0, 0.0, 3, seed=1), 3,
+                     (2, 2), 1, 16e-6)
         old = path.read_bytes()
         # at this rate a block is one frame, and frame 2 overflows the u16
         blocks = synth_blocks(joint, 65450.0, 0.0, 5, seed=18)
@@ -600,14 +576,14 @@ class TestSerialization:
     def test_passes_read_the_opened_file(self, tmp_path):
         # a stack written over the path between two passes is not read
         path = tmp_path / "frames.bin"
-        first = synth_frames(gaussian_joint(8), 4.0, 0.0, 40, seed=3)
-        save_frames(first, path)
+        first = drawn_stack(gaussian_joint(8), 4.0, 0.0, 40, seed=3)
+        write_frames(path, [first], 40, (2, 8), 3, 16e-6)
         with FrameFile(path) as source:
             totals, minima, maxima = pixel_stats(source)
-            save_frames(synth_frames(gaussian_joint(8), 40.0, 0.0, 40, seed=4),
-                        path)
+            write_frames(path, synth_blocks(gaussian_joint(8), 40.0, 0.0, 40,
+                                            seed=4), 40, (2, 8), 4, 16e-6)
             scan = covariance_scan(source, (0, 4), 1, minima, maxima)
-        ref = conditional_map(first, (0, 4), row=1)
+        ref = stack_scan(first, (0, 4), row=1)
         assert np.array_equal(scan.values, ref.values)
         assert np.array_equal(scan.meta["stderr"], ref.meta["stderr"])
 
@@ -615,4 +591,4 @@ class TestSerialization:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTAFRAME" + b"\x00" * 64)
         with pytest.raises(ValueError):
-            load_frames(path)
+            FrameFile(path)

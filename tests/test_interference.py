@@ -5,8 +5,7 @@ from gsmspdc.analysis import fit_visibility
 from gsmspdc import interference, quadrature
 from gsmspdc.errors import ConvergenceError
 from gsmspdc.interference import (SlitGeometry, fringe_profiles,
-                                  slit_plane_coherence, slit_transmission,
-                                  visibility_curve)
+                                  slit_plane_coherence, visibility_curve)
 from gsmspdc.pump import PumpParams
 from gsmspdc.spdc import CrystalParams
 
@@ -37,24 +36,7 @@ def fitted_visibility(scan, slits):
     return fit_visibility([scan], period_hint=period, window=2 * period)[0].visibility
 
 
-class TestSlitTransmission:
-    def test_slit_centers(self):
-        assert slit_transmission(SLITS.d / 2, SLITS) == 1
-        assert slit_transmission(-SLITS.d / 2, SLITS) == 1
-
-    def test_between_slits(self):
-        assert slit_transmission(0.0, SLITS) == 0
-
-    def test_boundaries_inclusive(self):
-        for edge in ((SLITS.d - SLITS.a) / 2, (SLITS.d + SLITS.a) / 2):
-            assert slit_transmission(edge, SLITS) == 1
-            assert slit_transmission(-edge, SLITS) == 1
-
-    def test_outside(self):
-        assert slit_transmission(SLITS.d, SLITS) == 0
-        vec = slit_transmission(np.array([0.0, SLITS.d / 2, 1.0]), SLITS)
-        assert list(vec) == [0, 1, 0]
-
+class TestSlitGeometry:
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             SlitGeometry(a=0.2e-3, d=0.15e-3)  # slits would overlap

@@ -13,10 +13,6 @@ class TestScan1D:
         with pytest.raises(ValueError):
             Scan1D(xs=np.arange(4.0), values=np.zeros(3))
 
-    def test_pitch(self):
-        scan = Scan1D(xs=np.linspace(0, 1, 5), values=np.zeros(5))
-        assert scan.pitch == pytest.approx(0.25)
-
 
 class TestProfile2D:
     def test_rejects_negative_samples(self):

@@ -8,12 +8,12 @@ and every tolerance at 1e-15.
 
 import numpy as np
 import pytest
+from frame_sources import drawn_stack, stack_scan
 from scipy.optimize import least_squares, root
 from scipy.special import j1
 
 from gsmspdc.analysis import fit_gaussian, fit_visibility
 from gsmspdc.errors import FitError
-from gsmspdc.counting import conditional_map, synth_frames
 from gsmspdc.interference import SlitGeometry, fringe_profiles
 from gsmspdc.profiles import overlap_point
 from gsmspdc.pump import PumpParams, _bessel_j1, csd_coefficients
@@ -82,8 +82,8 @@ def coincidence_scan(A, seed):
     qi = np.linspace(-q_s0 - 5 * sigma, -q_s0 + 5 * sigma, 48)
     joint = joint_momentum_rate((qs[:, None], 0.0), (qi[None, :], 0.0),
                                 pump, CRYSTAL)
-    stack = synth_frames(joint, 20.0, 1e-3, 4000, seed=seed)
-    return conditional_map(stack, (0, int(np.argmax(joint.sum(axis=1)))), row=1)
+    stack = drawn_stack(joint, 20.0, 1e-3, 4000, seed=seed)
+    return stack_scan(stack, (0, int(np.argmax(joint.sum(axis=1)))), row=1)
 
 
 def gaussian_corpus():

@@ -5,8 +5,7 @@ import pytest
 
 from gsmspdc.pump import PumpParams, csd_coefficients
 from gsmspdc.spdc import (CrystalParams, _sinc, joint_momentum_rate,
-                          mismatch_square, noncollinear_mismatch,
-                          phase_match_gaussian, phase_match_sinc)
+                          mismatch_square, noncollinear_mismatch)
 
 LAMBDA_P = 405e-9
 K_P = 2 * np.pi / LAMBDA_P
@@ -14,70 +13,6 @@ K_P = 2 * np.pi / LAMBDA_P
 
 def collinear(L=2e-3):
     return CrystalParams(L=L, kind="I")
-
-
-def pair_with_mismatch(x, crystal):
-    """Signal/idler pair whose sinc argument dq L / 2 equals x."""
-    dq_sq = x * 4.0 * K_P / crystal.L  # |q_s - q_i|^2
-    half = np.sqrt(dq_sq) / 2.0
-    return (half, 0.0), (-half, 0.0)
-
-
-class TestPhaseMatchSinc:
-    def test_equal_momenta(self):
-        q = (1.2e4, -3e3)
-        assert phase_match_sinc(q, q, collinear(), K_P) == 1.0
-
-    def test_zero_at_pi(self):
-        q_s, q_i = pair_with_mismatch(np.pi, collinear())
-        assert abs(phase_match_sinc(q_s, q_i, collinear(), K_P)) < 1e-12
-
-    def test_value_at_one(self):
-        q_s, q_i = pair_with_mismatch(1.0, collinear())
-        assert phase_match_sinc(q_s, q_i, collinear(), K_P) == pytest.approx(
-            np.sin(1.0), abs=1e-6)
-
-    def test_rejects_bad_kp(self):
-        q = (0.0, 0.0)
-        with pytest.raises(ValueError):
-            phase_match_sinc(q, q, collinear(), 0.0)
-
-
-class TestPhaseMatchGaussian:
-    def test_equal_momenta(self):
-        q = (5e3, 5e3)
-        assert phase_match_gaussian(q, q, collinear(), K_P) == 1.0
-
-    def test_half_value_at_ln2_over_alpha(self):
-        crystal = collinear()
-        # alpha L |q_s - q_i|^2 / (4 k_p) = ln 2  ->  value 1/2
-        d2 = np.log(2.0) * 4.0 * K_P / (crystal.alpha * crystal.L)
-        q_s = (np.sqrt(d2) / 2.0, 0.0)
-        q_i = (-np.sqrt(d2) / 2.0, 0.0)
-        assert phase_match_gaussian(q_s, q_i, crystal, K_P) == pytest.approx(
-            0.5, abs=1e-12)
-
-    def test_bounded_by_one_with_equality_iff_equal(self):
-        crystal = collinear()
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            q_s = tuple(rng.normal(scale=2e4, size=2))
-            q_i = tuple(rng.normal(scale=2e4, size=2))
-            value = phase_match_gaussian(q_s, q_i, crystal, K_P)
-            assert value <= 1.0
-            if q_s != q_i:
-                assert value < 1.0
-
-    def test_main_lobe_gap_diagnostic(self):
-        # report-only: max |sinc - gaussian| over the main lobe
-        crystal = collinear()
-        xs = np.linspace(0.0, np.pi, 400)
-        gaps = []
-        for x in xs:
-            q_s, q_i = pair_with_mismatch(x, crystal)
-            gaps.append(abs(phase_match_sinc(q_s, q_i, crystal, K_P)
-                            - phase_match_gaussian(q_s, q_i, crystal, K_P)))
-        print(f"max |sinc - gaussian| over the main lobe: {max(gaps):.4f}")
 
 
 class TestNoncollinearMismatch:
@@ -110,7 +45,9 @@ class TestNoncollinearMismatch:
         ix, iy = rng.normal(scale=3e4, size=(2, 10000))
         dkz = noncollinear_mismatch((sx, sy), (ix, iy), crystal, K_P)
         via_mismatch = np.sinc(crystal.L * dkz / 2.0 / np.pi)
-        direct = phase_match_sinc((sx, sy), (ix, iy), crystal, K_P)
+        # the collinear amplitude sinc(|q_s - q_i|^2 L / (4 k_p))
+        d2 = (sx - ix) ** 2 + (sy - iy) ** 2
+        direct = np.sinc(d2 * crystal.L / (4.0 * K_P) / np.pi)
         assert np.max(np.abs(via_mismatch - direct)) < 1e-12
 
 
