@@ -10,9 +10,9 @@ frames,
 with a standard error from a leave-one-frame-out jackknife.  For a Poisson
 pair process with joint pixel distribution P, C equals
 pairs_per_frame * P(i, j) exactly, so C-scans estimate the generating
-conditional distribution shape.  Both are computed from the exact integer
-histogram of the per-frame count pairs (n_i, n_j), so they do not depend on
-the order of the frames.
+conditional distribution shape.  Both are computed from exact integer sums
+over the frames of n_i**a n_j**b (a, b <= 2), so they do not depend on the
+order of the frames or on their split into blocks.
 
 Synthetic frames have shape (2, n_px): row 0 collects the signal photon of
 each pair, row 1 the idler photon.  The joint distribution is a 2-D matrix
@@ -22,11 +22,8 @@ counts), so it depends on the seed alone.  A pair's cell is found through a
 guide table over the CDF (Chen & Asau's indexed search), which returns what
 cdf.searchsorted(u, side="right") returns.
 
-Every stage works a block of frames at a time (BLOCK_DOUBLES doubles).
-Beyond a block, a run holds only a covariance histogram of at most
-max(BLOCK_DOUBLES, n_frames) keys a pass: one pass covers every column at
-low count rates, and a single column at rates where each frame's count pair
-can be new, so a high rate costs passes over the frames, not memory.
+Every stage works a block of frames at a time (BLOCK_DOUBLES doubles), and
+beyond a block holds only a few sums per column, at any count rate.
 synth_blocks draws a stack as uint16 blocks, write_frames streams blocks to
 a file, FrameFile reads one back a block at a time, and pixel_stats and
 covariance_scan each make one pass over a frame source.  A frame source
@@ -48,6 +45,7 @@ Serialized stack layout (all little-endian), documented for external readers:
 """
 
 import contextlib
+import math
 import operator
 import os
 import struct
@@ -67,11 +65,13 @@ __all__ = [
 MAGIC = b"GSMFRAM1"
 _HEADER = struct.Struct("<III Q d d")
 U16_MAX = np.iinfo(np.uint16).max
+U64_MAX = 2**64 - 1
 # Doubles a block of frames may hold: a frame counts its mean pairs plus its
 # 2 n_px pixels when drawn, and its pixels when read or scanned.  A block
 # stays near 256 KB at any rate, and from 2**15 doubles a frame a block is
-# one frame.  It bounds the memory of synthesis, file and scan; a covariance
-# histogram may grow to n_frames keys beyond it.  No output depends on it.
+# one frame.  It bounds the memory of synthesis, file and scan, whose uint64
+# copies of a block's scanned row are a few times its size.  No output
+# depends on it.
 BLOCK_DOUBLES = 2**15
 # buckets of the guide table that maps a uniform draw to its CDF cell
 GUIDE_BUCKETS = 4096
@@ -258,131 +258,77 @@ def write_frames(path, blocks, n_frames: int, shape, seed: int,
 
 
 def pixel_stats(source):
-    """Each pixel's count total, count minimum and count maximum over the
-    frames of a frame source: three (height, width) int64 arrays from one
-    pass."""
+    """Each pixel's count total over the frames of a frame source: a
+    (height, width) int64 array from one pass."""
     totals = np.zeros(source.shape, dtype=np.int64)
-    minima = np.full(source.shape, U16_MAX, dtype=np.int64)
-    maxima = np.zeros(source.shape, dtype=np.int64)
     for block in source.blocks():
         totals += block.sum(axis=0, dtype=np.int64)
-        np.minimum(minima, block.min(axis=0), out=minima)
-        np.maximum(maxima, block.max(axis=0), out=maxima)
-    return totals, minima, maxima
+    return totals
 
 
-def _column_runs(sizes, budget):
-    """Runs of consecutive columns, as (first, stop) pairs, whose sizes sum
-    to at most budget; a run holds at least one column."""
-    runs, j0, total = [], 0, 0
-    for j, size in enumerate(sizes):
-        if total + size > budget and j > j0:
-            runs.append((j0, j))
-            j0, total = j, 0
-        total += size
-    runs.append((j0, len(sizes)))
-    return runs
+def _moments(source, pixel, row):
+    """Exact integer sums over the frames of a source, from one pass: for
+    the fixed pixel's counts x and each column's counts y of the row,
+    sums[a, b - 1] = sum(x**a * y**b) for a = 0, 1, 2 and b = 1, 2, a
+    (3, 2, width) array of ints, and sum(x) and sum(x**2).
 
-
-def _pair_histogram(blocks, pixel, row, cols, lows, nx, ny, budget):
-    """Exact integer histogram of the (fixed pixel, column) count pairs of
-    the columns cols (a slice) of a row, from one pass over the blocks.
-
-    lows = (x0, y0): the fixed pixel counts x0 to x0 + nx - 1 and the i-th
-    column y0[i] to y0[i] + ny[i] - 1; that column's pair (x0 + a, y0[i] + b)
-    is keyed starts[i] + a * ny[i] + b, so the keys of all the columns share
-    [0, nx * sum(ny)).  The histogram is a bincount when it has at most
-    budget cells, else merged np.unique counts.  A block's keys are queued,
-    and the queue is folded into the histogram once it holds more keys than
-    the bincount has cells, or than budget: a fold costs about as much as
-    its queue, so a pass is linear (bincount) or n log n (np.unique) in its
-    keys.  With columns of at most budget distinct pairs, as covariance_scan
-    picks them, a pass holds about 2 budget keys at most.  Returns the
-    starts, the sorted keys that occur and their int64 counts.
+    A block is summed in uint64 a chunk of frames at a time, each chunk
+    holding as many frames as keep max(x)**2 max(y)**2 times its frames
+    below 2**64 (at least one, since 65535**4 < 2**64), and a chunk's sums
+    are added as Python ints.
     """
-    ends = nx * np.cumsum(ny)
-    starts = ends - nx * ny
-    cells = int(ends[-1])
-    dense = cells <= budget
-    keys = np.arange(cells) if dense else np.empty(0, dtype=np.int64)
-    counts = np.zeros(keys.size, dtype=np.int64)
-
-    def fold(keys, counts, queue):
-        k = np.concatenate(queue) if len(queue) > 1 else queue[0]
-        if dense:
-            return keys, counts + np.bincount(k, minlength=cells)
-        k, c = np.unique(k, return_counts=True)
-        if not keys.size:
-            return k, c
-        merged, inverse = np.unique(np.concatenate([keys, k]),
-                                    return_inverse=True)
-        # float sums of integer counts below 2**53 are exact
-        return merged, np.bincount(inverse, np.concatenate([counts, c])
-                                   ).astype(np.int64)
-
-    x0, y0 = lows
-    offsets = starts - y0
-    if dense:  # the keys of (x0 + a, 0) in each column, a row for each a
-        table = offsets + np.arange(nx)[:, None] * ny
-    limit = cells if dense else budget
-    queue, queued = [], 0
-    for block in blocks:
-        x = block[:, pixel[0], pixel[1]].astype(np.intp) - x0
-        if dense:
-            k = table[x]
-        else:
-            k = x[:, None] * ny
-            k += offsets
-        k += block[:, row, cols]
-        queue.append(k.ravel())
-        queued += k.size
-        if queued > limit:
-            keys, counts = fold(keys, counts, queue)
-            queue, queued = [], 0
-    if queue:
-        keys, counts = fold(keys, counts, queue)
-    seen = counts > 0
-    return starts, keys[seen], counts[seen]
+    width = source.shape[1]
+    sums = np.zeros((3, 2 * width), dtype=object)
+    sx = sxx = 0
+    for block in source.blocks():
+        x = block[:, pixel[0], pixel[1]].astype(np.uint64)
+        # (width, k): each column's counts contiguous, for einsum
+        y = block[:, row].T.astype(np.uint64, order="C")
+        xmax, ymax = (max(1, int(v.max(initial=0))) for v in (x, y))
+        step = U64_MAX // (xmax * ymax)**2
+        for k0 in range(0, len(x), step):
+            xk, yk = x[k0:k0 + step], y[:, k0:k0 + step]
+            powers = np.stack([np.ones_like(xk), xk, xk * xk])
+            sums += np.einsum("jk,ak->aj", np.concatenate([yk, yk * yk]),
+                              powers).astype(object)
+            sx += int(xk.sum())
+            sxx += int(powers[2].sum())
+    return sums.reshape(3, 2, width), sx, sxx
 
 
-def _jackknife_covariance(a, b, weight, n: int):
-    """Covariance of two per-frame count series and its jackknife stderr,
-    from the histogram of their count pairs (a, b), each seen weight times
-    in n frames.
+def _sqrt_ratio(num: int, den: int) -> float:
+    """sqrt(num / den), correctly rounded, for ints num >= 0 and den > 0.
 
-    A frame's leave-one-out covariance depends only on its count pair, so
-    the float sums run over the histogram, in the order of (leave-one-out
-    value, count): any frame permutation, and swapping the two series, gives
-    bit-identical results.
+    The ratio is scaled by 4**s so its integer root has at least 57 bits;
+    an inexact root gets its lowest bit set, so float() rounds it as it
+    would the exact root.
     """
-    ab = a * b
-    sx = int(weight @ a)
-    sy = int(weight @ b)
-    sxy = int(weight @ ab)
-    C = sxy / n - (sx / n) * (sy / n)
-    ck = (sxy - ab) / (n - 1) - ((sx - a) / (n - 1)) * ((sy - b) / (n - 1))
-    order = np.lexsort((weight, ck))
-    weight, ck = weight[order], ck[order]
-    mean_ck = float(np.sum(weight * ck)) / n
-    stderr = float(np.sqrt((n - 1) / n * np.sum(weight * (ck - mean_ck) ** 2)))
-    return float(C), stderr
+    s = max(0, (113 - num.bit_length() + den.bit_length()) // 2 + 1)
+    q, r = divmod(num << 2 * s, den)
+    root = math.isqrt(q)
+    if r or root * root != q:
+        root |= 1
+    return math.ldexp(float(root), -s)
 
 
-def covariance_scan(source, pixel, row: int, minima, maxima) -> Scan1D:
+def covariance_scan(source, pixel, row: int) -> Scan1D:
     """C(pixel, (row, j)) for j scanning a frame row, with per-point stderr.
 
-    source is a frame source, and minima and maxima its per-pixel count
-    minima and maxima (pixel_stats).  Returns a Scan1D over the column
-    index; meta carries the stderr array.  The fixed pixel's own column is
-    included unless it lies on the scanned row, where the self-covariance
-    is skipped (set to the neighbor average).  Each column's C and stderr
-    come from the exact integer histogram of its (fixed pixel, column) count
-    pairs, so any frame order and any split into blocks give bit-identical
-    results.  A column's histogram holds at most the cells of the box its
-    count minima and maxima span, and at most n_frames pairs; one pass over
-    the source builds the histograms of a run of columns whose bounds sum to
-    at most max(BLOCK_DOUBLES, n_frames): every column at once at low count
-    rates, and a column a pass at rates where each frame's pair can be new.
+    source is a frame source, read in one pass.  Returns a Scan1D over the
+    column index; meta carries the stderr array.  The fixed pixel's own
+    column is included unless it lies on the scanned row, where the
+    self-covariance is skipped (set to the neighbor average).
+
+    Both come from exact integer sums over the frames (_moments), so any
+    frame order and any split into blocks give bit-identical results.  C is
+    sxy/n - (sx/n)(sy/n) in floats.  With m = n - 1, frame k's
+    leave-one-out covariance c_k satisfies
+
+        m**2 c_k = (m sxy - sx sy) + L_k,  L_k = sy x_k + sx y_k - n x_k y_k,
+
+    so the jackknife variance (m/n) sum((c_k - mean c)**2) is exactly
+    (n sum(L**2) - sum(L)**2) / (n**2 m**3), and the stderr is its
+    correctly rounded square root.
     """
     pixel = tuple(int(v) for v in pixel)
     n = source.n_frames
@@ -392,31 +338,20 @@ def covariance_scan(source, pixel, row: int, minima, maxima) -> Scan1D:
     if not (0 <= row < height) or not (0 <= pixel[0] < height
                                        and 0 <= pixel[1] < width):
         raise ValueError("row or pixel out of range")
-    x0 = int(minima[pixel])
-    nx = int(maxima[pixel]) - x0 + 1
-    y0 = minima[row].astype(np.int64)
-    ny = maxima[row].astype(np.int64) - y0 + 1
-    budget = max(BLOCK_DOUBLES, n)
+    sums, sx, sxx = _moments(source, pixel, row)
+    (sy, syy), (sxy, sxyy), (sxxy, sxxyy) = sums
+    C = (sxy / n - (sx / n) * (sy / n)).astype(float)
+    m = n - 1
+    sum_l = 2 * sx * sy - n * sxy
+    sum_ll = (sy * sy * sxx + sx * sx * syy + n * n * sxxyy
+              + 2 * (sx * sy * sxy - n * (sy * sxxy + sx * sxyy)))
+    err = np.array([_sqrt_ratio(int(v), n * n * m**3)
+                    for v in n * sum_ll - sum_l * sum_l])
     cols = np.arange(width)
-    C = np.full(width, np.nan)
-    err = np.full(width, np.nan)
-    for j0, j1 in _column_runs(np.minimum(nx * ny, n), budget):
-        starts, keys, weight = _pair_histogram(
-            source.blocks(), pixel, row, slice(j0, j1), (x0, y0[j0:j1]), nx,
-            ny[j0:j1], budget)
-        lo = np.searchsorted(keys, starts)
-        hi = np.searchsorted(keys, starts + nx * ny[j0:j1])
-        for i, j in enumerate(range(j0, j1)):
-            if (row, j) != pixel:
-                a, b = np.divmod(keys[lo[i]:hi[i]] - starts[i], ny[j])
-                C[j], err[j] = _jackknife_covariance(
-                    x0 + a, y0[j] + b, weight[lo[i]:hi[i]], n)
-    bad = np.isnan(C)
-    if np.any(bad):
-        good = ~bad
-        C[bad] = np.interp(cols[bad], cols[good], C[good])
-        err[bad] = np.interp(cols[bad], cols[good], err[good])
+    if row == pixel[0]:  # the self-covariance, skipped
+        j, good = pixel[1], cols != pixel[1]
+        C[j] = np.interp(j, cols[good], C[good])
+        err[j] = np.interp(j, cols[good], err[good])
     return Scan1D(xs=cols.astype(float), values=C,
                   meta={"stderr": err, "pixel": pixel, "row": row,
                         "n_frames": n})
-

@@ -7,7 +7,7 @@ their stacks in memory as SplitStack.
 
 import numpy as np
 
-from gsmspdc.counting import covariance_scan, pixel_stats, synth_blocks
+from gsmspdc.counting import covariance_scan, synth_blocks
 
 
 class SplitStack:
@@ -33,6 +33,5 @@ def drawn_stack(joint, pairs_per_frame, noise, n_frames, seed):
 
 
 def stack_scan(frames, pixel, row):
-    """covariance_scan of an in-memory stack, within its own count bounds."""
-    source = SplitStack(frames)
-    return covariance_scan(source, pixel, row, *pixel_stats(source)[1:])
+    """covariance_scan of an in-memory stack."""
+    return covariance_scan(SplitStack(frames), pixel, row)

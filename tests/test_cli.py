@@ -223,6 +223,31 @@ class TestCountingPipeline:
         assert record == {"signal_px": 0,
                           "skipped": "no covariance in the scan is positive"}
 
+    def test_configured_signal_column_reads_the_stack_once(
+            self, config_file, tmp_path, monkeypatch):
+        # the brightest column costs a pass of its own; a configured one
+        # leaves the scan's single pass
+        out = tmp_path / "out"
+        assert run("frames-synth", config_file, out) == EXIT_OK
+        passes = []
+        blocks = FrameFile.blocks
+
+        def counted(self):
+            passes.append(self.path)
+            return blocks(self)
+
+        monkeypatch.setattr(FrameFile, "blocks", counted)
+        assert run("coincidence", config_file, out) == EXIT_OK
+        assert len(passes) == 2
+        scan = (out / "coincidence.csv").read_bytes()
+        signal_px = json.loads((out / "coincidence_fit.json").read_text())[
+            "signal_px"]
+        fixed = tmp_path / "fixed.ini"
+        fixed.write_text(f"{BASE_CONFIG}signal_px = {signal_px}\n")
+        assert run("coincidence", fixed, out) == EXIT_OK
+        assert len(passes) == 3
+        assert (out / "coincidence.csv").read_bytes() == scan
+
     def test_coincidence_ignores_synthesis_keys(self, config_file, tmp_path):
         out = tmp_path / "out"
         assert run("frames-synth", config_file, out) == EXIT_OK
@@ -313,9 +338,9 @@ def peak_rss_rise_mb(config, out, *experiments):
                     reason="VmHWM is read from /proc")
 def test_high_rate_scan_peak_memory_does_not_grow_with_frames(tmp_path):
     # each pixel counts Poisson(1600), half of it shared by the two rows of
-    # its column: every column's count box exceeds MAX_FRAMES cells, so the
-    # scan takes a pass a column and merges np.unique counts; holding the
-    # 19 MB stack instead would raise VmHWM by over 20 MB
+    # its column, so nearly every frame's count pair is new; the scan still
+    # holds a block and a few sums a column, where holding the 19 MB stack
+    # would raise VmHWM by over 20 MB
     rng = np.random.default_rng(3)
 
     def blocks(step=10_000):
@@ -510,6 +535,13 @@ def _one_frame_stack(tmp_path):
     return _frames_file(_stack_bytes(tmp_path, 1))(tmp_path)
 
 
+def _one_row_stack(tmp_path):
+    path = tmp_path / "frames.bin"
+    write_frames(path, [np.ones((5, 1, 4), dtype=np.uint16)], 5, (1, 4), 1,
+                 16e-6)
+    return f"{BASE_CONFIG}frames_file = {path}\n"
+
+
 def _signal_px_beyond_stack(tmp_path):
     return _frames_file(_stack_bytes(tmp_path, 5))(tmp_path) + "signal_px = 4\n"
 
@@ -625,6 +657,8 @@ MALFORMED = {
                          _frames_file(b"NOTAFRAME" + b"\x00" * 64), [], EXIT_IO),
     "frames-truncated-body": ("coincidence", _truncated_stack, [], EXIT_IO),
     "frames-one-frame": ("coincidence", _one_frame_stack, [], EXIT_IO),
+    # a valid stack with no idler row to scan
+    "frames-one-row": ("coincidence", _one_row_stack, [], EXIT_IO),
     # a header of 5 frames with no rows, or no columns, and so no body
     "frames-zero-height": ("coincidence", _frames_file(b"GSMFRAM1" + struct.pack(
         "<III Q d d", 5, 0, 4, 1, 1e-5, 0.02)), [], EXIT_IO),
@@ -822,6 +856,7 @@ MESSAGES = {
        "the slits" for experiment in ("fringes", "visibility-curve")},
     "frames-zero-height": "empty 0 x 4 frames",
     "frames-zero-width": "empty 2 x 0 frames",
+    "frames-one-row": "row or pixel out of range",
 }
 
 

@@ -1,5 +1,8 @@
+import decimal
 import functools
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -232,33 +235,52 @@ def sorted_jackknife(x, y):
     return float(C), float(np.sqrt((n - 1) / n * np.sum(dev)))
 
 
-class TestHistogramJackknife:
-    """covariance_scan against the sorted sums over every frame: C equal,
-    stderr within 4 ulp, on the bincount and on the np.unique histogram."""
+def exact_stderr(x, y):
+    """The jackknife stderr of the covariance of x and y, to 60 digits
+    rounded to a float: each frame's leave-one-out covariance c_k is held
+    exactly (as the int m**2 c_k), and the variance
+    (m/n) sum((c_k - mean c)**2) is summed frame by frame into a Fraction."""
+    x, y = x.astype(object), y.astype(object)  # Python ints
+    n = x.size
+    m = n - 1
+    sx, sy, sxy = x.sum(), y.sum(), (x * y).sum()
+    # m**2 c_k, and n m**2 (c_k - mean c), in ints
+    ck = m * (sxy - x * y) - (sx - x) * (sy - y)
+    dev = n * ck - ck.sum()
+    var = Fraction(m, n) * Fraction(int((dev * dev).sum()), (n * m * m)**2)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return float((Decimal(var.numerator) / var.denominator).sqrt())
 
-    @pytest.mark.parametrize("joint, pairs, noise, n_frames, seed, bincount", [
-        (gaussian_joint(48, center=(20, 30), sigma=3.0), 20.0, 1e-3, 20000, 3,
-         True),
-        (gaussian_joint(16), 5.0, 0.05, 301, 8, True),
-        (np.ones((8, 8)), 0.0, 0.1, 3000, 11, True),
-        (gaussian_joint(16), 2000.0, 0.01, 300, 9, False),
+
+def assert_matches_frame_sums(scan, x, ys):
+    """scan's C equals sorted_jackknife's bit for bit, and its stderr is
+    within 1 ulp of exact_stderr, for the fixed pixel's counts x and the
+    columns' counts ys."""
+    for j, y in enumerate(ys):
+        assert scan.values[j] == sorted_jackknife(x, y)[0]
+        stderr = exact_stderr(x, y)
+        assert abs(scan.meta["stderr"][j] - stderr) <= np.spacing(stderr)
+
+
+class TestHistogramJackknife:
+    """covariance_scan against sums over every frame: C equal to the sorted
+    sums, stderr within 1 ulp of the exact jackknife."""
+
+    @pytest.mark.parametrize("joint, pairs, noise, n_frames, seed", [
+        (gaussian_joint(48, center=(20, 30), sigma=3.0), 20.0, 1e-3, 20000, 3),
+        (gaussian_joint(16), 5.0, 0.05, 301, 8),
+        (np.ones((8, 8)), 0.0, 0.1, 3000, 11),
+        (gaussian_joint(16), 2000.0, 0.01, 300, 9),
     ], ids=["full-scale", "small", "noise-only", "high-rate"])
-    def test_matches_sorted_sums(self, joint, pairs, noise, n_frames, seed,
-                                 bincount):
+    def test_matches_sorted_sums(self, joint, pairs, noise, n_frames, seed):
         frames = drawn_stack(joint, pairs, noise, n_frames, seed=seed)
         pixel = (0, int(np.argmax(frames[:, 0].sum(axis=0))))
-        x = frames[:, pixel[0], pixel[1]]
         scan = stack_scan(frames, pixel, row=1)
-        for j in range(frames.shape[2]):
-            y = frames[:, 1, j]
-            assert ((int(x.max()) + 1) * (int(y.max()) + 1)
-                    <= n_frames) == bincount
-            C, stderr = sorted_jackknife(x, y)
-            assert scan.values[j] == C
-            assert abs(scan.meta["stderr"][j] - stderr) <= 4 * np.spacing(stderr)
+        assert_matches_frame_sums(scan, frames[:, pixel[0], pixel[1]],
+                                  frames[:, 1].T)
 
     def test_pixel_swap_bit_identical(self):
-        # the sums run in a canonical order, not in the histogram's key order
         for seed in range(6):
             stack = drawn_stack(gaussian_joint(16), 5.0 + seed, 0.01,
                                 300 + 37 * seed, seed=seed)
@@ -277,103 +299,94 @@ def correlated_blocks(n_frames, width, rate, seed, step=10_000):
         yield (shared + rng.poisson(rate, (k, 2, width))).astype(np.uint16)
 
 
-# (joint, pairs per frame, noise, frames, seed), whether the histogram of
-# every column at once is a bincount (else merged np.unique counts), and
-# whether a pass budget of n_frames splits the columns into runs for every
-# fixed pixel
+# (joint, pairs per frame, noise, frames, seed): at the high rate nearly
+# every frame's count pair of two columns is new
 STREAM_CASES = {
-    "bincount": ((gaussian_joint(16), 5.0, 0.05, 301, 8), True, False),
-    "runs": ((gaussian_joint(16), 150.0, 0.05, 301, 8), True, True),
-    "unique": ((gaussian_joint(16, center=(8, 8), sigma=6.0), 2000.0, 0.01,
-                120, 9), False, True),
+    "low-rate": (gaussian_joint(16), 5.0, 0.05, 301, 8),
+    "mid-rate": (gaussian_joint(16), 150.0, 0.05, 301, 8),
+    "high-rate": (gaussian_joint(16, center=(8, 8), sigma=6.0), 2000.0, 0.01,
+                  120, 9),
 }
 
 
 @functools.cache
 def stream_case_frames(case):
-    return drawn_stack(*STREAM_CASES[case][0])
+    return drawn_stack(*STREAM_CASES[case])
+
+
+@functools.cache
+def near_u16_limit_frames():
+    """40 frames of 2 x 5 pixels that each count 57000-65535, so a frame's
+    x**2 y**2 exceeds 2**63; column 0 of row 1 repeats pixel (0, 0), and
+    column 1 shares half its counts with it."""
+    rng = np.random.default_rng(12)
+    frames = rng.integers(57000, U16_MAX + 1, (40, 2, 5))
+    frames[:, 1, 0] = frames[:, 0, 0]
+    frames[:, 1, 1] = (frames[:, 0, 0] + frames[:, 1, 1]) // 2
+    return frames.astype(np.uint16)
+
+
+def frame_cuts(n):
+    """Block boundaries of an n-frame stack: one-frame blocks, one block,
+    or up to 12 cuts anywhere."""
+    return st.one_of(st.just(range(1, n)), st.just([]),
+                     st.lists(st.integers(1, n - 1), max_size=12,
+                              unique=True).map(sorted))
 
 
 class TestBlockSplits:
     """The streamed estimator does not depend on how frames are blocked."""
 
-    @pytest.mark.parametrize("block_doubles", [BLOCK_DOUBLES, 1],
-                             ids=["one-pass", "column-runs"])
     @pytest.mark.parametrize("on_row", [False, True],
                              ids=["other-row", "pixel-on-row"])
     @pytest.mark.parametrize("case", sorted(STREAM_CASES))
     @settings(max_examples=30, deadline=None, database=None)
     @given(data=st.data())
-    def test_any_split_gives_the_whole_stack_scan(self, case, on_row,
-                                                  block_doubles, data):
+    def test_any_split_gives_the_whole_stack_scan(self, case, on_row, data):
         frames = stream_case_frames(case)
         n, _, width = frames.shape
-        cuts = data.draw(st.one_of(
-            st.just(range(1, n)),                       # one-frame blocks
-            st.just([]),                                # one block
-            st.lists(st.integers(1, n - 1), max_size=12,
-                     unique=True).map(sorted)), label="cuts")
+        cuts = data.draw(frame_cuts(n), label="cuts")
         pixel = (1 if on_row else 0, data.draw(st.integers(0, width - 1),
                                                label="column"))
+        assert np.array_equal(pixel_stats(SplitStack(frames, cuts)),
+                              frames.sum(axis=0))
         whole = SplitStack(frames, [])
-        totals, minima, maxima = pixel_stats(SplitStack(frames, cuts))
-        assert np.array_equal(totals, frames.sum(axis=0))
-        assert np.array_equal(minima, frames.min(axis=0))
-        assert np.array_equal(maxima, frames.max(axis=0))
-        box = (maxima[pixel] - minima[pixel] + 1) * (maxima[1] - minima[1] + 1)
-        assert (box.sum() <= BLOCK_DOUBLES) == STREAM_CASES[case][1]
-        ref = covariance_scan(whole, pixel, 1, minima, maxima)
-        assert whole.passes == 1
+        ref = covariance_scan(whole, pixel, 1)
         split = SplitStack(frames, cuts)
-        # BLOCK_DOUBLES = 1 budgets a pass at n_frames: a run of columns
-        # whose boxes fill n_frames cells, or one column of n_frames pairs
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(counting, "BLOCK_DOUBLES", block_doubles)
-            split_scan = covariance_scan(split, pixel, 1, minima, maxima)
-        runs = counting._column_runs(np.minimum(box, n), max(block_doubles, n))
-        assert split.passes == len(runs)
-        if block_doubles == BLOCK_DOUBLES:
-            assert len(runs) == 1
-        elif STREAM_CASES[case][2]:
-            assert len(runs) > 1
+        split_scan = covariance_scan(split, pixel, 1)
+        assert whole.passes == split.passes == 1
         assert not np.any(np.isnan(ref.values))
         assert np.array_equal(split_scan.values, ref.values)
         assert np.array_equal(split_scan.meta["stderr"], ref.meta["stderr"])
 
-    @pytest.mark.parametrize("block_doubles, passes", [
-        (BLOCK_DOUBLES, 2), (80_000, 1)], ids=["column-runs", "one-pass"])
-    def test_high_rate_stack_beyond_a_block(self, block_doubles, passes):
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(data=st.data())
+    def test_counts_near_the_u16_limit(self, data):
+        # a uint64 chunk of these frames holds one frame
+        frames = near_u16_limit_frames()
+        cuts = data.draw(frame_cuts(len(frames)), label="cuts")
+        source = SplitStack(frames, cuts)
+        scan = covariance_scan(source, (0, 0), 1)
+        assert source.passes == 1
+        assert_matches_frame_sums(scan, frames[:, 0, 0], frames[:, 1].T)
+        ref = covariance_scan(SplitStack(frames, []), (0, 0), 1)
+        assert np.array_equal(scan.values, ref.values)
+        assert np.array_equal(scan.meta["stderr"], ref.meta["stderr"])
+
+    def test_high_rate_stack_beyond_a_block(self):
         # the fixed pixel (0, 0) and column 0 of row 1 count Poisson(1400),
-        # half of it shared, so their count box exceeds n_frames cells; the
-        # other four columns count Poisson(2).  At a pass budget of n_frames
-        # column 0 takes a pass of merged np.unique counts and the rest a
-        # bincount pass; at 2 n_frames one pass merges np.unique counts of
-        # every column and folds its queue of keys more than once
+        # half of it shared, so nearly every frame's count pair is new; the
+        # other four columns count Poisson(2)
         n = 40_000
         rng = np.random.default_rng(5)
         frames = np.concatenate(
             [np.concatenate(list(correlated_blocks(n, 1, 700.0, 4))),
              rng.poisson(2.0, (n, 2, 4)).astype(np.uint16)], axis=2)
-        _, minima, maxima = pixel_stats(SplitStack(frames))
-        box = ((maxima[0, 0] - minima[0, 0] + 1)
-               * (maxima[1] - minima[1] + 1))
-        assert n > BLOCK_DOUBLES and box[0] > n and box.sum() > block_doubles
+        assert n > BLOCK_DOUBLES
         source = SplitStack(frames, range(500, n, 500))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(counting, "BLOCK_DOUBLES", block_doubles)
-            scan = covariance_scan(source, (0, 0), 1, minima, maxima)
-        assert source.passes == passes
-        for j in range(5):
-            C, stderr = sorted_jackknife(frames[:, 0, 0], frames[:, 1, j])
-            assert scan.values[j] == C
-            assert abs(scan.meta["stderr"][j] - stderr) <= 4 * np.spacing(stderr)
-        # one pass of one bincount over every column's box
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(counting, "BLOCK_DOUBLES", int(box.sum()))
-            dense = covariance_scan(SplitStack(frames, []), (0, 0), 1,
-                                    minima, maxima)
-        assert np.array_equal(dense.values, scan.values)
-        assert np.array_equal(dense.meta["stderr"], scan.meta["stderr"])
+        scan = covariance_scan(source, (0, 0), 1)
+        assert source.passes == 1
+        assert_matches_frame_sums(scan, frames[:, 0, 0], frames[:, 1].T)
 
 
 class TestPixelCoincidence:
@@ -579,10 +592,11 @@ class TestSerialization:
         first = drawn_stack(gaussian_joint(8), 4.0, 0.0, 40, seed=3)
         write_frames(path, [first], 40, (2, 8), 3, 16e-6)
         with FrameFile(path) as source:
-            totals, minima, maxima = pixel_stats(source)
+            totals = pixel_stats(source)
             write_frames(path, synth_blocks(gaussian_joint(8), 40.0, 0.0, 40,
                                             seed=4), 40, (2, 8), 4, 16e-6)
-            scan = covariance_scan(source, (0, 4), 1, minima, maxima)
+            scan = covariance_scan(source, (0, 4), 1)
+        assert np.array_equal(totals, first.sum(axis=0))
         ref = stack_scan(first, (0, 4), row=1)
         assert np.array_equal(scan.values, ref.values)
         assert np.array_equal(scan.meta["stderr"], ref.meta["stderr"])
