@@ -373,10 +373,16 @@ class TestBlockSplits:
         assert np.array_equal(scan.values, ref.values)
         assert np.array_equal(scan.meta["stderr"], ref.meta["stderr"])
 
-    def test_high_rate_stack_beyond_a_block(self):
+    @pytest.mark.parametrize("block_doubles", [BLOCK_DOUBLES, 80_000],
+                             ids=["column-runs", "one-pass"])
+    def test_high_rate_stack_beyond_a_block(self, block_doubles, tmp_path,
+                                            monkeypatch):
         # the fixed pixel (0, 0) and column 0 of row 1 count Poisson(1400),
         # half of it shared, so nearly every frame's count pair is new; the
-        # other four columns count Poisson(2)
+        # other four columns count Poisson(2).  The ids name the pass
+        # budgets these block sizes once set (a pass a run of columns, or
+        # one pass); the scan makes one pass at both, and the stack's file,
+        # read in blocks of 3276 or 8000 frames, gives the split stack's scan
         n = 40_000
         rng = np.random.default_rng(5)
         frames = np.concatenate(
@@ -387,6 +393,14 @@ class TestBlockSplits:
         scan = covariance_scan(source, (0, 0), 1)
         assert source.passes == 1
         assert_matches_frame_sums(scan, frames[:, 0, 0], frames[:, 1].T)
+        path = tmp_path / "frames.bin"
+        write_frames(path, [frames], n, (2, 5), 5, 13e-6)
+        monkeypatch.setattr(counting, "BLOCK_DOUBLES", block_doubles)
+        with FrameFile(path) as file:
+            assert 1 < counting._block_frames(10) < n
+            read = covariance_scan(file, (0, 0), 1)
+        assert np.array_equal(read.values, scan.values)
+        assert np.array_equal(read.meta["stderr"], scan.meta["stderr"])
 
 
 class TestPixelCoincidence:
