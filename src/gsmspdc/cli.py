@@ -187,6 +187,9 @@ def run_coincidence(res: Resolver, out: Path):
     except ValueError as exc:
         raise OSError(f"malformed frames file {frames_file}: {exc}") from exc
     with frames:  # every pass reads the file opened here
+        if frames.shape[0] < 2:
+            raise OSError(f"unusable frames file {frames_file}: it has one "
+                          f"row, and the scan needs the idler row 1")
         if signal_px >= frames.shape[1]:
             raise ConfigError(f"[counting] signal_px must be below the "
                               f"{frames.shape[1]} columns of {frames_file}, "
@@ -195,7 +198,7 @@ def run_coincidence(res: Resolver, out: Path):
             if signal_px < 0:  # the brightest column, from one more pass
                 signal_px = int(np.argmax(counting.pixel_stats(frames)[0]))
             scan = counting.covariance_scan(frames, (0, signal_px), 1)
-        except ValueError as exc:  # fewer than two frames, or a single row
+        except ValueError as exc:  # fewer than two frames
             raise OSError(f"unusable frames file {frames_file}: "
                           f"{exc}") from exc
     path = out / "coincidence.csv"

@@ -27,7 +27,6 @@ position X to transverse momentum q = k X / f (helpers below).
 import math
 
 import numpy as np
-from numpy.random import default_rng
 
 from .errors import ConvergenceError
 from .pump import PumpParams, csd_coefficients
@@ -170,12 +169,13 @@ def _singles_montecarlo(qx, qy, pump, crystal, n_samples, seed,
     """Monte-Carlo estimate of the same integral with per-point standard errors.
 
     The pair-sum momentum is drawn exactly from the Gaussian CSD diagonal
-    (common draws across grid points); qx and qy broadcast.
+    (common draws across grid points); qx and qy broadcast.  NumPy loads
+    numpy.random at the first call, not when this module is imported.
     """
     coeffs = csd_coefficients(pump)
     sigma = coeffs.sum_sigma
     norm = coeffs.A_c * 2.0 * np.pi * sigma**2
-    u = default_rng(seed).normal(scale=sigma, size=(n_samples, 2))
+    u = np.random.default_rng(seed).normal(scale=sigma, size=(n_samples, 2))
     qx, qy = np.broadcast_arrays(np.asarray(qx, dtype=float),
                                  np.asarray(qy, dtype=float))
     # a column of detected momenta against a row of draws

@@ -292,6 +292,7 @@ class TestCountingPipeline:
 PEAK_RSS_SCRIPT = """
 import contextlib, io, sys
 import gsmspdc.cli as cli
+import numpy.random  # loaded by the first draw; its import is not frames
 
 def hwm_mb():
     with open("/proc/self/status", encoding="ascii") as fh:
@@ -856,7 +857,7 @@ MESSAGES = {
        "the slits" for experiment in ("fringes", "visibility-curve")},
     "frames-zero-height": "empty 0 x 4 frames",
     "frames-zero-width": "empty 2 x 0 frames",
-    "frames-one-row": "row or pixel out of range",
+    "frames-one-row": "it has one row, and the scan needs the idler row 1",
 }
 
 
@@ -1080,17 +1081,80 @@ def test_integer_reads_reject(text):
         _integer(text)
 
 
-def test_cli_import_loads_no_scipy():
-    """The CLI starts on NumPy alone, with the NumPy submodules it uses loaded."""
+def _child_json(code, *args):
+    """Run code in a fresh interpreter that imports gsmspdc from this
+    checkout; returns the last line of its stdout, parsed as JSON."""
     src = str(Path(gsmspdc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    code = ("import json, sys, gsmspdc.cli; print(json.dumps(sorted(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=60)
-    modules = json.loads(done.stdout)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=120)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+MODULES = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+
+
+def test_cli_import_loads_no_scipy():
+    """The CLI starts on NumPy alone, with the NumPy submodules it uses
+    loaded and numpy.random, which only a draw needs, not loaded."""
+    modules = _child_json(f"import gsmspdc.cli; {MODULES}")
     assert not [m for m in modules if m.split(".")[0] == "scipy"]
-    assert "numpy.polynomial" in modules and "numpy.random" in modules
+    assert "numpy.polynomial" in modules
+    # unless a NumPy that loads numpy.random on import leaves no choice
+    assert ("numpy.random" not in modules
+            or "numpy.random" in _child_json(f"import numpy; {MODULES}"))
+
+
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+from gsmspdc import cli
+
+config, out = sys.argv[1:]
+runs = []
+for experiment in [*sorted(set(cli.EXPERIMENTS) - {"frames-synth"}),
+                   "frames-synth"]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["run", experiment, "--config", config, "--out", out])
+    runs.append([experiment, code, "numpy.random" in sys.modules])
+print(json.dumps(runs))
+"""
+
+
+def test_only_frames_synth_loads_numpy_random(tmp_path):
+    # coincidence reads a hand-made stack, so no draw precedes frames-synth
+    stack = tmp_path / "stack.bin"
+    counts = (np.arange(40) % 7).astype(np.uint16).reshape(5, 2, 4)
+    write_frames(stack, [counts], 5, (2, 4), 1, 16e-6)
+    config = tmp_path / "small.ini"
+    config.write_text(_config_with({("counting", "frames_file"): str(stack)}))
+    runs = _child_json(FOOTPRINT_SCRIPT, str(config), str(tmp_path / "out"))
+    assert sorted(name for name, _, _ in runs) == sorted(EXPERIMENTS)
+    assert [code for _, code, _ in runs] == [EXIT_OK] * len(runs)
+    assert [name for name, _, loaded in runs if loaded] == ["frames-synth"]
+
+
+MONTECARLO_SCRIPT = """
+import json, sys
+from gsmspdc import CrystalParams, PumpParams, singles_profile
+
+before = "numpy.random" in sys.modules
+prof = singles_profile(PumpParams.from_coherence(405e-9, 0.5e-3, 0.5),
+                       CrystalParams(L=2e-3, kind="II"), which="signal",
+                       samples=8, method="montecarlo", mc_samples=500, seed=5)
+print(json.dumps([before, "numpy.random" in sys.modules, prof.grid.tolist()]))
+"""
+
+
+def test_montecarlo_profile_runs_in_a_fresh_process():
+    before, after, grid = _child_json(MONTECARLO_SCRIPT)
+    assert (before, after) == (False, True)
+    here = gsmspdc.singles_profile(
+        gsmspdc.PumpParams.from_coherence(405e-9, 0.5e-3, 0.5),
+        gsmspdc.CrystalParams(L=2e-3, kind="II"), which="signal", samples=8,
+        method="montecarlo", mc_samples=500, seed=5)
+    assert np.array_equal(np.array(grid), here.grid)
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
