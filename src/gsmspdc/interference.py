@@ -3,21 +3,22 @@
 Model
 -----
 The signal field inherits the pump's momentum-space cross-spectral density
-(gsmspdc.pump.GaussianCsd, momenta q in rad/m), blurred by the crystal's
-phase-matching bandwidth, which adds gamma = alpha L / (4 k_p) to both of its
-coefficients:
+(gsmspdc.pump.GaussianCsd, momenta q in rad/m, coefficients (s, c, b)),
+blurred by the crystal's phase-matching bandwidth.  That bandwidth,
+gamma = alpha L / (4 k_p), joins the cross coupling c, and the pair-sum
+coefficient s stays the pump's:
 
-    W_sig(q, q') = A_c exp(-(a + gamma)(q^2 + q'^2) + 2 (c + gamma) q q') ,
+    W_sig(q, q') = A_c exp(-s (q^2 + q'^2) - (c + gamma) (q - q')^2) ,
 
-where the (c + gamma) cross coupling carries the coherence transfer: a
-coherent pump (c -> 0, thin crystal) gives a separable, fully coherent
-kernel.  Free propagation over the crystal-to-slit distance z takes a + gamma
-to a_z = a + gamma - i z / (2 k_s) (GaussianCsd.propagated) and leaves
-c_z = c + gamma, and the slit-plane mutual coherence function is the CSD's
-position form
+where the (c + gamma) coupling carries the coherence transfer: a coherent
+pump (c -> 0, thin crystal) gives a separable, fully coherent kernel.  Free
+propagation over the crystal-to-slit distance z gives it the phase curvature
+b_z = -z / (2 k_s) (GaussianCsd.propagated), and the slit-plane mutual
+coherence function is the CSD's position form (GaussianCsd.position_form),
+with coefficients (s_x, c_x, b_x) = (s, c + gamma, -b_z) / (4 Delta), Delta
+the determinant of the gsmspdc.pump docstring:
 
-    W(x, x') = exp(-(conj(a_z) x^2 + a_z x'^2 - 2 c_z x x') / (4 Delta)) ,
-    Delta = |a_z|^2 - c_z^2 .
+    W(x, x') = exp(-s_x (x^2 + x'^2) - c_x (x - x')^2 - i b_x (x^2 - x'^2)) .
 
 _signal_csd builds this CSD, except on two lines that keep the package's
 fringes as they were and are the model defects of ROADMAP item 1: it scales
@@ -54,10 +55,11 @@ gives at each x_s
     p1 = 2 [c M+ c^T + s M- s^T] ,   M+- = Re K_RR +- Re K_RL ,
 
 two real n x n matrices per pump, where K_RR holds K(r, r') and K_RL holds
-K(r, -r').  Only the real part of K enters, so each is a Gaussian times
-cos((r^2 - r'^2)(Im a_z / (4 Delta) - kappa / 2)).  Over S detector samples
-that is two real (S x n)(n x n) products per pump, where the unfolded sum
-takes one complex (S x 2n)(2n x 2n) product: 8 times fewer multiply-adds.
+K(r, -r').  Only the real part of K enters, so each is the Gaussian
+exp(-s_x (r^2 + r'^2) - c_x (r -+ r')^2) times
+cos((r^2 - r'^2)(b_x + kappa / 2)).  Over S detector samples that is two
+real (S x n)(n x n) products per pump, where the unfolded sum takes one
+complex (S x 2n)(2n x 2n) product: 8 times fewer multiply-adds.
 
 The y dimension integrates out analytically (the kernel factorizes), so the
 computation is the 1-D reduction along the measured horizontal axis.
@@ -110,8 +112,8 @@ def _signal_csd(pump: PumpParams, crystal: CrystalParams, z: float) -> GaussianC
     pump_csd = csd_coefficients(pump)
     gamma = crystal.alpha * crystal.L / (4.0 * pump.k_p)
     scale = (2.0 * np.pi) ** -2  # ROADMAP item 1: rad/m coefficients read as cycles/m
-    signal = GaussianCsd(scale * pump_csd.a + gamma, scale * pump_csd.c + gamma,
-                         pump_csd.A_c)
+    signal = GaussianCsd(scale * pump_csd.s, scale * pump_csd.c + gamma,
+                         scale * pump_csd.b, pump_csd.A_c)
     return signal.propagated(-z, pump.k_s)  # ROADMAP item 1: Fresnel sign
 
 
@@ -119,11 +121,11 @@ def slit_plane_coherence(pump: PumpParams, crystal: CrystalParams, z: float,
                          separation: float) -> float:
     """|mu(x, x')| of the signal field at the slit plane for |x - x'| = separation.
 
-    Closed form exp(-c dx^2 / (4 Delta)); useful as an analytic cross-check
-    of the fitted fringe visibility.
+    Closed form exp(-c_x dx^2) from the position form; useful as an analytic
+    cross-check of the fitted fringe visibility.
     """
-    signal = _signal_csd(pump, crystal, z)
-    return float(np.exp(-signal.c * separation**2 / (4.0 * signal.delta)))
+    field = _signal_csd(pump, crystal, z).position_form()
+    return float(np.exp(-field.c * separation**2))
 
 
 def _slit_nodes(slits: SlitGeometry, order: int):
@@ -137,9 +139,9 @@ def _slit_nodes(slits: SlitGeometry, order: int):
     return nodes, weights
 
 
-def _unit_max_profiles(csds, k_s, slits, xs, order):
-    """p1 on xs by the order-point aperture rule, one unit-max row per
-    slit-plane GaussianCsd.
+def _unit_max_profiles(fields, k_s, slits, xs, order):
+    """p1 on xs by the order-point aperture rule, one unit-max row per field,
+    the position form (GaussianCsd.position_form) of a slit-plane CSD.
 
     The mirror form of the module docstring: the detector table is a cosine
     and a sine per right-slit node, each pump's M+- are built in one
@@ -151,16 +153,15 @@ def _unit_max_profiles(csds, k_s, slits, xs, order):
     kappa = k_s / slits.z1
     arg = (kappa * xs)[:, None] * right[None, :]
     cos, sin = np.cos(arg), np.sin(arg)
-    a, c, delta = (np.array([getattr(csd, name) for csd in csds])[:, None, None]
-                   for name in ("a", "c", "delta"))
+    s, c, b = (np.array([getattr(field, name) for field in fields])[:, None, None]
+               for name in ("s", "c", "b"))
     r2 = right * right
-    g = 1.0 / (4.0 * delta)
-    # Re K(r, +-r') = w w' exp(-g (Re a (r^2 + r'^2) -+ 2 c r r')) cos(phase)
-    square = g * (a.real * (r2[:, None] + r2[None, :]))
-    cross = g * (2.0 * c * (right[:, None] * right[None, :]))
-    phase = (r2[:, None] - r2[None, :]) * (g * a.imag - 0.5 * kappa)
+    # Re K(r, +-r') = w w' exp(-s_x (r^2 + r'^2) - c_x (r -+ r')^2) cos(phase)
+    pair = s * (r2[:, None] + r2[None, :])
+    same = np.exp(-pair - c * (right[:, None] - right[None, :]) ** 2)
+    mirrored = np.exp(-pair - c * (right[:, None] + right[None, :]) ** 2)
+    phase = (r2[:, None] - r2[None, :]) * (b + 0.5 * kappa)
     weighted = (w[:, None] * w[None, :]) * np.cos(phase)
-    same, mirrored = np.exp(cross - square), np.exp(-cross - square)
     m_plus, m_minus = weighted * (same + mirrored), weighted * (same - mirrored)
     # (P, S, n) @ (P, n, n): one product per pump, as a batch of one takes it
     p1 = np.vecdot(cos @ m_plus, cos) + np.vecdot(sin @ m_minus, sin)
@@ -194,11 +195,11 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
     period = slits.fringe_period(pumps[0].lambda_s)
     span = DEFAULT_SPAN_PERIODS * period
     xs = np.linspace(-span / 2.0, span / 2.0, samples)
-    csds = [_signal_csd(pump, crystal, slits.z) for pump in pumps]
+    fields = [_signal_csd(pump, crystal, slits.z).position_form() for pump in pumps]
     rows = {}  # order -> unit-max profiles, for each pump's own delta
 
     def evaluate(n):
-        rows[n] = _unit_max_profiles(csds, pumps[0].k_s, slits, xs, n)
+        rows[n] = _unit_max_profiles(fields, pumps[0].k_s, slits, xs, n)
         return rows[n]
     values, order, delta = doubling_gate(evaluate, "aperture", order, check_convergence)
     # every row peaks at exactly 1, so the gate's delta is the largest of these

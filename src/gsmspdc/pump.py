@@ -12,21 +12,30 @@ A runs from 0 (incoherent) to 1 (coherent); PumpParams.A computes it.
 Every cross-spectral density (CSD) in the package is a GaussianCsd, with
 transverse momenta q in rad/m (plane waves exp(i q x)):
 
-    W(q, q') = A_c exp(-a |q|^2 - conj(a) |q'|^2 + 2 c q.q') ,
+    W(q, q') = A_c exp(-s (|q|^2 + |q'|^2) - c |q - q'|^2 - i b (|q|^2 - |q'|^2)) ,
 
-with c real.  Its position form, per transverse dimension, is
+with s > 0 the pair-sum (diagonal) coefficient, c >= 0 the cross coupling
+and b real the phase curvature; in the equivalent form
+exp(-a |q|^2 - conj(a) |q'|^2 + 2 c q.q') the coefficient is a = s + c + i b.
+Its determinant
 
-    W(x, x') ~ exp(-(conj(a) x^2 + a x'^2 - 2 c x x') / (4 delta)) ,
-    delta = |a|^2 - c^2 ,
+    Delta = s (s + 2 c) + b^2    (= |a|^2 - c^2)
 
-and free propagation over z at wavenumber k under the propagator
-exp(-i k (x_s - x)^2 / (2 z)) takes a to a - i z / (2 k).  The pump's CSD at
-the crystal (csd_coefficients) has real coefficients
+is a sum of non-negative terms, and its position form, per transverse
+dimension, is the GaussianCsd of the same shape with coefficients
 
-    a = (l_c + 2 w0)^2 / (4 b0) ,  c = w0^2 / (2 b0) ,  b0 = 1 + (l_c / 2 w0)^2 .
+    (s, c, b) -> (s, c, -b) / (4 Delta) ,
+
+which, being its own inverse, also maps the position form back.  Free
+propagation over z at wavenumber k under the propagator
+exp(-i k (x_s - x)^2 / (2 z)) subtracts z / (2 k) from b.  The pump's CSD at
+the crystal (csd_coefficients) has b = 0 and
+
+    s = (l_c^2 + 4 l_c w0 + 2 w0^2) / (4 b0) ,  c = w0^2 / (2 b0) ,
+    b0 = 1 + (l_c / 2 w0)^2 .
 
 The Fourier transform of the position-space GSM has the same c but
-a = (l_c^2 + 2 w0^2) / (4 b0) (tests/test_gsm_oracle.py; ROADMAP item 1).
+s = l_c^2 / (4 b0) (tests/test_gsm_oracle.py; ROADMAP item 1).
 
 The double-slit characterization of an incoherent spot of radius a_s imaged
 by a lens of focal length f obeys the Bessel visibility law
@@ -147,30 +156,37 @@ def correlation_length_for(A: float, w0: float) -> float:
 
 @dataclass(frozen=True)
 class GaussianCsd:
-    """W(q, q') = A_c exp(-a |q|^2 - conj(a) |q'|^2 + 2 c q.q'), q in rad/m.
+    """W(q, q') = A_c exp(-s (|q|^2 + |q'|^2) - c |q - q'|^2 - i b (|q|^2 - |q'|^2)).
 
-    a may be complex (a propagated CSD); c is real.  The position form and
-    the propagation rule are in the module docstring.
+    q in rad/m.  Delta, the position form and the propagation rule are in
+    the module docstring; every quantity here is computed from (s, c, b)
+    without subtracting one of them from another.
     """
 
-    a: complex
+    s: float
     c: float
+    b: float
     A_c: float
+
+    @property
+    def a(self) -> complex:
+        """s + c + i b, the |q|^2 coefficient of the form with 2 c q.q'."""
+        return complex(self.s + self.c, self.b)
 
     @property
     def sum_sigma(self) -> float:
         """Std. deviation (rad/m) of the pair-sum Gaussian on the diagonal,
-        W(u, u) = A_c exp(-2 (Re a - c) |u|^2) = A_c exp(-|u|^2 / (2 sigma^2))."""
-        return 1.0 / (2.0 * np.sqrt(self.a.real - self.c))
+        W(u, u) = A_c exp(-2 s |u|^2) = A_c exp(-|u|^2 / (2 sigma^2))."""
+        return 1.0 / (2.0 * np.sqrt(self.s))
 
     @property
     def delta(self) -> float:
-        """|a|^2 - c^2, the determinant behind the position form."""
-        return abs(self.a) ** 2 - self.c * self.c
+        """s (s + 2 c) + b^2, the determinant behind the position form."""
+        return self.s * (self.s + 2.0 * self.c) + self.b * self.b
 
     def diagonal(self, u2):
         """W(u, u) at |u|^2 = u2."""
-        return self.A_c * np.exp(-2.0 * (self.a.real - self.c) * u2)
+        return self.A_c * np.exp(-2.0 * self.s * u2)
 
     def kernel(self, q, qp):
         """Evaluate W(q, q') for points with components stacked on the last axis."""
@@ -178,13 +194,19 @@ class GaussianCsd:
         qp = np.asarray(qp, dtype=float)
         q2 = np.sum(q * q, axis=-1)
         qp2 = np.sum(qp * qp, axis=-1)
-        dot = np.sum(q * qp, axis=-1)
-        return self.A_c * np.exp(-self.a * q2 - np.conj(self.a) * qp2
-                                 + 2.0 * self.c * dot)
+        d2 = np.sum((q - qp) ** 2, axis=-1)
+        return self.A_c * np.exp(-self.s * (q2 + qp2) - self.c * d2
+                                 - 1j * self.b * (q2 - qp2))
 
     def propagated(self, z: float, k: float) -> "GaussianCsd":
         """The CSD after free propagation over z (m) at wavenumber k (rad/m)."""
-        return GaussianCsd(self.a - 1j * z / (2.0 * k), self.c, self.A_c)
+        return GaussianCsd(self.s, self.c, self.b - z / (2.0 * k), self.A_c)
+
+    def position_form(self) -> "GaussianCsd":
+        """The position form (s, c, -b) / (4 Delta), x in m; A_c carries over."""
+        four_delta = 4.0 * self.delta
+        return GaussianCsd(self.s / four_delta, self.c / four_delta,
+                           -self.b / four_delta, self.A_c)
 
 
 def csd_coefficients(pump: PumpParams) -> GaussianCsd:
@@ -194,11 +216,12 @@ def csd_coefficients(pump: PumpParams) -> GaussianCsd:
     intensities downstream are reported in arbitrary units and re-normalized
     per scan.
     """
-    ratio = pump.l_c / (2.0 * pump.w0)
+    l_c, w0 = pump.l_c, pump.w0
+    ratio = l_c / (2.0 * w0)
     b0 = 1.0 + ratio * ratio
-    a = (pump.l_c + 2.0 * pump.w0) ** 2 / (4.0 * b0)
-    c = pump.w0**2 / (2.0 * b0)
-    return GaussianCsd(a=a, c=c, A_c=(pump.w0 / (2.0 * np.pi)) ** 2)
+    s = (l_c * l_c + 4.0 * l_c * w0 + 2.0 * w0 * w0) / (4.0 * b0)  # ROADMAP item 1: b1
+    c = w0 * w0 / (2.0 * b0)
+    return GaussianCsd(s=s, c=c, b=0.0, A_c=(w0 / (2.0 * np.pi)) ** 2)
 
 
 def bessel_visibility(nu):

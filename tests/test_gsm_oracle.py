@@ -18,7 +18,7 @@ PROBE_Q = 1.0 / W0
 
 
 def transform_coefficients(A):
-    """(a, c) of W(q, q') = exp(-a q^2 - a q'^2 + 2 c q q') from a matrix
+    """(s, c) of W(q, q') = exp(-s (q^2 + q'^2) - c (q - q')^2) from a matrix
     transform of the position-space GSM
     exp(-(x^2 + x'^2) / (4 w0^2) - (x - x')^2 / (2 l_c^2))."""
     l_c = PumpParams.from_coherence(405e-9, W0, A).l_c
@@ -27,9 +27,9 @@ def transform_coefficients(A):
     qs = np.array([0.0, PROBE_Q])
     left = np.exp(-1j * np.outer(qs, X)) * DX
     w_q = (left @ w_pos @ left.conj().T).real  # W(q, q') at q, q' in qs
-    a = -np.log(w_q[1, 0] / w_q[0, 0]) / PROBE_Q**2
-    c = a + np.log(w_q[1, 1] / w_q[0, 0]) / (2.0 * PROBE_Q**2)
-    return a, c
+    s = -np.log(w_q[1, 1] / w_q[0, 0]) / (2.0 * PROBE_Q**2)  # W(q, q) = exp(-2 s q^2)
+    c = -np.log(w_q[1, 0] / w_q[0, 0]) / PROBE_Q**2 - s      # W(q, 0) = exp(-(s + c) q^2)
+    return s, c
 
 
 COHERENCES = (0.9, 0.6, 0.3, 0.1)
@@ -45,13 +45,13 @@ def test_cross_coefficient_matches_gsm_transform(A):
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: b1")
 @pytest.mark.parametrize("A", COHERENCES)
 def test_diagonal_coefficient_matches_gsm_transform(A):
-    a, _ = transform_coefficients(A)
+    s, _ = transform_coefficients(A)
     pump_csd = csd_coefficients(PumpParams.from_coherence(405e-9, W0, A))
-    assert pump_csd.a == pytest.approx(a, rel=1e-9)
+    assert pump_csd.s == pytest.approx(s, rel=1e-9)
 
 
 # a Gaussian of rms intensity width 80 um at 810 nm, over 0.1 m: there
-# z / (2 k) is about sigma^2, so the propagated a is far from real
+# z / (2 k) is about sigma^2, so the propagated b is as large as s
 SIGMA = 80e-6
 K = 2.0 * np.pi / 810e-9
 Z = 0.1
@@ -61,18 +61,18 @@ DETECTOR = np.linspace(-4.0 * SIGMA, 4.0 * SIGMA, 17)  # includes 0
 
 
 def position_form(csd, x, xp):
-    """The documented position form, normalized to 1 at x = x' = 0."""
-    x, xp = np.asarray(x)[:, None], np.asarray(xp)[None, :]
-    return np.exp(-(np.conj(csd.a) * x * x + csd.a * xp * xp - 2.0 * csd.c * x * xp)
-                  / (4.0 * csd.delta))
+    """The program's position form of csd on x by xp, normalized to 1 at
+    x = x' = 0."""
+    x, xp = np.asarray(x)[:, None, None], np.asarray(xp)[None, :, None]
+    return csd.position_form().kernel(x, xp) / csd.A_c
 
 
 def at_origin(w):
     return w / w[w.shape[0] // 2, w.shape[1] // 2]
 
 
-SOURCES = {"coherent": GaussianCsd(a=SIGMA**2, c=0.0, A_c=1.0),
-           "partial": GaussianCsd(a=SIGMA**2, c=0.5 * SIGMA**2, A_c=1.0)}
+SOURCES = {"coherent": GaussianCsd(s=SIGMA**2, c=0.0, b=0.0, A_c=1.0),
+           "partial": GaussianCsd(s=0.5 * SIGMA**2, c=0.5 * SIGMA**2, b=0.0, A_c=1.0)}
 
 
 @pytest.mark.parametrize("name", SOURCES)
@@ -98,6 +98,6 @@ def test_propagated_matches_fresnel_propagation(name):
     numeric = at_origin(h @ w0 @ h.conj().T)
     forward = position_form(source.propagated(Z, K), DETECTOR, DETECTOR)
     assert np.max(np.abs(numeric - forward)) < 1e-9
-    # the opposite sign, a + i z / (2 k), is far off at this distance
+    # the opposite sign, b + z / (2 k), is far off at this distance
     backward = position_form(source.propagated(-Z, K), DETECTOR, DETECTOR)
     assert np.max(np.abs(numeric - backward)) > 0.1

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -226,6 +229,38 @@ class TestSlitPlaneCoherence:
         v = fitted_visibility(scan, SLITS)
         mu = slit_plane_coherence(pump, CRYSTAL, SLITS.z, SLITS.d)
         assert v == pytest.approx(mu, abs=0.02)
+
+
+class TestSignalCsdRounding:
+    """The slit-plane CSD against exact rational arithmetic on the same float
+    inputs, at a corner of the config domain where the pair-sum coefficient
+    s is about 1e-12 of the cross coupling c."""
+
+    PUMP = PumpParams.from_coherence(1e-8, 1e-7, 1e-6)
+    CRYSTAL = CrystalParams(L=1000.0, kind="II", alpha=1000.0, rho_p=-1.0,
+                            rho_i=-1.0)
+    Z = 1e-7
+
+    def exact(self):
+        """(s, delta) of _signal_csd in Fractions, with its flagged lines."""
+        pump = self.PUMP
+        lambda_p, w0, l_c, pi = map(Fraction, (pump.lambda_p, pump.w0, pump.l_c, np.pi))
+        b0 = 1 + (l_c / (2 * w0)) ** 2
+        scale = 1 / (2 * pi) ** 2
+        s = scale * (l_c * l_c + 4 * l_c * w0 + 2 * w0 * w0) / (4 * b0)
+        k_p = 2 * pi / lambda_p
+        gamma = Fraction(self.CRYSTAL.alpha) * Fraction(self.CRYSTAL.L) / (4 * k_p)
+        c = scale * w0 * w0 / (2 * b0) + gamma
+        b = Fraction(self.Z) / k_p  # propagated over -z at k_s = k_p / 2
+        assert s < c * Fraction(1, 10**11)
+        return s, s * (s + 2 * c) + b * b
+
+    def test_delta_and_sum_sigma_match_exact_arithmetic(self):
+        signal = interference._signal_csd(self.PUMP, self.CRYSTAL, self.Z)
+        s, delta = self.exact()
+        assert signal.delta == pytest.approx(float(delta), rel=1e-12, abs=0.0)
+        assert signal.sum_sigma == pytest.approx(0.5 / math.sqrt(s), rel=1e-12,
+                                                 abs=0.0)
 
 
 class TestVisibilityCurve:

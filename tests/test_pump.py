@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gsmspdc.pump import (CharacterizationSetup, PumpParams, bessel_visibility,
-                          correlation_length, correlation_length_for,
-                          csd_coefficients, propagate_to_crystal,
-                          pump_visibility)
+from gsmspdc.pump import (CharacterizationSetup, GaussianCsd, PumpParams,
+                          bessel_visibility, correlation_length,
+                          correlation_length_for, csd_coefficients,
+                          propagate_to_crystal, pump_visibility)
 
 
 def j1_series(nu, terms=60):
@@ -88,7 +90,8 @@ class TestCsdCoefficients:
     def test_ordering(self):
         for lc in np.geomspace(1e-6, 1.0, 20):
             c = csd_coefficients(PumpParams(405e-9, 1e-3, lc))
-            assert c.a > c.c > 0
+            # a = s + c + i b > c > 0: a real pump CSD with s, c > 0
+            assert c.b == 0 and c.s > 0 and c.c > 0
 
     def test_exchange_symmetry(self):
         c = csd_coefficients(PumpParams(405e-9, 0.5e-3, 0.4e-3))
@@ -113,6 +116,38 @@ class TestCsdCoefficients:
         widths = [csd_coefficients(PumpParams(405e-9, w0, lc)).sum_sigma
                   for lc in np.linspace(0.05 * w0, 2.0 * w0, 25)]
         assert np.all(np.diff(widths) < 0)
+
+
+EPS = np.finfo(float).eps
+# one significand and one decade each, so every decade is as likely as any
+DECADES = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-40, 10))
+UNSIGNED = st.one_of(st.just(0.0), DECADES)
+SIGNED = st.one_of(UNSIGNED, DECADES.map(lambda v: -v))
+
+
+class TestGaussianCsdAlgebra:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(s=DECADES, c=UNSIGNED, b=SIGNED)
+    def test_position_form_is_an_involution(self, s, c, b):
+        csd = GaussianCsd(s, c, b, 0.25)
+        assert csd.delta > 0
+        position = csd.position_form()
+        assert position.delta > 0 and position.A_c == csd.A_c
+        back = position.position_form()
+        assert back.A_c == csd.A_c
+        for got, want in ((back.s, s), (back.c, c), (back.b, b)):
+            assert got == pytest.approx(want, rel=8 * EPS, abs=0.0)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(s=DECADES, c=UNSIGNED, b=SIGNED, z1=SIGNED, z2=SIGNED, k=DECADES)
+    def test_propagation_composes(self, s, c, b, z1, z2, k):
+        csd = GaussianCsd(s, c, b, 0.25)
+        twice = csd.propagated(z1, k).propagated(z2, k)
+        once = csd.propagated(z1 + z2, k)
+        assert (twice.s, twice.c, twice.A_c) == (once.s, once.c, once.A_c)
+        # b - z1/2k - z2/2k rounds four times, b - (z1 + z2)/2k three
+        scale = abs(b) + (abs(z1) + abs(z2)) / (2.0 * k)
+        assert abs(twice.b - once.b) <= 4 * EPS * scale
 
 
 class TestBesselVisibility:

@@ -147,11 +147,11 @@ class TestJointMomentumRate:
 
     def test_sum_variance_grows_as_lc_shrinks(self):
         # 2-D quadrature of the CSD diagonal: variance of q_s + q_i vs the
-        # closed form 1/(4 (a - c)), for two coherence settings in the
+        # closed form 1/(4 s), for two coherence settings in the
         # partially coherent regime
         def sum_variance(pump):
             coeffs = csd_coefficients(pump)
-            width = 1.0 / np.sqrt(2.0 * (coeffs.a - coeffs.c))
+            width = 1.0 / np.sqrt(2.0 * coeffs.s)
             u = np.linspace(-8 * width, 8 * width, 2001)
             weights = coeffs.A_c * np.exp(-u * u / (2.0 * coeffs.sum_sigma**2))
             return np.trapezoid(weights * u * u, u) / np.trapezoid(weights, u)
@@ -163,8 +163,7 @@ class TestJointMomentumRate:
         assert var_low > var_high
         for pump, var in ((high, var_high), (low, var_low)):
             coeffs = csd_coefficients(pump)
-            assert var == pytest.approx(1.0 / (4.0 * (coeffs.a - coeffs.c)),
-                                        rel=1e-6)
+            assert var == pytest.approx(1.0 / (4.0 * coeffs.s), rel=1e-6)
 
 
 def test_crystal_params_validation():
