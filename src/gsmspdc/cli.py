@@ -7,8 +7,9 @@ profile, conditional, frames-synth, coincidence.  Each run writes CSV data
 and/or 16-bit PGM images plus run_manifest.json with the resolved parameters,
 seed, and SHA-256 hashes of every output.  Reruns with the same config and
 seed are byte-identical.  Quadrature orders are measured, not configured:
-profile sidecars, fringes.json and visibility_curve.csv record the order the
-order-doubling gate accepted and the change it reached.
+profile sidecars, fringes.json and visibility_curve.csv record the order of
+the rule their values come from, which the order-doubling gate returned, and
+the change from half that order.
 
 Exit codes: 0 success, 2 configuration error, 3 convergence failure,
 4 I/O failure (a malformed frames file included).

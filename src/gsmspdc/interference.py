@@ -184,8 +184,10 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
     ----------
     samples : detector samples across 8 naive fringe periods lambda_s z1 / d.
     order : Gauss-Legendre points per slit to start from; the order-doubling
-        gate raises it until every profile has converged, and meta records
-        the accepted "order" and the pump's own "order_doubling_delta" there.
+        gate doubles it until the next doubling moves no profile by more than
+        its tolerance, and returns that doubled rule.  meta records its
+        "order" and the pump's own "order_doubling_delta", the change from
+        half that order.
     check_convergence : False evaluates the starting order once, unchecked.
     """
     pumps = list(pumps)
@@ -204,7 +206,7 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
     values, order, delta = doubling_gate(evaluate, "aperture", order, check_convergence)
     # every row peaks at exactly 1, so the gate's delta is the largest of these
     deltas = ([None] * len(pumps) if delta is None
-              else np.max(np.abs(values - rows[2 * order]), axis=1).tolist())
+              else np.max(np.abs(values - rows[order // 2]), axis=1).tolist())
     scans = []
     for pump, p1, delta in zip(pumps, values, deltas):
         meta = {

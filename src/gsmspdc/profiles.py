@@ -210,8 +210,10 @@ def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both
     method : "quadrature" (tensor Gauss-Hermite, order^2 inner nodes) or
         "montecarlo" (mc_samples importance draws, deterministic seed).
     order : Gauss-Hermite order to start from; with check_convergence the
-        order-doubling gate raises it until the profile has converged, and
-        meta records the accepted "order" and its "order_doubling_delta".
+        order-doubling gate doubles it until the next doubling moves no
+        sample by more than its tolerance, and returns that doubled rule:
+        meta records its "order" and the "order_doubling_delta" from half
+        that order.
     """
     radius = ring_radius(crystal, pump.k_p)
     if extent is None:

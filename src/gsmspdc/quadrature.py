@@ -1,6 +1,13 @@
 """The two Gauss rules, the profiles' Gauss-Hermite inner rule and the
 fringes' Gauss-Legendre one, and the order-doubling gate that measures the
-order of both."""
+order of both.
+
+The gate evaluates a rule at n and 2 n, from n = INITIAL_ORDER, and doubles
+n until the two agree to QUADRATURE_TOL in every max-normalized sample.  It
+returns the finer rule, order 2 n, with that change as its error estimate,
+as adaptive quadrature keeps its finer estimate (QUADPACK, Piessens et al.
+1983).  Every returned value has passed a doubling check of at most
+QUADRATURE_TOL, and a returned order can be 2 MAX_ORDER."""
 
 import functools
 
@@ -11,8 +18,8 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConvergenceError
 
 QUADRATURE_TOL = 1e-4   # max change of a max-normalized sample under doubling
-INITIAL_ORDER = 4
-MAX_ORDER = 64          # highest order the gate accepts
+INITIAL_ORDER = 2
+MAX_ORDER = 64          # highest order whose doubling is checked
 
 
 def _read_only(rule):
@@ -22,7 +29,7 @@ def _read_only(rule):
 
 
 # each rule is an eigenvalue solve, and the callers ask for the same few
-# orders (the gate's 4 to 128, and a few starts) over and over
+# orders (the gate's 2 to 128, and a few starts) over and over
 @functools.lru_cache(maxsize=16)
 def legendre_rule(order: int):
     """Gauss-Legendre nodes and weights on [-1, 1], read-only."""
@@ -36,11 +43,11 @@ def hermite_rule(order: int):
 
 
 def doubling_gate(evaluate, name, order=INITIAL_ORDER, check_convergence=True):
-    """(values, order, change) at the first of order, 2 order, ... up to
-    MAX_ORDER (or the starting order, if higher) whose doubling moves no
-    max-normalized sample of evaluate(order) by more than QUADRATURE_TOL;
-    change is None unchecked.  name ("inner" or "aperture") labels the rule
-    in the ConvergenceError.
+    """(evaluate(2 n), 2 n, change) at the first n of order, 2 order, ... up
+    to MAX_ORDER (or the starting order, if higher) whose doubling moves no
+    max-normalized sample of evaluate(n) by more than QUADRATURE_TOL, change
+    being that largest move.  Unchecked, (evaluate(order), order, None).
+    name ("inner" or "aperture") labels the rule in the ConvergenceError.
     """
     values = evaluate(order)
     if not check_convergence:
@@ -51,7 +58,7 @@ def doubling_gate(evaluate, name, order=INITIAL_ORDER, check_convergence=True):
         delta = float(np.max(np.abs(values / values.max()
                                     - doubled / doubled.max())))
         if delta <= QUADRATURE_TOL:
-            return values, order, delta
+            return doubled, 2 * order, delta
         if 2 * order > cap:
             raise ConvergenceError(
                 f"{name} quadrature not converged by order {order}: order "

@@ -386,7 +386,8 @@ class TestErrorPaths:
 
     def test_convergence_failure_status(self, config_file, tmp_path,
                                         monkeypatch):
-        # the fringes need aperture order 8, the profiles inner order 4
+        # the fringes first pass the doubling from aperture order 8, the
+        # profiles from inner order 2
         monkeypatch.setattr(quadrature, "MAX_ORDER", 4)
         assert run("fringes", config_file, tmp_path / "o") == EXIT_CONVERGENCE
         assert run("profile", config_file, tmp_path / "p") == EXIT_OK

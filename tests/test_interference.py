@@ -78,8 +78,9 @@ class TestFringeProfile:
         assert np.max(np.abs(base.values - doubled.values)) < 1e-4
 
     def test_non_convergence_reported(self, monkeypatch):
-        # SLITS needs aperture order 8: with the shared cap at 4 both the
-        # profile and the visibility curve built on it report the failure
+        # SLITS first passes the doubling from aperture order 8 to 16: with
+        # the shared cap at 4 both the profile and the visibility curve
+        # built on it report the failure
         monkeypatch.setattr(quadrature, "MAX_ORDER", 4)
         match = "aperture quadrature not converged by order 4"
         with pytest.raises(ConvergenceError, match=match):
@@ -142,13 +143,13 @@ class TestFringeProfiles:
 
     @pytest.mark.parametrize("d", [0.25e-3, 0.5e-3, 0.75e-3])
     def test_mirror_form_matches_direct_phases_at_accepted_orders(self, d):
-        # the order the gate accepts for each pump alone, and the doubled
-        # order that checked it
+        # the order the gate returns for each pump alone, and the half
+        # order it was checked against
         slits = SlitGeometry(a=0.15e-3, d=d, z=0.10, z1=0.20)
         for A in (0.3, 0.6, 0.99):
             pump = pump_for(A)
             order = fringe_profiles([pump], CRYSTAL, slits)[0].meta["order"]
-            for n in (order, 2 * order):
+            for n in (order // 2, order):
                 scan = fringe_profiles([pump], CRYSTAL, slits, order=n,
                                        check_convergence=False)[0]
                 ref = reference_profile(pump, slits, scan.xs, n)
@@ -164,6 +165,16 @@ class TestFringeProfiles:
             assert np.max(np.abs(scan.values - ref)) < 1e-12
             assert scan.meta["A"] == pump.A
 
+    def test_gate_returns_the_order_16_lattice(self):
+        # SLITS first passes the doubling from order 8 to 16, and the values
+        # are the order-16 rule's
+        scans = fringe_profiles(self.PUMPS, CRYSTAL, SLITS)
+        fixed = fringe_profiles(self.PUMPS, CRYSTAL, SLITS, order=16,
+                                check_convergence=False)
+        for scan, want in zip(scans, fixed):
+            assert scan.meta["order"] == 16
+            assert np.array_equal(scan.values, want.values)
+
     def test_single_pump_call_is_batch_of_one(self):
         one = fringe_profiles([self.PUMPS[1]], CRYSTAL, SLITS)[0]
         batch = fringe_profiles(self.PUMPS, CRYSTAL, SLITS)
@@ -174,7 +185,9 @@ class TestFringeProfiles:
         batch = fringe_profiles(self.PUMPS, CRYSTAL, SLITS)
         order = batch[0].meta["order"]
         for pump, scan in zip(self.PUMPS, batch):
-            alone = fringe_profiles([pump], CRYSTAL, SLITS, order=order)[0]
+            # the batch's last check doubled order // 2 to order
+            alone = fringe_profiles([pump], CRYSTAL, SLITS,
+                                    order=order // 2)[0]
             assert alone.meta["order"] == order
             assert (scan.meta["order_doubling_delta"]
                     == alone.meta["order_doubling_delta"])

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 
-from gsmspdc import quadrature
+from gsmspdc import profiles, quadrature
 from gsmspdc.analysis import fit_gaussian, scan_fwhm
 from gsmspdc.errors import ConvergenceError
 from gsmspdc.interference import SlitGeometry, fringe_profiles
@@ -43,6 +45,21 @@ class TestGeometryHelpers:
         q = position_to_momentum(1.3e-3, 0.2, 810e-9)
         assert momentum_to_position(q, 0.2, 810e-9) == pytest.approx(
             1.3e-3, rel=1e-12)
+
+
+def assert_delta_bounds_error(kind, L, w0, A, rho):
+    """The gated 16 x 16 profile lies within its order_doubling_delta of an
+    unchecked rule at 4 x the order it returned."""
+    crystal = CrystalParams(L=L, kind=kind, theta_nc=THETA, rho_p=rho,
+                            rho_i=rho if kind == "II" else 0.0)
+    pump = pump_for(A, w0=w0)
+    prof = singles_profile(pump, crystal, samples=16)
+    finer = singles_profile(pump, crystal, samples=16,
+                            order=4 * prof.meta["order"],
+                            check_convergence=False)
+    error = np.max(np.abs(prof.grid - finer.grid))
+    assert error <= prof.meta["order_doubling_delta"], (prof.meta["order"],
+                                                        error)
 
 
 def reference_quadrature(qx, qy, pump, crystal, order, center_shift, idler_ring):
@@ -208,8 +225,9 @@ class TestSinglesProfile:
             [pump], crystal, SlitGeometry(a=0.15e-3, d=0.25e-3))),
     ], ids=["singles_profile", "ring_radial_profile", "fringe_profiles"])
     def test_non_convergence_reported(self, rule, integrate, monkeypatch):
-        # the inner rule needs order 16 here and the aperture rule order 8;
-        # with the shared cap at 4 the gate must give up and name the rule
+        # the inner rule first passes the doubling from order 16 here and the
+        # aperture rule from order 8; with the shared cap at 4 the gate must
+        # give up and name the rule
         monkeypatch.setattr(quadrature, "MAX_ORDER", 4)
         crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA, rho_p=0.07)
         with pytest.raises(ConvergenceError, match=f"{rule} quadrature"):
@@ -230,13 +248,51 @@ class TestSinglesProfile:
 
     def test_gate_accepts_start_above_cap(self, monkeypatch):
         # a starting order above the cap is checked once by doubling, not
-        # rejected unevaluated
+        # rejected unevaluated, and the doubled rule is returned
         monkeypatch.setattr(quadrature, "MAX_ORDER", 4)
         crystal = CrystalParams(L=2e-3, kind="I", theta_nc=THETA)
         prof = singles_profile(pump_for(0.5), crystal, which="signal",
                                samples=8, order=8)
-        assert prof.meta["order"] == 8
+        assert prof.meta["order"] == 16
         assert prof.meta["order_doubling_delta"] <= 1e-4
+
+    @pytest.mark.parametrize("A", [0.9, 0.6, 0.3])
+    def test_default_like_profile_pays_for_orders_2_and_4(self, A,
+                                                          monkeypatch):
+        # the (2, 4) doubling passes on both rings, so each ring is evaluated
+        # at orders 2 and 4 only, and the image is the order-4 rule's
+        crystal = CrystalParams(L=2e-3, kind="II", theta_nc=THETA,
+                                rho_p=0.07, rho_i=0.07)
+        calls = []
+
+        def spy(qx, qy, pump, crystal, order, center_shift, idler_ring):
+            calls.append((order, idler_ring))
+            return _singles_quadrature(qx, qy, pump, crystal, order,
+                                       center_shift, idler_ring)
+        monkeypatch.setattr(profiles, "_singles_quadrature", spy)
+        prof = singles_profile(pump_for(A), crystal, samples=32)
+        assert sorted(calls) == [(2, False), (2, True), (4, False), (4, True)]
+        monkeypatch.undo()
+        fixed = singles_profile(pump_for(A), crystal, samples=32, order=4,
+                                check_convergence=False)
+        assert prof.meta["order"] == 4
+        assert np.array_equal(prof.grid, fixed.grid)
+
+    @pytest.mark.parametrize("kind, L, w0, A, rho", [
+        ("I", 5e-3, 1e-4, 0.2, 0.07),
+        ("II", 1e-3, 1e-4, 0.05, 0.0),
+    ], ids=["walkoff", "A0.05"])
+    def test_reported_delta_bounds_the_error(self, kind, L, w0, A, rho):
+        # the walk-off case returns order 32; the A = 0.05 case has the
+        # largest error of the slow sweep below, about 1e-8 at order 4
+        assert_delta_bounds_error(kind, L, w0, A, rho)
+
+    @pytest.mark.slow
+    def test_reported_delta_bounds_the_error_across_configs(self):
+        for config in itertools.product(("I", "II"), (1e-3, 2e-3, 5e-3),
+                                        (1e-4, 5e-4, 1e-3),
+                                        (0.05, 0.2, 0.5, 0.9), (0.0, 0.07)):
+            assert_delta_bounds_error(*config)
 
     @staticmethod
     def assert_quadrature_matches_montecarlo(pump, crystal, **quad_options):
@@ -259,7 +315,7 @@ class TestSinglesProfile:
 
     def test_gated_quadrature_vs_montecarlo(self):
         # the gate has to climb past orders 4 and 8 here, each of which
-        # misses by more than 15 MC standard errors
+        # misses by more than 15 MC standard errors, and returns order 32
         crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA, rho_p=0.07)
         self.assert_quadrature_matches_montecarlo(pump_for(0.2, w0=1e-4),
                                                   crystal)
