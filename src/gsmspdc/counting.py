@@ -20,7 +20,10 @@ P[i, j] = P(signal at column i, idler at column j).  A stack is drawn from
 three NumPy streams spawned from its seed (pair counts, pair positions, dark
 counts), so it depends on the seed alone.  A pair's cell is found through a
 guide table over the CDF (Chen & Asau's indexed search), which returns what
-cdf.searchsorted(u, side="right") returns.
+cdf.searchsorted(u, side="right") returns.  The dark counts are a Bernoulli
+process over the stack's flat (frame, row, column) cells, drawn as
+Geometric(noise) gaps between counted cells, so a draw costs one number per
+dark count, not one per pixel.
 
 Every stage works a block of frames at a time (BLOCK_DOUBLES doubles), and
 beyond a block holds only a few sums per column, at any count rate.
@@ -149,10 +152,11 @@ def synth_blocks(joint, pairs_per_frame: float, noise: float, n_frames: int,
     probability P[i, j].  Dark counts are independent Bernoulli(noise) per
     pixel per frame.  np.random.default_rng(seed).spawn(3) gives three
     streams: the pair counts are drawn from the first, the pair positions
-    from the second and the dark-count uniforms from the third.  Each stream
-    is read in frame order, and NumPy's draws do not depend on how a
-    stream's reads are split, so the stack depends on the seed alone.  The
-    seed must fit the format's u64.
+    from the second, and from the third the Geometric(noise) gaps between
+    the dark-counted cells of the stack's flat (frame, row, column) index.
+    Each stream is read in frame order, and NumPy's draws do not depend on
+    how a stream's reads are split, so the stack depends on the seed alone.
+    The seed must fit the format's u64.
 
     The arguments are checked here.  The frames are drawn lazily: the
     returned iterator yields (k, 2, n_px) uint16 blocks in frame order, and
@@ -183,7 +187,8 @@ def _drawn_blocks(cdf, n_px, pairs_per_frame, noise, n_frames, seed):
     guide, crowded = _guide_table(cdf)
     count_rng, pair_rng, dark_rng = np.random.default_rng(seed).spawn(3)
     block = _block_frames(pairs_per_frame + 2 * n_px)
-    for k0 in range(0, n_frames, block):
+    darks = _dark_cells(dark_rng, noise, n_frames * 2 * n_px, block * 2 * n_px)
+    for k0, dark in zip(range(0, n_frames, block), darks):
         k1 = min(k0 + block, n_frames)
         n_pairs = count_rng.poisson(pairs_per_frame, k1 - k0)
         # bin every pair of the block keyed by frame * n_px + column
@@ -194,8 +199,7 @@ def _drawn_blocks(cdf, n_px, pairs_per_frame, noise, n_frames, seed):
         counts = np.empty((k1 - k0, 2, n_px), dtype=np.intp)
         counts[:, 0] = np.bincount(base + i, minlength=size).reshape(-1, n_px)
         counts[:, 1] = np.bincount(base + j, minlength=size).reshape(-1, n_px)
-        if noise > 0:
-            counts += dark_rng.random((k1 - k0, 2, n_px)) < noise
+        counts.reshape(-1)[dark] += 1
         if counts.max() > U16_MAX:
             peaks = counts.reshape(k1 - k0, -1).max(axis=1)
             f = int(np.argmax(peaks > U16_MAX))
@@ -203,6 +207,37 @@ def _drawn_blocks(cdf, n_px, pairs_per_frame, noise, n_frames, seed):
                 f"frame {k0 + f} holds {peaks[f]} counts in one pixel, more "
                 f"than the u16 format's {U16_MAX}")
         yield counts.astype(np.uint16)
+
+
+def _dark_cells(rng, noise, cells, block_cells):
+    """The dark counts of a stack of `cells` cells, a Bernoulli(noise)
+    process over its flat (frame, row, column) index: for each run of
+    block_cells cells in turn, the indices of its counted cells, relative
+    to the run.
+
+    The counted cells are the cumulative sums of Geometric(noise) gaps, read
+    in order from rng a batch at a time; drawn cells past the current run are
+    held for the next, so the cells depend on rng alone, not on block_cells.
+    A batch covers a run's expected counts and their spread, and never holds
+    more than a run's cells.
+    """
+    mean = noise * block_cells
+    batch = int(min(block_cells, mean + 4.0 * math.sqrt(mean) + 16.0))
+    held = np.empty(0, dtype=np.int64)
+    last = -1  # the last cell drawn
+    for c0 in range(0, cells, block_cells):
+        c1 = min(c0 + block_cells, cells)
+        while noise > 0 and last < c1 - 1:
+            # a gap past the stack ends it, and NumPy returns 2**63 - 1 for
+            # noise below about 1e-18: clipped, a batch's sum fits an int64
+            drawn = rng.geometric(noise, batch)
+            np.minimum(drawn, cells + 1, out=drawn)
+            drawn[0] += last
+            held = np.concatenate([held, drawn.cumsum(out=drawn)])
+            last = int(held[-1])
+        n = int(held.searchsorted(c1))
+        yield held[:n] - c0
+        held = held[n:]
 
 
 def _guide_table(cdf):

@@ -233,12 +233,16 @@ def visibility_curve(pumps, slits, crystal: CrystalParams,
     of the next.  The profiles of one geometry share their detector axis, so
     their fits are one stack; each fit is anchored with the known fringe
     period and restricted to the central four periods, where the
-    log-quadratic envelope model holds.
+    log-quadratic envelope model holds.  Each geometry's aperture gate
+    starts at the order whose doubling passed for the geometry before it.
     """
     pumps = list(pumps)
     per_pump = [[] for _ in pumps]
+    start = INITIAL_ORDER
     for geometry in slits:
-        scans = fringe_profiles(pumps, crystal, geometry, samples=samples)
+        scans = fringe_profiles(pumps, crystal, geometry, samples=samples,
+                                order=start)
+        start = scans[0].meta["order"] // 2
         period = scans[0].meta["fringe_period_m"]
         fits = fit_visibility(scans, period_hint=period, window=2.0 * period)
         for rows, scan, fit in zip(per_pump, scans, fits):

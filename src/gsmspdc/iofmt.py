@@ -3,12 +3,12 @@
 CSV files carry a header row with SI units in the column names, then one
 row per sample: integers as %d, integer-valued floats below 1e15 as %.1f and
 every other float as %.12g, so identical runs are byte-identical.  The writer
-takes whole columns and formats a block of rows per % call.  Profiles are
-written as binary 16-bit PGM (portable graymap, maxval 65535, row-major,
-max-normalized) with a JSON sidecar holding the full parameter set.  The run
-manifest lists the command-line arguments, the gsmspdc and NumPy versions,
-every resolved parameter, the seed, and SHA-256 hashes of all written files,
-each hashed a chunk at a time.
+takes whole columns and formats each distinct value of a column once per
+block of rows.  Profiles are written as binary 16-bit PGM (portable graymap,
+maxval 65535, row-major, max-normalized) with a JSON sidecar holding the
+full parameter set.  The run manifest lists the command-line arguments, the
+gsmspdc and NumPy versions, every resolved parameter, the seed, and SHA-256
+hashes of all written files, each hashed a chunk at a time.
 """
 
 import hashlib
@@ -49,13 +49,27 @@ def _cell_formats(column, sep):
     return _FLOAT_CELLS[sep][integral.view(np.int8)]
 
 
+def _cell_texts(column, sep):
+    """Each cell of a column as text with the separator after it, each
+    distinct value formatted once, all of them by one % call."""
+    keys = column
+    if column.dtype.kind == "f":  # distinct bits, so -0.0 keeps its own text
+        size = column.itemsize
+        keys = column.view(f"u{size}" if size <= 8 else f"V{size}")
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = column[first]
+    texts = ("\0".join(_cell_formats(distinct, sep).tolist())
+             % tuple(distinct.tolist()))
+    return np.array(texts.split("\0"), dtype=object)[inverse]
+
+
 def write_csv(path, header, columns):
     """Write equal-length integer or float columns under a header row.
 
     Integers are written as %d.  A float is written as %.1f when it is
     integer-valued and below 1e15 in magnitude, and as %.12g otherwise
-    (nan, inf and -inf included).  CSV_CHUNK_ROWS rows at a time go through
-    one % call, with each cell's format chosen from a mask of the column.
+    (nan, inf and -inf included).  The rows go CSV_CHUNK_ROWS at a time, and
+    within a chunk each distinct value of a column is formatted once.
     """
     columns = [np.asarray(column).ravel() for column in columns]
     if len(columns) != len(header) or len({c.size for c in columns}) > 1:
@@ -67,13 +81,10 @@ def write_csv(path, header, columns):
         fh.write(",".join(header) + "\n")
         for r0 in range(0, n_rows, CSV_CHUNK_ROWS):
             chunk = [column[r0:r0 + CSV_CHUNK_ROWS] for column in columns]
-            formats = np.empty((chunk[0].size, len(chunk)), dtype=object)
-            cells = np.empty_like(formats)
+            cells = np.empty((chunk[0].size, len(chunk)), dtype=object)
             for k, (column, sep) in enumerate(zip(chunk, seps)):
-                formats[:, k] = _cell_formats(column, sep)
-                cells[:, k] = column
-            fh.write("".join(formats.ravel().tolist())
-                     % tuple(cells.ravel().tolist()))
+                cells[:, k] = _cell_texts(column, sep)
+            fh.write("".join(cells.ravel().tolist()))
 
 
 def write_pgm16(path, grid):

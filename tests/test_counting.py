@@ -26,7 +26,9 @@ def gaussian_joint(n_px=48, center=(24, 24), sigma=4.0):
 
 
 def reference_synth(joint, pairs_per_frame, noise, n_frames, seed):
-    """Frame synthesis frame by frame, with Generator.choice and np.add.at."""
+    """Frame synthesis frame by frame, with Generator.choice and np.add.at,
+    and the dark counts placed one Geometric(noise) gap at a time over the
+    stack's flat cells."""
     P = np.asarray(joint, dtype=float)
     flat = (P / P.sum()).ravel()
     n_px = P.shape[0]
@@ -39,8 +41,13 @@ def reference_synth(joint, pairs_per_frame, noise, n_frames, seed):
             i, j = np.unravel_index(idx, P.shape)
             np.add.at(frames[k], (np.zeros(n_pairs, dtype=np.intp), i), 1)
             np.add.at(frames[k], (np.ones(n_pairs, dtype=np.intp), j), 1)
-        if noise > 0:
-            frames[k] += (dark_rng.random((2, n_px)) < noise).astype(np.uint16)
+    cells = frames.reshape(-1)
+    cell = -1
+    while noise > 0:
+        cell += int(dark_rng.geometric(noise))
+        if cell >= cells.size:
+            break
+        cells[cell] += 1
     return frames
 
 
@@ -74,6 +81,18 @@ class TestSynthStream:
             assert frames.dtype == ref.dtype
             assert np.array_equal(frames, ref)
 
+    @pytest.mark.parametrize("noise", [0.0, 5e-324, 1e-300, 1e-18, 0.5, 0.9,
+                                       1.0])
+    def test_dark_counts_match_reference_at_any_rate(self, noise,
+                                                     monkeypatch):
+        # below about 1e-18 NumPy draws every gap as 2**63 - 1, and from 1/3
+        # it draws them by search, not by inversion
+        ref = reference_synth(gaussian_joint(8), 2.0, noise, 700, 31)
+        for block_doubles in (BLOCK_DOUBLES, 1):
+            monkeypatch.setattr(counting, "BLOCK_DOUBLES", block_doubles)
+            frames = drawn_stack(gaussian_joint(8), 2.0, noise, 700, 31)
+            assert np.array_equal(frames, ref)
+
 
 class TestSynthFrames:
     def test_zero_rates_give_zero_stack(self):
@@ -85,6 +104,10 @@ class TestSynthFrames:
         means = drawn_stack(np.ones((16, 16)), 0.0, p, n, seed=21).mean(axis=0)
         bound = 3.0 * np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(means - p) < bound)
+
+    def test_unit_noise_counts_every_cell_once(self):
+        assert np.all(drawn_stack(gaussian_joint(8), 0.0, 1.0, 5000,
+                                  seed=4) == 1)
 
     def test_fixed_seed_bit_identical(self):
         kwargs = dict(joint=gaussian_joint(16), pairs_per_frame=3.0,
@@ -141,20 +164,35 @@ class TestSynthFrames:
         with pytest.raises(ValueError, match="seed"):
             synth_blocks(gaussian_joint(8), 1.0, 0.0, 2, seed=seed)
 
+    @staticmethod
+    def draw_peak(noise, n_frames):
+        """tracemalloc's peak over a draw of 20 pairs a frame on 48 px, after
+        a first draw has made the process's one-off allocations."""
+        for _ in synth_blocks(gaussian_joint(8), 1.0, 0.5, 1, seed=5):
+            pass
+        tracemalloc.start()
+        try:
+            for _ in synth_blocks(gaussian_joint(48), 20.0, noise, n_frames,
+                                  seed=5):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_draw_memory_does_not_grow_with_frames(self):
         # a draw holds a block at a time, whatever the number of frames
-        joint = gaussian_joint(48)
+        assert (self.draw_peak(1e-3, 100_000) - self.draw_peak(1e-3, 10_000)
+                < 64 * 1024)
 
-        def peak(n_frames):
-            tracemalloc.start()
-            try:
-                for _ in synth_blocks(joint, 20.0, 1e-3, n_frames, seed=5):
-                    pass
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(100_000) - peak(10_000) < 64 * 1024
+    def test_held_dark_counts_stay_within_a_block(self):
+        # at noise 0.5 half a stack's cells count: the drawn cells past a
+        # block are held for the next, never more than a block's worth
+        cells = counting._block_frames(20.0 + 2 * 48) * 2 * 48
+        assert (self.draw_peak(0.5, 100_000) - self.draw_peak(0.5, 10_000)
+                < 64 * 1024)
+        # the held cells, a batch and its sums, each within a block's cells
+        assert (self.draw_peak(0.5, 10_000) - self.draw_peak(0.0, 10_000)
+                < 3 * 8 * cells)
 
 
 def pair_covariance(frames, i, j):

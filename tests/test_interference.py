@@ -303,3 +303,31 @@ class TestVisibilityCurve:
         slim = [pump_for(0.999)]
         rows = visibility_curve(slim, [geometry(0.16e-3)], CRYSTAL)
         assert rows[0]["visibility"] > 0.95
+
+    def test_each_gate_starts_at_the_last_passing_order(self, monkeypatch):
+        # the first geometry climbs from order 2; each later one starts at
+        # the order whose doubling passed before it, and its rows match a
+        # gate of its own from order 2 wherever that gate returns the same
+        # order
+        pumps = [pump_for(A) for A in (0.9, 0.3)]
+        geometries = [geometry(d) for d in (0.25e-3, 0.5e-3, 0.75e-3)]
+        evaluated = []
+        unit_max = interference._unit_max_profiles
+
+        def counted(fields, k_s, slits, xs, order):
+            evaluated.append((slits.d, order))
+            return unit_max(fields, k_s, slits, xs, order)
+
+        monkeypatch.setattr(interference, "_unit_max_profiles", counted)
+        rows = visibility_curve(pumps, geometries, CRYSTAL)
+        orders = [r["aperture_order"] for r in rows[:len(geometries)]]
+        starts = [quadrature.INITIAL_ORDER] + [n // 2 for n in orders[:-1]]
+        for slits, start, order in zip(geometries, starts, orders):
+            climbed = [n for d, n in evaluated if d == slits.d]
+            assert climbed[0] == start and climbed[-1] == order
+        monkeypatch.setattr(interference, "_unit_max_profiles", unit_max)
+        own = [visibility_curve(pumps, [slits], CRYSTAL)
+               for slits in geometries]
+        own = [row for k in range(len(pumps)) for rows in own
+               for row in rows[k:k + 1]]
+        assert rows == own

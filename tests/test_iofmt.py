@@ -53,6 +53,19 @@ class TestWriteCsv:
         rows = zip(columns[0].tolist(), values.tolist(), columns[2].tolist())
         assert got == reference_csv(["j", "x", "q"], rows).encode("ascii")
 
+    def test_repeated_values_match_per_cell_writer(self, tmp_path):
+        # each distinct value is formatted once a chunk: -0.0 and 0.0, and
+        # NaNs of either sign, must still each read as the per-cell writer
+        # writes them
+        rng = np.random.default_rng(8)
+        n = 2 * CSV_CHUNK_ROWS + 7
+        values = rng.permutation(np.resize(EDGE_FLOATS + [-np.nan], n))
+        columns = [values, -values, rng.integers(-3, 3, n)]
+        got = written(tmp_path, ["x", "negated", "j"], columns)
+        rows = zip(*(column.tolist() for column in columns))
+        assert got == reference_csv(["x", "negated", "j"],
+                                    rows).encode("ascii")
+
     def test_python_lists_and_empty_table(self, tmp_path):
         assert written(tmp_path, ["a", "b"], [[1.0, 2.5], [3, 4]]) == \
             b"a,b\n1.0,3\n2.5,4\n"
