@@ -41,6 +41,7 @@ _LM_XTOL = 1e-12
 _LM_GTOL = 1e-15
 _LM_FLAT = 1e-12
 _LM_DAMPING0 = 1e-3     # initial damping, relative to the largest scaled J^T J entry
+_GAUSSIAN_MAX_NFEV = 1000  # fit_gaussian's evaluation budget
 # fit_gaussian's start grid: sigmas per mu, log-spaced from half the sample
 # pitch to half the span
 _GRID_SIGMAS = 12
@@ -177,7 +178,7 @@ def _levenberg_marquardt(fun, theta0, max_nfev):
             jac = np.where(accept[:, None, None], jac_trial, jac)
 
 
-def fit_gaussian(scan: Scan1D, weights=None, max_iter=200) -> GaussianFit:
+def fit_gaussian(scan: Scan1D, weights=None) -> GaussianFit:
     """Nonlinear least-squares Gaussian fit y = A exp(-(x-mu)^2/(2 s^2)) + c.
 
     The scan must be single-peaked with at least 5 samples, and its peak must
@@ -214,7 +215,6 @@ def fit_gaussian(scan: Scan1D, weights=None, max_iter=200) -> GaussianFit:
 
     wts = np.ones_like(ys) if weights is None else np.asarray(weights, dtype=float)
     pitch = (xs[-1] - xs[0]) / (xs.size - 1)
-    max_nfev = max_iter * 5
 
     # at each (sigma, mu) cell, g = exp(-(x - mu)^2 / (2 sigma^2)) and
     # [[S_gg, S_g], [S_g, S_1]] (A, c) = (S_gy, S_y), every sum weighted by
@@ -248,11 +248,11 @@ def fit_gaussian(scan: Scan1D, weights=None, max_iter=200) -> GaussianFit:
                         np.ones_like(bump)], axis=2)
         return wts * (a * bump + c - ys), wts[:, None] * jac
 
-    (theta,), (r,), (converged,) = _levenberg_marquardt(residuals, [best[1]],
-                                                        max_nfev)
+    (theta,), (r,), (converged,) = _levenberg_marquardt(
+        residuals, [best[1]], _GAUSSIAN_MAX_NFEV)
     a, mu, s, c = theta
     if not converged:
-        raise FitError(f"Gaussian fit did not converge in {max_nfev} "
+        raise FitError(f"Gaussian fit did not converge in {_GAUSSIAN_MAX_NFEV} "
                        "evaluations")
     if abs(s) < 0.5 * abs(pitch):
         raise FitError(f"fitted sigma {abs(s):.3g} is below half the "

@@ -78,7 +78,7 @@ U64_MAX = 2**64 - 1
 BLOCK_DOUBLES = 2**15
 # buckets of the guide table that maps a uniform draw to its CDF cell
 GUIDE_BUCKETS = 4096
-EXPOSURE = 20e-3  # s, recorded with a synthesized stack
+EXPOSURE = 20e-3  # s, recorded in the header of every written stack
 
 
 def _block_frames(doubles_per_frame):
@@ -268,7 +268,7 @@ def _lookup(cdf, guide, crowded, u):
 
 
 def write_frames(path, blocks, n_frames: int, shape, seed: int,
-                 pixel_pitch: float, exposure: float = EXPOSURE):
+                 pixel_pitch: float):
     """Write a stack in the documented layout, a block of frames at a time.
 
     blocks must yield the n_frames frames of the given (height, width)
@@ -278,7 +278,7 @@ def write_frames(path, blocks, n_frames: int, shape, seed: int,
     an older file at path as it was.
     """
     header = MAGIC + _HEADER.pack(n_frames, *shape, seed, pixel_pitch,
-                                  exposure)
+                                  EXPOSURE)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:

@@ -174,8 +174,8 @@ def _unit_max_profiles(fields, k_s, slits, xs, order):
 
 
 def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
-                    samples: int = DEFAULT_SAMPLES, order: int = INITIAL_ORDER,
-                    check_convergence: bool = True) -> list[Scan1D]:
+                    samples: int = DEFAULT_SAMPLES,
+                    order: int = INITIAL_ORDER) -> list[Scan1D]:
     """Normalized single-photon fringe profiles p1(x_s), one per pump.
 
     The pumps must share one lambda_p, so that one aperture rule serves all.
@@ -187,8 +187,8 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
         gate doubles it until the next doubling moves no profile by more than
         its tolerance, and returns that doubled rule.  meta records its
         "order" and the pump's own "order_doubling_delta", the change from
-        half that order.
-    check_convergence : False evaluates the starting order once, unchecked.
+        half that order.  visibility_curve passes each geometry the order
+        whose doubling passed for the one before it.
     """
     pumps = list(pumps)
     if len({pump.lambda_p for pump in pumps}) != 1:
@@ -203,10 +203,9 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
     def evaluate(n):
         rows[n] = _unit_max_profiles(fields, pumps[0].k_s, slits, xs, n)
         return rows[n]
-    values, order, delta = doubling_gate(evaluate, "aperture", order, check_convergence)
+    values, order, _ = doubling_gate(evaluate, "aperture", order)
     # every row peaks at exactly 1, so the gate's delta is the largest of these
-    deltas = ([None] * len(pumps) if delta is None
-              else np.max(np.abs(values - rows[order // 2]), axis=1).tolist())
+    deltas = np.max(np.abs(values - rows[order // 2]), axis=1).tolist()
     scans = []
     for pump, p1, delta in zip(pumps, values, deltas):
         meta = {

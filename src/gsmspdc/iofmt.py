@@ -52,10 +52,8 @@ def _cell_formats(column, sep):
 def _cell_texts(column, sep):
     """Each cell of a column as text with the separator after it, each
     distinct value formatted once, all of them by one % call."""
-    keys = column
-    if column.dtype.kind == "f":  # distinct bits, so -0.0 keeps its own text
-        size = column.itemsize
-        keys = column.view(f"u{size}" if size <= 8 else f"V{size}")
+    # distinct bits, so -0.0 keeps its own text
+    keys = column.view(np.uint64) if column.dtype.kind == "f" else column
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     distinct = column[first]
     texts = ("\0".join(_cell_formats(distinct, sep).tolist())
@@ -69,9 +67,13 @@ def write_csv(path, header, columns):
     Integers are written as %d.  A float is written as %.1f when it is
     integer-valued and below 1e15 in magnitude, and as %.12g otherwise
     (nan, inf and -inf included).  The rows go CSV_CHUNK_ROWS at a time, and
-    within a chunk each distinct value of a column is formatted once.
+    within a chunk each distinct value of a column is formatted once.  Float
+    columns are widened to float64 first, so the rule is decided in float64
+    whatever the column's own float type.
     """
     columns = [np.asarray(column).ravel() for column in columns]
+    columns = [c.astype(np.float64, copy=False) if c.dtype.kind == "f" else c
+               for c in columns]
     if len(columns) != len(header) or len({c.size for c in columns}) > 1:
         raise ValueError("write_csv needs one equal-length column per header "
                          "name")

@@ -4,10 +4,10 @@ singles_profile integrates the joint momentum rate over the undetected
 photon.  The pump CSD diagonal weights the pair-sum momentum u = q_s + q_i by
 the Gaussian A_c exp(-|u|^2 / (2 sigma^2)), with sigma from
 GaussianCsd.sum_sigma, leaving the bounded factor sinc^2(L dk_z / 2) to
-integrate against it: by a tensor Gauss-Hermite rule, exact for that weight,
-or by Monte Carlo drawn from it.  The two backends share the integrand and
-differ only in their nodes.  The Hermite order is measured, not configured, by
-the order-doubling gate of gsmspdc.quadrature.
+integrate against it by a tensor Gauss-Hermite rule, exact for that weight.
+The Hermite order is measured, not configured, by the order-doubling gate of
+gsmspdc.quadrature.  _singles_montecarlo draws the same integrand's pair sums
+from that weight instead; it is the tests' reference for the rule.
 
 The integrand is evaluated as a completed square in u (spdc.mismatch_square):
 at a detected momentum q the mismatch is dk_z = |u - c|^2 / (2 k_p) + D0, with
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .pump import PumpParams, csd_coefficients
-from .quadrature import INITIAL_ORDER, doubling_gate, hermite_rule
+from .quadrature import doubling_gate, hermite_rule
 from .records import Profile2D, Scan1D
 from .spdc import CrystalParams, _sinc, joint_momentum_rate, mismatch_square
 
@@ -195,10 +195,7 @@ def _singles_montecarlo(qx, qy, pump, crystal, n_samples, seed,
 
 
 def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both",
-                    extent: float | None = None, samples: int = 256,
-                    order: int = INITIAL_ORDER, method: str = "quadrature",
-                    mc_samples: int = 4000, seed: int = 0,
-                    check_convergence: bool = True) -> Profile2D:
+                    extent: float | None = None, samples: int = 256) -> Profile2D:
     """Far-field intensity map of the down-converted photons, unit maximum.
 
     which : "signal", "idler", or "both".  For type-II crystals the signal
@@ -207,13 +204,12 @@ def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both
         the idler walk-off applies only to the idler ring.  Type-I has a
         single ring at the origin.
     extent : full grid span in rad/m; must cover the ring (>= 2 k_s theta_nc).
-    method : "quadrature" (tensor Gauss-Hermite, order^2 inner nodes) or
-        "montecarlo" (mc_samples importance draws, deterministic seed).
-    order : Gauss-Hermite order to start from; with check_convergence the
-        order-doubling gate doubles it until the next doubling moves no
-        sample by more than its tolerance, and returns that doubled rule:
-        meta records its "order" and the "order_doubling_delta" from half
-        that order.
+
+    The tensor Gauss-Hermite rule takes order^2 inner nodes.  The
+    order-doubling gate doubles its order from INITIAL_ORDER until the next
+    doubling moves no sample by more than its tolerance, and returns that
+    doubled rule: meta records its "order" and the "order_doubling_delta"
+    from half that order.
     """
     radius = ring_radius(crystal, pump.k_p)
     if extent is None:
@@ -239,27 +235,12 @@ def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both
     else:
         raise ValueError(f"unknown ring selector {which!r} for type-{crystal.kind}")
 
-    mc_err = None
-    if method == "quadrature":
-        def evaluate(n):
-            return sum(_singles_quadrature(qx, qy, pump, crystal, n,
-                                           center_shift=shift, idler_ring=idler)
-                       for shift, idler in selected)
+    def evaluate(n):
+        return sum(_singles_quadrature(qx, qy, pump, crystal, n,
+                                       center_shift=shift, idler_ring=idler)
+                   for shift, idler in selected)
 
-        total, order, delta = doubling_gate(evaluate, "inner", order,
-                                            check_convergence)
-        rule = {"rule": "gauss-hermite", "order": order,
-                "order_doubling_delta": delta}
-    elif method == "montecarlo":
-        parts = [_singles_montecarlo(qx, qy, pump, crystal, mc_samples, seed,
-                                     center_shift=shift, idler_ring=idler)
-                 for shift, idler in selected]
-        total = sum(m for m, _ in parts)
-        mc_err = np.sqrt(sum(se**2 for _, se in parts))
-        rule = {"mc_samples": mc_samples}
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
+    total, order, delta = doubling_gate(evaluate, "inner")
     peak = float(total.max())
     if peak <= 0:
         raise ConvergenceError("profile vanished everywhere")
@@ -273,13 +254,10 @@ def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both
         "rho_p_rad": crystal.rho_p, "rho_i_rad": crystal.rho_i,
         "which": which, "q_offset_radpm": q_offset,
         "extent_radpm": extent, "samples": samples,
-        "method": method, "seed": seed, **rule,
-        "normalization": peak,
+        "rule": "gauss-hermite", "order": order,
+        "order_doubling_delta": delta, "normalization": peak,
     }
-    prof = Profile2D(grid=grid, pitch_x=pitch, pitch_y=pitch, meta=meta)
-    if mc_err is not None:
-        prof.meta["mc_stderr"] = mc_err / peak
-    return prof
+    return Profile2D(grid=grid, pitch_x=pitch, pitch_y=pitch, meta=meta)
 
 
 def conditional_scan(pump: PumpParams, crystal: CrystalParams, q_s,

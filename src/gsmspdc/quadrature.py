@@ -42,16 +42,14 @@ def hermite_rule(order: int):
     return _read_only(hermgauss(order))
 
 
-def doubling_gate(evaluate, name, order=INITIAL_ORDER, check_convergence=True):
+def doubling_gate(evaluate, name, order=INITIAL_ORDER):
     """(evaluate(2 n), 2 n, change) at the first n of order, 2 order, ... up
     to MAX_ORDER (or the starting order, if higher) whose doubling moves no
     max-normalized sample of evaluate(n) by more than QUADRATURE_TOL, change
-    being that largest move.  Unchecked, (evaluate(order), order, None).
-    name ("inner" or "aperture") labels the rule in the ConvergenceError.
+    being that largest move.  name ("inner" or "aperture") labels the rule
+    in the ConvergenceError.
     """
     values = evaluate(order)
-    if not check_convergence:
-        return values, order, None
     cap = max(MAX_ORDER, order)
     while True:
         doubled = evaluate(2 * order)

@@ -7,46 +7,27 @@ report.
 import numpy as np
 import pytest
 from frame_sources import drawn_stack, stack_scan
+from shared import (LAMBDA_P, LAMBDA_S, fitted_visibility, fringes_at_order,
+                    j1_series, pump_for, singles_at_order, singles_montecarlo)
 
-from gsmspdc.analysis import fit_gaussian, fit_visibility, scan_fwhm
+from gsmspdc.analysis import fit_gaussian, scan_fwhm
 from gsmspdc.cli import EXIT_OK, main
 from gsmspdc.interference import (SlitGeometry, fringe_profiles,
                                   visibility_curve)
 from gsmspdc.profiles import (conditional_scan, overlap_point,
-                              ring_radial_profile, ring_radius,
-                              singles_profile)
-from gsmspdc.pump import PumpParams, bessel_visibility, correlation_length
+                              ring_radial_profile, ring_radius)
+from gsmspdc.pump import bessel_visibility, correlation_length
 from gsmspdc.spdc import CrystalParams, joint_momentum_rate
 
-LAMBDA_P = 405e-9
 K_P = 2 * np.pi / LAMBDA_P
-LAMBDA_S = 2 * LAMBDA_P
 THETA = np.deg2rad(3.0)
 
 FRINGE_CRYSTAL = CrystalParams(L=2e-3, kind="II")
 SLITS_DEFAULT = SlitGeometry(a=0.15e-3, d=0.25e-3, z=0.10, z1=0.20)
 
 
-def pump_for(A, w0=0.5e-3):
-    return PumpParams.from_coherence(LAMBDA_P, w0, A)
-
-
 def report(criterion, text):
     print(f"ACCEPTANCE {criterion}: PASS - {text}")
-
-
-def fitted_visibility(scan, slits):
-    period = slits.fringe_period(LAMBDA_S)
-    return fit_visibility([scan], period_hint=period, window=2 * period)[0].visibility
-
-
-def j1_series(nu, terms=60):
-    half = nu / 2.0
-    total, term = 0.0, half
-    for m in range(terms):
-        total += term
-        term *= -(half * half) / ((m + 1) * (m + 2))
-    return total
 
 
 def test_criterion_1_correlation_length_constant():
@@ -206,9 +187,9 @@ class TestCriterion6RingAsymmetry:
 
     def test_mirror_symmetry_without_walkoff(self):
         pump = pump_for(0.2, w0=1e-4)
-        prof = singles_profile(pump, self.CRYSTAL_CLEAN, which="signal",
-                               samples=96, order=24, check_convergence=False)
-        worst = float(np.max(np.abs(prof.grid - prof.grid[:, ::-1])))
+        grid = singles_at_order(pump, self.CRYSTAL_CLEAN, "signal", 96, 24)
+        grid /= grid.max()
+        worst = float(np.max(np.abs(grid - grid[:, ::-1])))
         assert worst < 0.01
         report("6b", f"rho_p = 0 profile x-mirror symmetric within "
                      f"{worst:.1e} per mirrored pair (< 1%)")
@@ -256,17 +237,17 @@ class TestCriterion8NumericalHygiene:
 
     def test_quadrature_order_doubling(self):
         pump = pump_for(0.6)
-        base = fringe_profiles([pump], FRINGE_CRYSTAL, SLITS_DEFAULT,
-                               order=24, check_convergence=False)[0]
-        double = fringe_profiles([pump], FRINGE_CRYSTAL, SLITS_DEFAULT,
-                                 order=48, check_convergence=False)[0]
-        worst_fringe = float(np.max(np.abs(base.values - double.values)))
+        _, [base] = fringes_at_order([pump], FRINGE_CRYSTAL, SLITS_DEFAULT, 24)
+        _, [double] = fringes_at_order([pump], FRINGE_CRYSTAL, SLITS_DEFAULT,
+                                       48)
+        worst_fringe = float(np.max(np.abs(base - double)))
         crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA)
-        prof = singles_profile(pump_for(0.5, w0=1e-4), crystal, which="signal",
-                               samples=24, order=32, check_convergence=False)
-        prof2 = singles_profile(pump_for(0.5, w0=1e-4), crystal, which="signal",
-                                samples=24, order=64, check_convergence=False)
-        worst_prof = float(np.max(np.abs(prof.grid - prof2.grid)))
+        prof = singles_at_order(pump_for(0.5, w0=1e-4), crystal, "signal", 24,
+                                32)
+        prof2 = singles_at_order(pump_for(0.5, w0=1e-4), crystal, "signal", 24,
+                                 64)
+        worst_prof = float(np.max(np.abs(prof / prof.max()
+                                         - prof2 / prof2.max())))
         assert worst_fringe < 1e-4 and worst_prof < 1e-4
         report("8b", f"order doubling moves samples by {worst_fringe:.1e} "
                      f"(fringes) and {worst_prof:.1e} (profiles), both < 1e-4")
@@ -274,13 +255,9 @@ class TestCriterion8NumericalHygiene:
     def test_montecarlo_quadrature_agreement(self):
         crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA)
         pump = pump_for(0.5, w0=1e-4)
-        quad = singles_profile(pump, crystal, which="signal", samples=8,
-                               order=32, check_convergence=False)
-        mc = singles_profile(pump, crystal, which="signal", samples=8,
-                             method="montecarlo", mc_samples=20000, seed=20240)
-        quad_raw = quad.grid * quad.meta["normalization"]
-        mc_raw = mc.grid * mc.meta["normalization"]
-        stderr = mc.meta["mc_stderr"] * mc.meta["normalization"]
+        quad_raw = singles_at_order(pump, crystal, "signal", 8, 32)
+        mc_raw, stderr = singles_montecarlo(pump, crystal, "signal", 8, 20000,
+                                            20240)
         z = np.abs(quad_raw - mc_raw) / np.where(stderr > 0, stderr, np.inf)
         assert float(np.max(z)) < 3.0
         report("8c", f"MC vs quadrature: max |z| = {float(np.max(z)):.2f} "

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsmspdc import analysis
 from gsmspdc.analysis import (FWHM_SIGMA_RATIO, _levenberg_marquardt,
                               fit_gaussian, fit_visibility, scan_fwhm)
 from gsmspdc.errors import FitError
@@ -259,13 +260,14 @@ class TestFitGaussian:
         assert shifted.mean - base.mean == pytest.approx(42.0, abs=1e-9)
         assert shifted.sigma == pytest.approx(base.sigma, abs=1e-9)
 
-    def test_evaluation_budget_exhausted_raises(self):
-        # the noisy scan above needs more than the 5 evaluations max_iter=1 allows
+    def test_evaluation_budget_exhausted_raises(self, monkeypatch):
+        # the noisy scan above needs more than 5 evaluations
+        monkeypatch.setattr(analysis, "_GAUSSIAN_MAX_NFEV", 5)
         rng = np.random.default_rng(101)
         xs = np.linspace(-10, 10, 200)
         noisy = np.exp(-xs**2 / (2 * 2.0**2)) + 0.01 * rng.normal(size=xs.size)
-        with pytest.raises(FitError, match="did not converge"):
-            fit_gaussian(Scan1D(xs=xs, values=noisy), max_iter=1)
+        with pytest.raises(FitError, match="did not converge in 5 evaluations"):
+            fit_gaussian(Scan1D(xs=xs, values=noisy))
 
     def test_fwhm_sigma_ratio(self):
         assert FWHM_SIGMA_RATIO == pytest.approx(2.35482, abs=1e-5)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from shared import pump_for, singles_montecarlo
 
 import gsmspdc
 from gsmspdc import analysis, quadrature
@@ -1153,24 +1154,25 @@ def test_only_frames_synth_loads_numpy_random(tmp_path):
 
 MONTECARLO_SCRIPT = """
 import json, sys
-from gsmspdc import CrystalParams, PumpParams, singles_profile
+sys.path.insert(0, sys.argv[1])
+from shared import pump_for, singles_montecarlo
+from gsmspdc import CrystalParams
 
 before = "numpy.random" in sys.modules
-prof = singles_profile(PumpParams.from_coherence(405e-9, 0.5e-3, 0.5),
-                       CrystalParams(L=2e-3, kind="II"), which="signal",
-                       samples=8, method="montecarlo", mc_samples=500, seed=5)
-print(json.dumps([before, "numpy.random" in sys.modules, prof.grid.tolist()]))
+mean, _ = singles_montecarlo(pump_for(0.5), CrystalParams(L=2e-3, kind="II"),
+                             "signal", 8, 500, 5)
+print(json.dumps([before, "numpy.random" in sys.modules, mean.tolist()]))
 """
 
 
 def test_montecarlo_profile_runs_in_a_fresh_process():
-    before, after, grid = _child_json(MONTECARLO_SCRIPT)
+    before, after, mean = _child_json(MONTECARLO_SCRIPT,
+                                      str(Path(__file__).parent))
     assert (before, after) == (False, True)
-    here = gsmspdc.singles_profile(
-        gsmspdc.PumpParams.from_coherence(405e-9, 0.5e-3, 0.5),
-        gsmspdc.CrystalParams(L=2e-3, kind="II"), which="signal", samples=8,
-        method="montecarlo", mc_samples=500, seed=5)
-    assert np.array_equal(np.array(grid), here.grid)
+    here, _ = singles_montecarlo(pump_for(0.5),
+                                 gsmspdc.CrystalParams(L=2e-3, kind="II"),
+                                 "signal", 8, 500, 5)
+    assert np.array_equal(np.array(mean), here)
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

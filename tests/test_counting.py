@@ -584,12 +584,12 @@ class TestSerialization:
     def test_roundtrip(self, tmp_path):
         frames = drawn_stack(gaussian_joint(24), 8.0, 5e-3, 120, seed=43)
         path = tmp_path / "frames.bin"
-        write_frames(path, [frames], 120, (2, 24), 43, 13e-6, exposure=0.01)
+        write_frames(path, [frames], 120, (2, 24), 43, 13e-6)
         with FrameFile(path) as source:
             assert np.array_equal(np.concatenate(list(source.blocks())),
                                   frames)
             assert source.pixel_pitch == 13e-6
-            assert source.exposure == 0.01
+            assert source.exposure == counting.EXPOSURE
             assert source.seed == 43
 
     def test_layout_is_little_endian_u16(self, tmp_path):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from shared import LAMBDA_S, fitted_visibility, fringes_at_order, pump_for
 
-from gsmspdc.analysis import fit_visibility
 from gsmspdc import interference, quadrature
 from gsmspdc.errors import ConvergenceError
 from gsmspdc.interference import (SlitGeometry, fringe_profiles,
@@ -12,15 +12,8 @@ from gsmspdc.interference import (SlitGeometry, fringe_profiles,
 from gsmspdc.pump import PumpParams
 from gsmspdc.spdc import CrystalParams
 
-LAMBDA_P = 405e-9
-LAMBDA_S = 2 * LAMBDA_P
-W0 = 0.5e-3
 CRYSTAL = CrystalParams(L=2e-3, kind="II")
 SLITS = SlitGeometry(a=0.15e-3, d=0.25e-3, z=0.10, z1=0.20)
-
-
-def pump_for(A):
-    return PumpParams.from_coherence(LAMBDA_P, W0, A)
 
 
 def geometry(d):
@@ -32,11 +25,6 @@ def coherent_oracle_pattern(slits, xs):
     u = xs / (LAMBDA_S * slits.z1)
     return (np.sinc(slits.a * u) ** 2) * np.cos(np.pi * slits.d * xs
                                                 / (LAMBDA_S * slits.z1)) ** 2
-
-
-def fitted_visibility(scan, slits):
-    period = slits.fringe_period(LAMBDA_S)
-    return fit_visibility([scan], period_hint=period, window=2 * period)[0].visibility
 
 
 class TestSlitGeometry:
@@ -71,11 +59,9 @@ class TestFringeProfile:
         assert vis[0] > vis[1] > vis[2]
 
     def test_quadrature_convergence_under_order_doubling(self):
-        base = fringe_profiles([pump_for(0.6)], CRYSTAL, SLITS, order=24,
-                               check_convergence=False)[0]
-        doubled = fringe_profiles([pump_for(0.6)], CRYSTAL, SLITS, order=48,
-                                  check_convergence=False)[0]
-        assert np.max(np.abs(base.values - doubled.values)) < 1e-4
+        _, [base] = fringes_at_order([pump_for(0.6)], CRYSTAL, SLITS, 24)
+        _, [doubled] = fringes_at_order([pump_for(0.6)], CRYSTAL, SLITS, 48)
+        assert np.max(np.abs(base - doubled)) < 1e-4
 
     def test_non_convergence_reported(self, monkeypatch):
         # SLITS first passes the doubling from aperture order 8 to 16: with
@@ -98,11 +84,9 @@ class TestFringeProfile:
         assert scan.meta["rule"] == "gauss-legendre"
         assert scan.meta["order"] >= 4
         assert 0.0 <= scan.meta["order_doubling_delta"] <= 1e-4
-        fixed = fringe_profiles([pump_for(0.5)], CRYSTAL, SLITS,
-                                order=scan.meta["order"],
-                                check_convergence=False)[0]
-        assert np.array_equal(scan.values, fixed.values)
-        assert fixed.meta["order_doubling_delta"] is None
+        _, [fixed] = fringes_at_order([pump_for(0.5)], CRYSTAL, SLITS,
+                                      scan.meta["order"])
+        assert np.array_equal(scan.values, fixed)
 
     def test_start_order_below_need_climbs(self):
         # order 2 is too coarse for SLITS; the gate climbs instead of failing
@@ -135,11 +119,11 @@ class TestFringeProfiles:
     def test_factored_propagator_matches_direct_phases(self, order, samples):
         # the detector phase table and the kernel's diagonal phase stand for
         # the direct exp(-i k_s (x_s - x)^2 / 2 z1) of reference_profile
-        scans = fringe_profiles(self.PUMPS, CRYSTAL, SLITS, samples=samples,
-                                order=order, check_convergence=False)
-        for pump, scan in zip(self.PUMPS, scans):
-            ref = reference_profile(pump, SLITS, scan.xs, order)
-            assert np.max(np.abs(scan.values - ref)) <= 2e-13
+        xs, rows = fringes_at_order(self.PUMPS, CRYSTAL, SLITS, order,
+                                    samples=samples)
+        for pump, row in zip(self.PUMPS, rows):
+            ref = reference_profile(pump, SLITS, xs, order)
+            assert np.max(np.abs(row - ref)) <= 2e-13
 
     @pytest.mark.parametrize("d", [0.25e-3, 0.5e-3, 0.75e-3])
     def test_mirror_form_matches_direct_phases_at_accepted_orders(self, d):
@@ -150,30 +134,29 @@ class TestFringeProfiles:
             pump = pump_for(A)
             order = fringe_profiles([pump], CRYSTAL, slits)[0].meta["order"]
             for n in (order // 2, order):
-                scan = fringe_profiles([pump], CRYSTAL, slits, order=n,
-                                       check_convergence=False)[0]
-                ref = reference_profile(pump, slits, scan.xs, n)
-                assert np.max(np.abs(scan.values - ref)) <= 1e-14, (A, n)
+                xs, [row] = fringes_at_order([pump], CRYSTAL, slits, n)
+                ref = reference_profile(pump, slits, xs, n)
+                assert np.max(np.abs(row - ref)) <= 1e-14, (A, n)
 
     @pytest.mark.parametrize("order", [24, 48])
     def test_batch_matches_per_pump_einsum(self, order):
-        scans = fringe_profiles(self.PUMPS, CRYSTAL, SLITS, order=order,
-                                check_convergence=False)
-        assert len(scans) == len(self.PUMPS)
+        xs, rows = fringes_at_order(self.PUMPS, CRYSTAL, SLITS, order)
+        assert len(rows) == len(self.PUMPS)
+        for pump, row in zip(self.PUMPS, rows):
+            ref = reference_profile(pump, SLITS, xs, order)
+            assert np.max(np.abs(row - ref)) < 1e-12
+        scans = fringe_profiles(self.PUMPS, CRYSTAL, SLITS, order=order)
         for pump, scan in zip(self.PUMPS, scans):
-            ref = reference_profile(pump, SLITS, scan.xs, order)
-            assert np.max(np.abs(scan.values - ref)) < 1e-12
             assert scan.meta["A"] == pump.A
 
     def test_gate_returns_the_order_16_lattice(self):
         # SLITS first passes the doubling from order 8 to 16, and the values
         # are the order-16 rule's
         scans = fringe_profiles(self.PUMPS, CRYSTAL, SLITS)
-        fixed = fringe_profiles(self.PUMPS, CRYSTAL, SLITS, order=16,
-                                check_convergence=False)
+        _, fixed = fringes_at_order(self.PUMPS, CRYSTAL, SLITS, 16)
         for scan, want in zip(scans, fixed):
             assert scan.meta["order"] == 16
-            assert np.array_equal(scan.values, want.values)
+            assert np.array_equal(scan.values, want)
 
     def test_single_pump_call_is_batch_of_one(self):
         one = fringe_profiles([self.PUMPS[1]], CRYSTAL, SLITS)[0]
@@ -195,7 +178,7 @@ class TestFringeProfiles:
         assert len(deltas) == len(self.PUMPS)
 
     def test_mixed_wavelengths_rejected(self):
-        other = PumpParams.from_coherence(532e-9, W0, 0.6)
+        other = PumpParams.from_coherence(532e-9, 0.5e-3, 0.6)
         with pytest.raises(ValueError):
             fringe_profiles([self.PUMPS[0], other], CRYSTAL, SLITS)
         with pytest.raises(ValueError):
@@ -205,11 +188,9 @@ class TestFringeProfiles:
         order = 12
         deltas = []
         for pump in self.PUMPS:
-            base = fringe_profiles([pump], CRYSTAL, SLITS, order=order,
-                                   check_convergence=False)[0]
-            doubled = fringe_profiles([pump], CRYSTAL, SLITS, order=2 * order,
-                                      check_convergence=False)[0]
-            deltas.append(np.max(np.abs(base.values - doubled.values)))
+            _, [base] = fringes_at_order([pump], CRYSTAL, SLITS, order)
+            _, [doubled] = fringes_at_order([pump], CRYSTAL, SLITS, 2 * order)
+            deltas.append(np.max(np.abs(base - doubled)))
         worst = int(np.argmax(deltas))
         others = [p for k, p in enumerate(self.PUMPS) if k != worst]
         tol = (max(d for k, d in enumerate(deltas) if k != worst)

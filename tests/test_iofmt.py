@@ -66,6 +66,14 @@ class TestWriteCsv:
         assert got == reference_csv(["x", "negated", "j"],
                                     rows).encode("ascii")
 
+    def test_float32_column_matches_per_cell_writer(self, tmp_path):
+        # the integer-valued-below-1e15 rule is decided in float64, so
+        # float32(1e15) = 999999986991104.0 is written %.1f, not %.12g
+        floats = np.array(EDGE_FLOATS, dtype=np.float32)
+        got = written(tmp_path, ["value"], [floats])
+        rows = [(value,) for value in floats]
+        assert got == reference_csv(["value"], rows).encode("ascii")
+
     def test_python_lists_and_empty_table(self, tmp_path):
         assert written(tmp_path, ["a", "b"], [[1.0, 2.5], [3, 4]]) == \
             b"a,b\n1.0,3\n2.5,4\n"

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
+from shared import (LAMBDA_P, pump_for, singles_at_order,
+                    singles_montecarlo)
 
 from gsmspdc import profiles, quadrature
 from gsmspdc.analysis import fit_gaussian, scan_fwhm
@@ -12,16 +14,12 @@ from gsmspdc.profiles import (_singles_quadrature, conditional_scan,
                               momentum_to_position, overlap_point,
                               position_to_momentum, ring_radial_profile,
                               ring_radius, singles_profile)
-from gsmspdc.pump import PumpParams, csd_coefficients
+from gsmspdc.pump import csd_coefficients
+from gsmspdc.quadrature import doubling_gate
 from gsmspdc.spdc import CrystalParams, noncollinear_mismatch
 
-LAMBDA_P = 405e-9
 K_P = 2 * np.pi / LAMBDA_P
 THETA = np.deg2rad(3.0)
-
-
-def pump_for(A, w0=0.5e-3):
-    return PumpParams.from_coherence(LAMBDA_P, w0, A)
 
 
 class TestGeometryHelpers:
@@ -54,10 +52,8 @@ def assert_delta_bounds_error(kind, L, w0, A, rho):
                             rho_i=rho if kind == "II" else 0.0)
     pump = pump_for(A, w0=w0)
     prof = singles_profile(pump, crystal, samples=16)
-    finer = singles_profile(pump, crystal, samples=16,
-                            order=4 * prof.meta["order"],
-                            check_convergence=False)
-    error = np.max(np.abs(prof.grid - finer.grid))
+    finer = singles_at_order(pump, crystal, "both", 16, 4 * prof.meta["order"])
+    error = np.max(np.abs(prof.grid - finer / finer.max()))
     assert error <= prof.meta["order_doubling_delta"], (prof.meta["order"],
                                                         error)
 
@@ -162,10 +158,11 @@ class TestSplitPhase:
 class TestSinglesProfile:
     def test_mirror_symmetry_without_walkoff(self):
         crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA)
-        prof = singles_profile(pump_for(0.9, w0=1e-4), crystal, which="signal",
-                               samples=96, order=24, check_convergence=False)
-        flipped = prof.grid[:, ::-1]
-        assert np.max(np.abs(prof.grid - flipped)) < 0.01
+        grid = singles_at_order(pump_for(0.9, w0=1e-4), crystal, "signal",
+                                96, 24)
+        grid /= grid.max()
+        flipped = grid[:, ::-1]
+        assert np.max(np.abs(grid - flipped)) < 0.01
 
     def test_ring_peak_at_expected_radius(self):
         crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA)
@@ -200,11 +197,11 @@ class TestSinglesProfile:
 
     def test_type2_has_two_offset_rings(self):
         crystal = CrystalParams(L=2e-3, kind="II", theta_nc=THETA)
-        prof = singles_profile(pump_for(0.8), crystal, which="both",
-                               samples=128, order=16, check_convergence=False)
-        n = prof.grid.shape[0]
-        ys = (np.arange(n) - (n - 1) / 2) * prof.pitch_y
-        column = prof.grid[:, prof.grid.shape[1] // 2]
+        grid = singles_at_order(pump_for(0.8), crystal, "both", 128, 16)
+        grid /= grid.max()
+        n = grid.shape[0]
+        ys = np.arange(n) - (n - 1) / 2  # rows from the center, in pitches
+        column = grid[:, grid.shape[1] // 2]
         # two offset rings put intensity off the horizontal axis
         top = column[ys > 0]
         assert top.max() > 2.0 * column[int(np.argmin(np.abs(ys)))]
@@ -240,21 +237,20 @@ class TestSinglesProfile:
         assert prof.meta["rule"] == "gauss-hermite"
         assert prof.meta["order"] > 4
         assert prof.meta["order_doubling_delta"] <= 1e-4
-        fixed = singles_profile(pump_for(0.2, w0=1e-4), crystal, which="signal",
-                                samples=16, order=prof.meta["order"],
-                                check_convergence=False)
-        assert np.array_equal(prof.grid, fixed.grid)
-        assert fixed.meta["order_doubling_delta"] is None
+        fixed = singles_at_order(pump_for(0.2, w0=1e-4), crystal, "signal", 16,
+                                 prof.meta["order"])
+        assert np.array_equal(prof.grid, fixed / fixed.max())
 
     def test_gate_accepts_start_above_cap(self, monkeypatch):
         # a starting order above the cap is checked once by doubling, not
         # rejected unevaluated, and the doubled rule is returned
         monkeypatch.setattr(quadrature, "MAX_ORDER", 4)
         crystal = CrystalParams(L=2e-3, kind="I", theta_nc=THETA)
-        prof = singles_profile(pump_for(0.5), crystal, which="signal",
-                               samples=8, order=8)
-        assert prof.meta["order"] == 16
-        assert prof.meta["order_doubling_delta"] <= 1e-4
+        _, order, delta = doubling_gate(
+            lambda n: singles_at_order(pump_for(0.5), crystal, "signal", 8, n),
+            "inner", order=8)
+        assert order == 16
+        assert delta <= 1e-4
 
     @pytest.mark.parametrize("A", [0.9, 0.6, 0.3])
     def test_default_like_profile_pays_for_orders_2_and_4(self, A,
@@ -273,10 +269,9 @@ class TestSinglesProfile:
         prof = singles_profile(pump_for(A), crystal, samples=32)
         assert sorted(calls) == [(2, False), (2, True), (4, False), (4, True)]
         monkeypatch.undo()
-        fixed = singles_profile(pump_for(A), crystal, samples=32, order=4,
-                                check_convergence=False)
+        fixed = singles_at_order(pump_for(A), crystal, "both", 32, 4)
         assert prof.meta["order"] == 4
-        assert np.array_equal(prof.grid, fixed.grid)
+        assert np.array_equal(prof.grid, fixed / fixed.max())
 
     @pytest.mark.parametrize("kind, L, w0, A, rho", [
         ("I", 5e-3, 1e-4, 0.2, 0.07),
@@ -295,40 +290,35 @@ class TestSinglesProfile:
             assert_delta_bounds_error(*config)
 
     @staticmethod
-    def assert_quadrature_matches_montecarlo(pump, crystal, **quad_options):
-        # the two integration backends agree within 3 MC standard errors at
-        # every tested grid point
-        quad = singles_profile(pump, crystal, which="signal", samples=8,
-                               **quad_options)
-        mc = singles_profile(pump, crystal, which="signal", samples=8,
-                             method="montecarlo", mc_samples=20000, seed=20240)
-        quad_raw = quad.grid * quad.meta["normalization"]
-        mc_raw = mc.grid * mc.meta["normalization"]
-        stderr = mc.meta["mc_stderr"] * mc.meta["normalization"]
+    def assert_quadrature_matches_montecarlo(quad_raw, pump, crystal):
+        # the rule's 8 x 8 signal image agrees with Monte Carlo within 3 MC
+        # standard errors at every tested grid point
+        mc_raw, stderr = singles_montecarlo(pump, crystal, "signal", 8,
+                                            20000, 20240)
         z = np.abs(quad_raw - mc_raw) / np.where(stderr > 0, stderr, np.inf)
         assert np.max(z) < 3.0
 
     def test_quadrature_vs_montecarlo(self):
         crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA)
+        pump = pump_for(0.5, w0=1e-4)
         self.assert_quadrature_matches_montecarlo(
-            pump_for(0.5, w0=1e-4), crystal, order=32, check_convergence=False)
+            singles_at_order(pump, crystal, "signal", 8, 32), pump, crystal)
 
     def test_gated_quadrature_vs_montecarlo(self):
         # the gate has to climb past orders 4 and 8 here, each of which
         # misses by more than 15 MC standard errors, and returns order 32
         crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA, rho_p=0.07)
-        self.assert_quadrature_matches_montecarlo(pump_for(0.2, w0=1e-4),
-                                                  crystal)
+        pump = pump_for(0.2, w0=1e-4)
+        quad = singles_profile(pump, crystal, which="signal", samples=8)
+        self.assert_quadrature_matches_montecarlo(
+            quad.grid * quad.meta["normalization"], pump, crystal)
 
-    def test_montecarlo_seed_recorded_and_deterministic(self):
+    def test_montecarlo_is_deterministic(self):
         crystal = CrystalParams(L=2e-3, kind="I", theta_nc=THETA)
         pump = pump_for(0.5)
-        one = singles_profile(pump, crystal, which="signal", samples=8,
-                              method="montecarlo", mc_samples=2000, seed=7)
-        two = singles_profile(pump, crystal, which="signal", samples=8,
-                              method="montecarlo", mc_samples=2000, seed=7)
-        assert one.meta["seed"] == 7
-        assert np.array_equal(one.grid, two.grid)
+        one = singles_montecarlo(pump, crystal, "signal", 8, 2000, 7)
+        two = singles_montecarlo(pump, crystal, "signal", 8, 2000, 7)
+        assert np.array_equal(one[0], two[0])
 
 
 class TestConditionalScan:

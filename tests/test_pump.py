@@ -2,23 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from shared import j1_series
 
 from gsmspdc.pump import (CharacterizationSetup, GaussianCsd, PumpParams,
                           bessel_visibility, correlation_length,
                           correlation_length_for, csd_coefficients,
                           propagate_to_crystal, pump_visibility)
-
-
-def j1_series(nu, terms=60):
-    """Independent J1 oracle: power series sum_m (-1)^m / (m! (m+1)!) (x/2)^(2m+1)."""
-    nu = float(nu)
-    half = nu / 2.0
-    total = 0.0
-    term = half  # m = 0
-    for m in range(terms):
-        total += term
-        term *= -(half * half) / ((m + 1) * (m + 2))
-    return total
 
 
 def visibility_oracle(nu):

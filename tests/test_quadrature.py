@@ -69,10 +69,3 @@ class TestDoublingGate:
                            match="aperture quadrature not converged by order 4"):
             doubling_gate(rule, "aperture")
         assert rule.calls == [2, 4, 8]
-
-    def test_unchecked_evaluates_the_start_once(self):
-        rule = SyntheticRule(geometric)
-        values, order, delta = doubling_gate(rule, "inner", order=8,
-                                             check_convergence=False)
-        assert rule.calls == [8]
-        assert (values is rule.returned[8]) and order == 8 and delta is None
