@@ -8,7 +8,7 @@ Library layout:
     profiles      far-field ring profiles and conditional momentum scans
     quadrature    the order-doubling gate both quadrature rules share
     counting      synthetic photon-counting frames and the covariance estimator
-    analysis      visibility and Gaussian fits, scan widths
+    analysis      visibility and Gaussian fits
     records       Scan1D and Profile2D, the sampled outputs with their meta
     config        INI sections, each key's default and bounds, the Resolver
     iofmt         deterministic CSV, 16-bit PGM and JSON writers, run manifests
@@ -34,14 +34,11 @@ if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .analysis import (GaussianFit, VisibilityFit, fit_gaussian, fit_visibility,
-                       scan_fwhm)
+from .analysis import GaussianFit, VisibilityFit, fit_gaussian, fit_visibility
 from .errors import ConfigError, ConvergenceError, FitError
-from .interference import (SlitGeometry, fringe_profiles, slit_plane_coherence,
-                           visibility_curve)
+from .interference import SlitGeometry, fringe_profiles, visibility_curve
 from .profiles import (conditional_scan, momentum_to_position, overlap_point,
-                       position_to_momentum, ring_radial_profile, ring_radius,
-                       singles_profile)
+                       ring_radius, singles_profile)
 from .pump import (CharacterizationSetup, GaussianCsd, PumpParams,
                    bessel_visibility, correlation_length, csd_coefficients,
                    propagate_to_crystal, pump_visibility)

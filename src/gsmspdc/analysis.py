@@ -27,7 +27,6 @@ __all__ = [
     "VisibilityFit",
     "fit_gaussian",
     "fit_visibility",
-    "scan_fwhm",
 ]
 
 FWHM_SIGMA_RATIO = 2.0 * np.sqrt(2.0 * np.log(2.0))  # 2.35482
@@ -356,28 +355,3 @@ def fit_visibility(scans, period_hint: float, window=None) -> list[VisibilityFit
     if error is not None:
         raise FitError(error)
     return fits
-
-
-def _half_crossing(xs, ys, i_max, half, step):
-    """x where ys first falls below half, walking from i_max by step (+-1),
-    linearly interpolated; None if it never does inside the scan."""
-    for i in range(i_max + step, xs.size if step > 0 else -1, step):
-        if ys[i] < half:
-            x0, x1 = xs[i - step], xs[i]
-            y0, y1 = ys[i - step], ys[i]
-            return x0 + (half - y0) * (x1 - x0) / (y1 - y0)
-    return None
-
-
-def scan_fwhm(scan: Scan1D) -> float:
-    """Full width at half maximum of a single-peaked scan, linearly interpolated."""
-    xs, ys = scan.xs, scan.values
-    i_max = int(np.argmax(ys))
-    if i_max in (0, xs.size - 1):
-        raise FitError("peak sits on the scan boundary")
-    half = ys[i_max] / 2.0
-    right = _half_crossing(xs, ys, i_max, half, +1)
-    left = _half_crossing(xs, ys, i_max, half, -1)
-    if right is None or left is None:
-        raise FitError("half-maximum level not reached inside the scan")
-    return float(right - left)

@@ -111,14 +111,17 @@ def run_profile(res: Resolver, out: Path):
     pumps = pumps_from(res)
     crystal = crystal_from(res)
     samples, extent = res.section("grid", "samples", "extent")
+    stems = [f"profile_A{pump.A:.4g}" for pump in pumps]
+    twice = sorted({stem for stem in stems if stems.count(stem) > 1})
+    if twice:
+        raise ConfigError(f"[pump] a_values name one profile file twice: "
+                          f"{', '.join(stem + '.pgm' for stem in twice)}")
     with section_errors("grid"):  # an extent that does not cover the ring
         computed = [profiles.singles_profile(
-            pump, crystal, which="both",
-            extent=None if extent == 0 else extent,
+            pump, crystal, extent=None if extent == 0 else extent,
             samples=samples) for pump in pumps]
     paths = []
-    for prof in computed:
-        stem = f"profile_A{prof.meta['A']:.4g}"
+    for stem, prof in zip(stems, computed):
         img = out / f"{stem}.pgm"
         write_pgm16(img, prof.grid)
         sidecar = out / f"{stem}.json"

@@ -22,7 +22,9 @@ the determinant of the gsmspdc.pump docstring:
 
 _signal_csd builds this CSD, except on two lines that keep the package's
 fringes as they were and are the model defects of ROADMAP item 1: it scales
-the pump's coefficients by (2 pi)^-2, and it propagates over -z.
+the pump's coefficients by (2 pi)^-2, and it propagates over -z.  _detector
+sets out what fringe_profiles integrates on: these fields, one per pump, and
+a detector axis 8 naive fringe periods lambda_s z1 / d wide.
 
 Only the double integral over the two slit apertures is done numerically
 (Gauss-Legendre panels per slit, order set by gsmspdc.quadrature's gate),
@@ -77,7 +79,6 @@ from .spdc import CrystalParams
 
 __all__ = [
     "SlitGeometry",
-    "slit_plane_coherence",
     "fringe_profiles",
     "visibility_curve",
 ]
@@ -115,17 +116,6 @@ def _signal_csd(pump: PumpParams, crystal: CrystalParams, z: float) -> GaussianC
     signal = GaussianCsd(scale * pump_csd.s, scale * pump_csd.c + gamma,
                          scale * pump_csd.b, pump_csd.A_c)
     return signal.propagated(-z, pump.k_s)  # ROADMAP item 1: Fresnel sign
-
-
-def slit_plane_coherence(pump: PumpParams, crystal: CrystalParams, z: float,
-                         separation: float) -> float:
-    """|mu(x, x')| of the signal field at the slit plane for |x - x'| = separation.
-
-    Closed form exp(-c_x dx^2) from the position form; useful as an analytic
-    cross-check of the fitted fringe visibility.
-    """
-    field = _signal_csd(pump, crystal, z).position_form()
-    return float(np.exp(-field.c * separation**2))
 
 
 def _slit_nodes(slits: SlitGeometry, order: int):
@@ -173,6 +163,21 @@ def _unit_max_profiles(fields, k_s, slits, xs, order):
     return p1 / peak
 
 
+def _detector(pumps, crystal: CrystalParams, slits: SlitGeometry, samples):
+    """fringe_profiles' setup: (period, span, xs, fields), the naive fringe
+    period lambda_s z1 / d, the detector span of DEFAULT_SPAN_PERIODS
+    periods, its samples xs, and each pump's slit-plane CSD in position
+    form.  The pumps must share one lambda_p."""
+    if len({pump.lambda_p for pump in pumps}) != 1:
+        raise ValueError("fringe_profiles needs at least one pump, all of one "
+                         "lambda_p")
+    period = slits.fringe_period(pumps[0].lambda_s)
+    span = DEFAULT_SPAN_PERIODS * period
+    xs = np.linspace(-span / 2.0, span / 2.0, samples)
+    fields = [_signal_csd(pump, crystal, slits.z).position_form() for pump in pumps]
+    return period, span, xs, fields
+
+
 def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
                     samples: int = DEFAULT_SAMPLES,
                     order: int = INITIAL_ORDER) -> list[Scan1D]:
@@ -191,13 +196,7 @@ def fringe_profiles(pumps, crystal: CrystalParams, slits: SlitGeometry,
         whose doubling passed for the one before it.
     """
     pumps = list(pumps)
-    if len({pump.lambda_p for pump in pumps}) != 1:
-        raise ValueError("fringe_profiles needs at least one pump, all of one "
-                         "lambda_p")
-    period = slits.fringe_period(pumps[0].lambda_s)
-    span = DEFAULT_SPAN_PERIODS * period
-    xs = np.linspace(-span / 2.0, span / 2.0, samples)
-    fields = [_signal_csd(pump, crystal, slits.z).position_form() for pump in pumps]
+    period, span, xs, fields = _detector(pumps, crystal, slits, samples)
     rows = {}  # order -> unit-max profiles, for each pump's own delta
 
     def evaluate(n):

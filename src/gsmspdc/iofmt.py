@@ -22,7 +22,6 @@ from . import __version__
 __all__ = [
     "write_csv",
     "write_pgm16",
-    "read_pgm16",
     "write_json",
     "sha256_file",
     "write_manifest",
@@ -100,19 +99,6 @@ def write_pgm16(path, grid):
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(scaled.tobytes(order="C"))
-
-
-def read_pgm16(path):
-    data = Path(path).read_bytes()
-    if not data.startswith(b"P5"):
-        raise ValueError("not a binary PGM file")
-    parts = data.split(b"\n", 3)
-    width, height = (int(v) for v in parts[1].split())
-    maxval = int(parts[2])
-    if maxval != 65535:
-        raise ValueError(f"expected 16-bit PGM, maxval {maxval}")
-    pixels = np.frombuffer(parts[3], dtype=">u2", count=width * height)
-    return pixels.reshape(height, width).astype(np.uint16)
 
 
 def _jsonable(value):

@@ -1,13 +1,14 @@
 """Far-field transverse profiles of the down-converted light.
 
 singles_profile integrates the joint momentum rate over the undetected
-photon.  The pump CSD diagonal weights the pair-sum momentum u = q_s + q_i by
-the Gaussian A_c exp(-|u|^2 / (2 sigma^2)), with sigma from
-GaussianCsd.sum_sigma, leaving the bounded factor sinc^2(L dk_z / 2) to
-integrate against it by a tensor Gauss-Hermite rule, exact for that weight.
-The Hermite order is measured, not configured, by the order-doubling gate of
-gsmspdc.quadrature.  _singles_montecarlo draws the same integrand's pair sums
-from that weight instead; it is the tests' reference for the rule.
+photon, on the pixels and rings that _image sets out.  The pump CSD diagonal
+weights the pair-sum momentum u = q_s + q_i by the Gaussian
+A_c exp(-|u|^2 / (2 sigma^2)), with sigma from GaussianCsd.sum_sigma, leaving
+the bounded factor sinc^2(L dk_z / 2) to integrate against it by a tensor
+Gauss-Hermite rule, exact for that weight.  The Hermite order is measured,
+not configured, by the order-doubling gate of gsmspdc.quadrature.
+_singles_montecarlo draws the same integrand's pair sums from that weight
+instead; it is the tests' reference for the rule.
 
 The integrand is evaluated as a completed square in u (spdc.mismatch_square):
 at a detected momentum q the mismatch is dk_z = |u - c|^2 / (2 k_p) + D0, with
@@ -21,7 +22,7 @@ cos a sin b, one division and a product with the weights, in (n, n, rows)
 blocks of about BLOCK elements whose work space is allocated once.
 
 Momenta are in rad/m.  A camera at the focal plane of a collimating lens maps
-position X to transverse momentum q = k X / f (helpers below).
+transverse momentum q to position X = q f / k (momentum_to_position).
 """
 
 import math
@@ -37,11 +38,9 @@ from .spdc import CrystalParams, _sinc, joint_momentum_rate, mismatch_square
 __all__ = [
     "ring_radius",
     "overlap_point",
-    "position_to_momentum",
     "momentum_to_position",
     "singles_profile",
     "conditional_scan",
-    "ring_radial_profile",
 ]
 
 
@@ -66,12 +65,9 @@ def overlap_point(crystal: CrystalParams, k_p: float):
     return (float(q), 0.0)
 
 
-def position_to_momentum(x, focal_length: float, wavelength: float):
-    """Camera-plane position -> transverse momentum behind a collimating lens."""
-    return (2.0 * np.pi / wavelength) * np.asarray(x, dtype=float) / focal_length
-
-
 def momentum_to_position(q, focal_length: float, wavelength: float):
+    """Transverse momentum -> camera-plane position q f / k behind a
+    collimating lens."""
     return np.asarray(q, dtype=float) * focal_length / (2.0 * np.pi / wavelength)
 
 
@@ -194,22 +190,16 @@ def _singles_montecarlo(qx, qy, pump, crystal, n_samples, seed,
     return mean.reshape(qx.shape), stderr.reshape(qx.shape)
 
 
-def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both",
-                    extent: float | None = None, samples: int = 256) -> Profile2D:
-    """Far-field intensity map of the down-converted photons, unit maximum.
+def _image(pump: PumpParams, crystal: CrystalParams, extent, samples):
+    """singles_profile's pixels and rings: (qx, qy, rings, extent, q_offset).
 
-    which : "signal", "idler", or "both".  For type-II crystals the signal
-        and idler rings are displaced by +-q_offset = half the ring radius
-        along y, which makes them overlap at two points on the x axis, and
-        the idler walk-off applies only to the idler ring.  Type-I has a
-        single ring at the origin.
-    extent : full grid span in rad/m; must cover the ring (>= 2 k_s theta_nc).
-
-    The tensor Gauss-Hermite rule takes order^2 inner nodes.  The
-    order-doubling gate doubles its order from INITIAL_ORDER until the next
-    doubling moves no sample by more than its tolerance, and returns that
-    doubled rule: meta records its "order" and the "order_doubling_delta"
-    from half that order.
+    qx is a row and qy a column of the samples x samples image, spanning
+    extent (None: 3.2 ring radii, or 12 pair-sum widths for a collinear
+    ring).  rings holds the (center_shift, idler_ring) of each ring: type-I
+    has one, the signal's at the origin; type-II adds the idler's, the two
+    displaced by +-q_offset = half the ring radius along y, so that they
+    overlap at two points on the x axis, with the idler walk-off applied to
+    the idler ring alone.
     """
     radius = ring_radius(crystal, pump.k_p)
     if extent is None:
@@ -218,41 +208,49 @@ def singles_profile(pump: PumpParams, crystal: CrystalParams, which: str = "both
     if radius > 0 and extent < 2.0 * radius:
         raise ValueError("grid extent must cover the ring (>= 2 k_s theta_nc)")
     axis = np.linspace(-extent / 2.0, extent / 2.0, samples)
-    # rows of the image are qy, columns qx
-    qx, qy = axis[None, :], axis[:, None]
-
     if crystal.kind == "II":
         q_offset = 0.5 * radius
-        rings = {"signal": ((0.0, +q_offset), False),
-                 "idler": ((0.0, -q_offset), True)}
+        rings = [((0.0, +q_offset), False), ((0.0, -q_offset), True)]
     else:
         q_offset = 0.0
-        rings = {"signal": ((0.0, 0.0), False)}
-    if which == "both":
-        selected = list(rings.values())
-    elif which in rings:
-        selected = [rings[which]]
-    else:
-        raise ValueError(f"unknown ring selector {which!r} for type-{crystal.kind}")
+        rings = [((0.0, 0.0), False)]
+    # rows of the image are qy, columns qx
+    return axis[None, :], axis[:, None], rings, extent, q_offset
+
+
+def singles_profile(pump: PumpParams, crystal: CrystalParams,
+                    extent: float | None = None, samples: int = 256) -> Profile2D:
+    """Far-field intensity map of every ring the crystal emits, unit maximum:
+    the sum over the rings of _image, one for type-I and two for type-II.
+
+    extent : full grid span in rad/m; must cover the ring (>= 2 k_s theta_nc).
+
+    The tensor Gauss-Hermite rule takes order^2 inner nodes.  The
+    order-doubling gate doubles its order from INITIAL_ORDER until the next
+    doubling moves no sample by more than its tolerance, and returns that
+    doubled rule: meta records its "order" and the "order_doubling_delta"
+    from half that order.
+    """
+    qx, qy, rings, extent, q_offset = _image(pump, crystal, extent, samples)
 
     def evaluate(n):
         return sum(_singles_quadrature(qx, qy, pump, crystal, n,
                                        center_shift=shift, idler_ring=idler)
-                   for shift, idler in selected)
+                   for shift, idler in rings)
 
     total, order, delta = doubling_gate(evaluate, "inner")
     peak = float(total.max())
     if peak <= 0:
         raise ConvergenceError("profile vanished everywhere")
     grid = total / peak
-    pitch = axis[1] - axis[0]
+    pitch = qx[0, 1] - qx[0, 0]
     meta = {
         "lambda_p_m": pump.lambda_p, "w0_m": pump.w0, "l_c_m": pump.l_c,
         "A": pump.A,
         "crystal_L_m": crystal.L, "kind": crystal.kind,
         "theta_nc_rad": crystal.theta_nc,
         "rho_p_rad": crystal.rho_p, "rho_i_rad": crystal.rho_i,
-        "which": which, "q_offset_radpm": q_offset,
+        "which": "both", "q_offset_radpm": q_offset,
         "extent_radpm": extent, "samples": samples,
         "rule": "gauss-hermite", "order": order,
         "order_doubling_delta": delta, "normalization": peak,
@@ -286,22 +284,3 @@ def conditional_scan(pump: PumpParams, crystal: CrystalParams, q_s,
         "rho_i_rad": crystal.rho_i, "crystal_L_m": crystal.L,
     }
     return Scan1D(xs=qix, values=rate / area, meta=meta)
-
-
-def ring_radial_profile(pump: PumpParams, crystal: CrystalParams,
-                        angles, radii) -> Scan1D:
-    """Azimuthally averaged radial intensity over the given angles (type-I ring).
-
-    Evaluates the singles rate on a polar grid by the same Gauss-Hermite rule
-    and order-doubling gate as singles_profile; used to measure ring width on
-    a chosen side (e.g. angles around 0 for +x, around pi for -x).
-    """
-    angles = np.asarray(angles, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    QX = radii[:, None] * np.cos(angles)[None, :]
-    QY = radii[:, None] * np.sin(angles)[None, :]
-    vals, order, delta = doubling_gate(
-        lambda n: _singles_quadrature(QX, QY, pump, crystal, n), "inner")
-    meta = {"angles_rad": angles.tolist(), "A": pump.A,
-            "order": order, "order_doubling_delta": delta}
-    return Scan1D(xs=radii, values=vals.mean(axis=1), meta=meta)

@@ -169,11 +169,6 @@ class GaussianCsd:
     A_c: float
 
     @property
-    def a(self) -> complex:
-        """s + c + i b, the |q|^2 coefficient of the form with 2 c q.q'."""
-        return complex(self.s + self.c, self.b)
-
-    @property
     def sum_sigma(self) -> float:
         """Std. deviation (rad/m) of the pair-sum Gaussian on the diagonal,
         W(u, u) = A_c exp(-2 s |u|^2) = A_c exp(-|u|^2 / (2 sigma^2))."""
@@ -187,16 +182,6 @@ class GaussianCsd:
     def diagonal(self, u2):
         """W(u, u) at |u|^2 = u2."""
         return self.A_c * np.exp(-2.0 * self.s * u2)
-
-    def kernel(self, q, qp):
-        """Evaluate W(q, q') for points with components stacked on the last axis."""
-        q = np.asarray(q, dtype=float)
-        qp = np.asarray(qp, dtype=float)
-        q2 = np.sum(q * q, axis=-1)
-        qp2 = np.sum(qp * qp, axis=-1)
-        d2 = np.sum((q - qp) ** 2, axis=-1)
-        return self.A_c * np.exp(-self.s * (q2 + qp2) - self.c * d2
-                                 - 1j * self.b * (q2 - qp2))
 
     def propagated(self, z: float, k: float) -> "GaussianCsd":
         """The CSD after free propagation over z (m) at wavenumber k (rad/m)."""

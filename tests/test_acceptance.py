@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 from frame_sources import drawn_stack, stack_scan
 from shared import (LAMBDA_P, LAMBDA_S, fitted_visibility, fringes_at_order,
-                    j1_series, pump_for, singles_at_order, singles_montecarlo)
+                    j1_series, pump_for, ring_radial_profile, scan_fwhm,
+                    singles_at_order, singles_montecarlo)
 
-from gsmspdc.analysis import fit_gaussian, scan_fwhm
+from gsmspdc.analysis import fit_gaussian
 from gsmspdc.cli import EXIT_OK, main
 from gsmspdc.interference import (SlitGeometry, fringe_profiles,
                                   visibility_curve)
-from gsmspdc.profiles import (conditional_scan, overlap_point,
-                              ring_radial_profile, ring_radius)
+from gsmspdc.profiles import conditional_scan, overlap_point, ring_radius
 from gsmspdc.pump import bessel_visibility, correlation_length
 from gsmspdc.spdc import CrystalParams, joint_momentum_rate
 
@@ -187,7 +187,7 @@ class TestCriterion6RingAsymmetry:
 
     def test_mirror_symmetry_without_walkoff(self):
         pump = pump_for(0.2, w0=1e-4)
-        grid = singles_at_order(pump, self.CRYSTAL_CLEAN, "signal", 96, 24)
+        grid = singles_at_order(pump, self.CRYSTAL_CLEAN, 96, 24)
         grid /= grid.max()
         worst = float(np.max(np.abs(grid - grid[:, ::-1])))
         assert worst < 0.01
@@ -242,10 +242,8 @@ class TestCriterion8NumericalHygiene:
                                        48)
         worst_fringe = float(np.max(np.abs(base - double)))
         crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA)
-        prof = singles_at_order(pump_for(0.5, w0=1e-4), crystal, "signal", 24,
-                                32)
-        prof2 = singles_at_order(pump_for(0.5, w0=1e-4), crystal, "signal", 24,
-                                 64)
+        prof = singles_at_order(pump_for(0.5, w0=1e-4), crystal, 24, 32)
+        prof2 = singles_at_order(pump_for(0.5, w0=1e-4), crystal, 24, 64)
         worst_prof = float(np.max(np.abs(prof / prof.max()
                                          - prof2 / prof2.max())))
         assert worst_fringe < 1e-4 and worst_prof < 1e-4
@@ -255,9 +253,8 @@ class TestCriterion8NumericalHygiene:
     def test_montecarlo_quadrature_agreement(self):
         crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA)
         pump = pump_for(0.5, w0=1e-4)
-        quad_raw = singles_at_order(pump, crystal, "signal", 8, 32)
-        mc_raw, stderr = singles_montecarlo(pump, crystal, "signal", 8, 20000,
-                                            20240)
+        quad_raw = singles_at_order(pump, crystal, 8, 32)
+        mc_raw, stderr = singles_montecarlo(pump, crystal, 8, 20000, 20240)
         z = np.abs(quad_raw - mc_raw) / np.where(stderr > 0, stderr, np.inf)
         assert float(np.max(z)) < 3.0
         report("8c", f"MC vs quadrature: max |z| = {float(np.max(z)):.2f} "

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from shared import scan_fwhm
 
 from gsmspdc import analysis
 from gsmspdc.analysis import (FWHM_SIGMA_RATIO, _levenberg_marquardt,
-                              fit_gaussian, fit_visibility, scan_fwhm)
+                              fit_gaussian, fit_visibility)
 from gsmspdc.errors import FitError
 from gsmspdc.records import Scan1D
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from shared import pump_for, singles_montecarlo
+from shared import pump_for, read_pgm16, singles_montecarlo
 
 import gsmspdc
 from gsmspdc import analysis, quadrature
@@ -26,7 +26,6 @@ from gsmspdc.config import (KEYS, MAX_D12_SAMPLES, MAX_DETECTOR_SAMPLES,
                             MAX_PAIRS_PER_FRAME, _finite, _finite_list,
                             _integer, load_config)
 from gsmspdc.counting import FrameFile, synth_blocks, write_frames
-from gsmspdc.iofmt import read_pgm16
 
 BASE_CONFIG = """
 [pump]
@@ -149,6 +148,19 @@ class TestRunProfile:
         assert sidecar["rule"] == "gauss-hermite"
         assert sidecar["order"] >= 4
         assert 0.0 <= sidecar["order_doubling_delta"] <= 1e-4
+
+    def test_colliding_file_names_are_a_config_error(self, tmp_path, capsys):
+        # both A print as 0.3 at four digits: the second image would
+        # overwrite the first
+        path = tmp_path / "twice.ini"
+        path.write_text(BASE_CONFIG.replace("a_values = 0.9, 0.3",
+                                            "a_values = 0.30001, 0.9, 0.30004"))
+        out = tmp_path / "out"
+        assert run("profile", path, out) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: [pump] a_values name one profile file twice: "
+            "profile_A0.3.pgm\n")
+        assert not any(out.iterdir())
 
 
 class TestCountingPipeline:
@@ -997,7 +1009,8 @@ DOMAIN_KEYS["frames-synth"] += [key for key in DOMAIN_KEYS["profile"]
 JOINT_RULES = ("slit separation d must exceed the slit width a",
                "the beam does not reach the slits",
                "grid extent must cover the ring",
-               "more than the u16 format's")
+               "more than the u16 format's",
+               "name one profile file twice")
 
 
 def _log_uniform(low, high):
@@ -1155,12 +1168,12 @@ def test_only_frames_synth_loads_numpy_random(tmp_path):
 MONTECARLO_SCRIPT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
-from shared import pump_for, singles_montecarlo
+from shared import pump_for, read_pgm16, singles_montecarlo
 from gsmspdc import CrystalParams
 
 before = "numpy.random" in sys.modules
 mean, _ = singles_montecarlo(pump_for(0.5), CrystalParams(L=2e-3, kind="II"),
-                             "signal", 8, 500, 5)
+                             8, 500, 5)
 print(json.dumps([before, "numpy.random" in sys.modules, mean.tolist()]))
 """
 
@@ -1171,7 +1184,7 @@ def test_montecarlo_profile_runs_in_a_fresh_process():
     assert (before, after) == (False, True)
     here, _ = singles_montecarlo(pump_for(0.5),
                                  gsmspdc.CrystalParams(L=2e-3, kind="II"),
-                                 "signal", 8, 500, 5)
+                                 8, 500, 5)
     assert np.array_equal(np.array(mean), here)
 
 

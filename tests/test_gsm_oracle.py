@@ -8,6 +8,7 @@ sampled position kernel.  All momenta are in rad/m, plane waves exp(i q x).
 
 import numpy as np
 import pytest
+from shared import csd_kernel
 
 from gsmspdc.pump import GaussianCsd, PumpParams, csd_coefficients
 
@@ -64,7 +65,7 @@ def position_form(csd, x, xp):
     """The program's position form of csd on x by xp, normalized to 1 at
     x = x' = 0."""
     x, xp = np.asarray(x)[:, None, None], np.asarray(xp)[None, :, None]
-    return csd.position_form().kernel(x, xp) / csd.A_c
+    return csd_kernel(csd.position_form(), x, xp) / csd.A_c
 
 
 def at_origin(w):
@@ -81,7 +82,7 @@ def test_position_form_is_transform_of_kernel(name, z):
     # W(x, x') = int W(q, q') exp(i q x - i q' x') dq dq' on a rad/m grid
     csd = SOURCES[name].propagated(z, K)
     q = np.linspace(-12.0, 12.0, 801) / SIGMA
-    w_q = csd.kernel(q[:, None, None], q[None, :, None])
+    w_q = csd_kernel(csd, q[:, None, None], q[None, :, None])
     phase = np.exp(1j * np.outer(DETECTOR, q))
     w_x = phase @ w_q @ phase.conj().T
     ref = position_form(csd, DETECTOR, DETECTOR)

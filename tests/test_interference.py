@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from shared import LAMBDA_S, fitted_visibility, fringes_at_order, pump_for
+from shared import (LAMBDA_S, csd_a, fitted_visibility, fringes_at_order,
+                    pump_for, slit_plane_coherence)
 
 from gsmspdc import interference, quadrature
 from gsmspdc.errors import ConvergenceError
 from gsmspdc.interference import (SlitGeometry, fringe_profiles,
-                                  slit_plane_coherence, visibility_curve)
+                                  visibility_curve)
 from gsmspdc.pump import PumpParams
 from gsmspdc.spdc import CrystalParams
 
@@ -101,7 +102,8 @@ def reference_profile(pump, slits, xs, order):
     csd = interference._signal_csd(pump, CRYSTAL, slits.z)
     nodes, weights = interference._slit_nodes(slits, order)
     X, Xp = np.meshgrid(nodes, nodes, indexing="ij")
-    w_slit = np.exp(-(np.conj(csd.a) * X**2 + csd.a * Xp**2 - 2.0 * csd.c * X * Xp)
+    a = csd_a(csd)
+    w_slit = np.exp(-(np.conj(a) * X**2 + a * Xp**2 - 2.0 * csd.c * X * Xp)
                     / (4.0 * csd.delta))
     kernel = weights[:, None] * weights[None, :] * w_slit
     k_s = pump.k_p / 2.0

@@ -3,16 +3,15 @@ import itertools
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
-from shared import (LAMBDA_P, pump_for, singles_at_order,
-                    singles_montecarlo)
+from shared import (LAMBDA_P, pump_for, ring_radial_profile, scan_fwhm,
+                    singles_at_order, singles_montecarlo)
 
 from gsmspdc import profiles, quadrature
-from gsmspdc.analysis import fit_gaussian, scan_fwhm
+from gsmspdc.analysis import fit_gaussian
 from gsmspdc.errors import ConvergenceError
 from gsmspdc.interference import SlitGeometry, fringe_profiles
 from gsmspdc.profiles import (_singles_quadrature, conditional_scan,
                               momentum_to_position, overlap_point,
-                              position_to_momentum, ring_radial_profile,
                               ring_radius, singles_profile)
 from gsmspdc.pump import csd_coefficients
 from gsmspdc.quadrature import doubling_gate
@@ -39,10 +38,11 @@ class TestGeometryHelpers:
         q = overlap_point(crystal, K_P)
         assert q[0] == pytest.approx(ring_radius(crystal, K_P), rel=1e-12)
 
-    def test_pixel_mapping_roundtrip(self):
-        q = position_to_momentum(1.3e-3, 0.2, 810e-9)
-        assert momentum_to_position(q, 0.2, 810e-9) == pytest.approx(
-            1.3e-3, rel=1e-12)
+    def test_momentum_to_position_is_q_f_over_k(self):
+        # a collimating lens of focal length f puts momentum q at X = q f / k
+        q, f, k = 2.0e4, 0.2, 2.0 * np.pi / 810e-9
+        assert momentum_to_position(q, f, 810e-9) == pytest.approx(
+            q * f / k, rel=1e-15)
 
 
 def assert_delta_bounds_error(kind, L, w0, A, rho):
@@ -52,7 +52,7 @@ def assert_delta_bounds_error(kind, L, w0, A, rho):
                             rho_i=rho if kind == "II" else 0.0)
     pump = pump_for(A, w0=w0)
     prof = singles_profile(pump, crystal, samples=16)
-    finer = singles_at_order(pump, crystal, "both", 16, 4 * prof.meta["order"])
+    finer = singles_at_order(pump, crystal, 16, 4 * prof.meta["order"])
     error = np.max(np.abs(prof.grid - finer / finer.max()))
     assert error <= prof.meta["order_doubling_delta"], (prof.meta["order"],
                                                         error)
@@ -158,8 +158,7 @@ class TestSplitPhase:
 class TestSinglesProfile:
     def test_mirror_symmetry_without_walkoff(self):
         crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA)
-        grid = singles_at_order(pump_for(0.9, w0=1e-4), crystal, "signal",
-                                96, 24)
+        grid = singles_at_order(pump_for(0.9, w0=1e-4), crystal, 96, 24)
         grid /= grid.max()
         flipped = grid[:, ::-1]
         assert np.max(np.abs(grid - flipped)) < 0.01
@@ -197,7 +196,7 @@ class TestSinglesProfile:
 
     def test_type2_has_two_offset_rings(self):
         crystal = CrystalParams(L=2e-3, kind="II", theta_nc=THETA)
-        grid = singles_at_order(pump_for(0.8), crystal, "both", 128, 16)
+        grid = singles_at_order(pump_for(0.8), crystal, 128, 16)
         grid /= grid.max()
         n = grid.shape[0]
         ys = np.arange(n) - (n - 1) / 2  # rows from the center, in pitches
@@ -214,7 +213,7 @@ class TestSinglesProfile:
 
     @pytest.mark.parametrize("rule, integrate", [
         ("inner", lambda pump, crystal, radius: singles_profile(
-            pump, crystal, which="signal", samples=16)),
+            pump, crystal, samples=16)),
         ("inner", lambda pump, crystal, radius: ring_radial_profile(
             pump, crystal, [0.0, np.pi],
             np.linspace(0.5 * radius, 1.6 * radius, 101))),
@@ -232,12 +231,11 @@ class TestSinglesProfile:
 
     def test_order_doubling_gate_recorded(self):
         crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA, rho_p=0.07)
-        prof = singles_profile(pump_for(0.2, w0=1e-4), crystal, which="signal",
-                               samples=16)
+        prof = singles_profile(pump_for(0.2, w0=1e-4), crystal, samples=16)
         assert prof.meta["rule"] == "gauss-hermite"
         assert prof.meta["order"] > 4
         assert prof.meta["order_doubling_delta"] <= 1e-4
-        fixed = singles_at_order(pump_for(0.2, w0=1e-4), crystal, "signal", 16,
+        fixed = singles_at_order(pump_for(0.2, w0=1e-4), crystal, 16,
                                  prof.meta["order"])
         assert np.array_equal(prof.grid, fixed / fixed.max())
 
@@ -247,7 +245,7 @@ class TestSinglesProfile:
         monkeypatch.setattr(quadrature, "MAX_ORDER", 4)
         crystal = CrystalParams(L=2e-3, kind="I", theta_nc=THETA)
         _, order, delta = doubling_gate(
-            lambda n: singles_at_order(pump_for(0.5), crystal, "signal", 8, n),
+            lambda n: singles_at_order(pump_for(0.5), crystal, 8, n),
             "inner", order=8)
         assert order == 16
         assert delta <= 1e-4
@@ -269,7 +267,7 @@ class TestSinglesProfile:
         prof = singles_profile(pump_for(A), crystal, samples=32)
         assert sorted(calls) == [(2, False), (2, True), (4, False), (4, True)]
         monkeypatch.undo()
-        fixed = singles_at_order(pump_for(A), crystal, "both", 32, 4)
+        fixed = singles_at_order(pump_for(A), crystal, 32, 4)
         assert prof.meta["order"] == 4
         assert np.array_equal(prof.grid, fixed / fixed.max())
 
@@ -291,10 +289,9 @@ class TestSinglesProfile:
 
     @staticmethod
     def assert_quadrature_matches_montecarlo(quad_raw, pump, crystal):
-        # the rule's 8 x 8 signal image agrees with Monte Carlo within 3 MC
+        # the rule's 8 x 8 image agrees with Monte Carlo within 3 MC
         # standard errors at every tested grid point
-        mc_raw, stderr = singles_montecarlo(pump, crystal, "signal", 8,
-                                            20000, 20240)
+        mc_raw, stderr = singles_montecarlo(pump, crystal, 8, 20000, 20240)
         z = np.abs(quad_raw - mc_raw) / np.where(stderr > 0, stderr, np.inf)
         assert np.max(z) < 3.0
 
@@ -302,22 +299,22 @@ class TestSinglesProfile:
         crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA)
         pump = pump_for(0.5, w0=1e-4)
         self.assert_quadrature_matches_montecarlo(
-            singles_at_order(pump, crystal, "signal", 8, 32), pump, crystal)
+            singles_at_order(pump, crystal, 8, 32), pump, crystal)
 
     def test_gated_quadrature_vs_montecarlo(self):
         # the gate has to climb past orders 4 and 8 here, each of which
         # misses by more than 15 MC standard errors, and returns order 32
         crystal = CrystalParams(L=5e-3, kind="I", theta_nc=THETA, rho_p=0.07)
         pump = pump_for(0.2, w0=1e-4)
-        quad = singles_profile(pump, crystal, which="signal", samples=8)
+        quad = singles_profile(pump, crystal, samples=8)
         self.assert_quadrature_matches_montecarlo(
             quad.grid * quad.meta["normalization"], pump, crystal)
 
     def test_montecarlo_is_deterministic(self):
         crystal = CrystalParams(L=2e-3, kind="I", theta_nc=THETA)
         pump = pump_for(0.5)
-        one = singles_montecarlo(pump, crystal, "signal", 8, 2000, 7)
-        two = singles_montecarlo(pump, crystal, "signal", 8, 2000, 7)
+        one = singles_montecarlo(pump, crystal, 8, 2000, 7)
+        two = singles_montecarlo(pump, crystal, 8, 2000, 7)
         assert np.array_equal(one[0], two[0])
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from shared import j1_series
+from shared import csd_a, csd_kernel, j1_series
 
 from gsmspdc.pump import (CharacterizationSetup, GaussianCsd, PumpParams,
                           bessel_visibility, correlation_length,
@@ -63,7 +63,7 @@ class TestCsdCoefficients:
     def test_incoherent_closed_forms(self):
         w0 = 1e-3
         c = csd_coefficients(PumpParams(405e-9, w0, 1e-12))
-        assert c.a == pytest.approx(w0**2, rel=1e-8)
+        assert csd_a(c) == pytest.approx(w0**2, rel=1e-8)
         assert c.c == pytest.approx(w0**2 / 2.0, rel=1e-12)
 
     def test_near_coherent_limit(self):
@@ -71,10 +71,11 @@ class TestCsdCoefficients:
         # within 3% of the limit (at 100 w0 the a deviation is exactly 4%)
         w0 = 1e-3
         c = csd_coefficients(PumpParams(405e-9, w0, 150 * w0))
-        assert abs(c.a / w0**2 - 1.0) < 0.03
+        assert abs(csd_a(c) / w0**2 - 1.0) < 0.03
         assert abs(c.c) < 0.03 * w0**2
         c100 = csd_coefficients(PumpParams(405e-9, w0, 100 * w0))
-        assert abs(c100.a / w0**2 - 1.0) == pytest.approx(0.04, abs=0.001)
+        assert abs(csd_a(c100) / w0**2 - 1.0) == pytest.approx(0.04,
+                                                                abs=0.001)
 
     def test_ordering(self):
         for lc in np.geomspace(1e-6, 1.0, 20):
@@ -88,14 +89,15 @@ class TestCsdCoefficients:
         for _ in range(10):
             q = rng.normal(scale=2e3, size=2)
             qp = rng.normal(scale=2e3, size=2)
-            assert c.kernel(q, qp) == pytest.approx(c.kernel(qp, q), rel=1e-12)
+            assert csd_kernel(c, q, qp) == pytest.approx(csd_kernel(c, qp, q),
+                                                         rel=1e-12)
 
     def test_diagonal_matches_kernel(self):
         # the diagonal W(q, q) is the pair-sum Gaussian of width sum_sigma
         c = csd_coefficients(PumpParams(405e-9, 0.5e-3, 0.4e-3))
         q = np.array([1.3e3, -0.4e3])
         diagonal = c.A_c * np.exp(-(q @ q) / (2.0 * c.sum_sigma**2))
-        assert diagonal == pytest.approx(c.kernel(q, q), rel=1e-12)
+        assert diagonal == pytest.approx(csd_kernel(c, q, q), rel=1e-12)
 
     def test_angular_width_narrows_with_coherence(self):
         # pair-sum width of the diagonal shrinks as l_c grows (more coherent
